@@ -22,15 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .perm import Perm, relative_cycles
+from .perm import positions
 from .topology import boundary
-
-
-def _half(position: int, k: int) -> int:
-    # 0: position 1, 1: left half, 2: right half
-    if position == 1:
-        return 0
-    return 1 if position <= k else 2
 
 
 @dataclass(frozen=True)
@@ -64,6 +57,34 @@ class ClassifiedSets:
         return self.n - len(self.settled)
 
 
+# An unsettled value at current position p with target position tp falls in
+# slot 3 * half[p] + half[tp]; slots touching position 1 belong to no set.
+_ULL, _ULR, _URL, _URR = 4, 5, 7, 8
+
+
+def _alternates(start: int, dest: Sequence[int], half: Sequence[int], seen: list[bool]) -> bool:
+    """Walk the cycle of positions ``p -> dest[p]`` through ``start``, marking
+    each position in ``seen``; True when the halves of those positions
+    alternate all the way around.
+
+    For a current node c and target t, ``dest[p]`` is the target position of
+    the value at position p, and its cycles are the relative cycles of c
+    written as the current positions of their values.
+    """
+    seen[start] = True
+    first = prev = half[start]
+    alternating = first != 0
+    p = dest[start]
+    while p != start:
+        seen[p] = True
+        h = half[p]
+        if h == prev or not h:
+            alternating = False
+        prev = h
+        p = dest[p]
+    return alternating and prev != first
+
+
 def is_alternating(cycle: Sequence[int], c: Sequence[int]) -> bool:
     """Whether a relative cycle alternates between the halves of ``c``.
 
@@ -71,14 +92,13 @@ def is_alternating(cycle: Sequence[int], c: Sequence[int]) -> bool:
     current positions.  Singletons never alternate, and neither does any
     cycle with an element at position 1.
     """
-    if len(cycle) < 2:
+    if not cycle:
         return False
-    k = boundary(len(c)).k
-    pos = {v: i + 1 for i, v in enumerate(c)}
-    halves = [_half(pos[v], k) for v in cycle]
-    if any(h == 0 for h in halves):
-        return False
-    return all(halves[i] != halves[i - 1] for i in range(len(halves)))
+    cpos = positions(c)
+    dest = [0] * len(cpos)
+    for v, w in zip(cycle, cycle[1:] + cycle[:1]):
+        dest[cpos[v]] = cpos[w]
+    return _alternates(cpos[cycle[0]], dest, boundary(len(c)).half, [False] * len(cpos))
 
 
 def classify(c: Sequence[int], t: Sequence[int]) -> ClassifiedSets:
@@ -91,46 +111,43 @@ def classify(c: Sequence[int], t: Sequence[int]) -> ClassifiedSets:
     if len(c) != len(t):
         raise ValueError(f"order mismatch: {len(c)} vs {len(t)}")
     n = len(c)
-    k = boundary(n).k
-    tpos = [0] * (n + 1)
-    for i, v in enumerate(t):
-        tpos[v] = i + 1
-    settled, ull, urr, ulr, url, sl, sr = [], [], [], [], [], [], []
-    for i, v in enumerate(c):
-        p = i + 1
-        if tpos[v] == p:
+    b = boundary(n)
+    half = b.half
+    tpos = positions(t)
+    settled: list[int] = []
+    settled_in: list[list[int]] = [[], [], []]  # by half
+    slots: list[list[int]] = [[] for _ in range(9)]
+    for p, v in enumerate(c, 1):
+        tp = tpos[v]
+        if tp == p:
             settled.append(v)
-            ch = _half(p, k)
-            if ch == 1:
-                sl.append(v)
-            elif ch == 2:
-                sr.append(v)
-            continue
-        ch, th = _half(p, k), _half(tpos[v], k)
-        if ch == 1 and th == 1:
-            ull.append(v)
-        elif ch == 2 and th == 2:
-            urr.append(v)
-        elif ch == 1 and th == 2:
-            ulr.append(v)
-        elif ch == 2 and th == 1:
-            url.append(v)
-        # ch == 0 or th == 0: c(1) or t(1), excluded from the four sets
-    decomposition = relative_cycles(c, t)
-    chi = sum(1 for cyc in decomposition.cycles if is_alternating(cyc, c))
+            settled_in[half[p]].append(v)
+        else:
+            slots[3 * half[p] + half[tp]].append(v)
+    *_, chi, nonsingleton = _counts(c, t)
     return ClassifiedSets(
         n=n,
-        k=k,
+        k=b.k,
         settled=frozenset(settled),
-        ull=frozenset(ull),
-        urr=frozenset(urr),
-        ulr=frozenset(ulr),
-        url=frozenset(url),
-        sl=frozenset(sl),
-        sr=frozenset(sr),
+        ull=frozenset(slots[_ULL]),
+        urr=frozenset(slots[_URR]),
+        ulr=frozenset(slots[_ULR]),
+        url=frozenset(slots[_URL]),
+        sl=frozenset(settled_in[1]),
+        sr=frozenset(settled_in[2]),
         alternating_count=chi,
-        nonsingleton_cycles=decomposition.nonsingleton_count,
+        nonsingleton_cycles=nonsingleton,
     )
+
+
+def _crossing_load(c: Sequence[int], tpos: Sequence[int], half: Sequence[int]) -> int:
+    """:func:`crossing_load` against a prebuilt target position index."""
+    load = 0
+    for p, v in enumerate(c, 1):
+        tp = tpos[v]
+        if tp != p and half[p] and half[p] == half[tp]:
+            load += 1
+    return load
 
 
 def crossing_load(c: Sequence[int], t: Sequence[int]) -> int:
@@ -139,20 +156,7 @@ def crossing_load(c: Sequence[int], t: Sequence[int]) -> int:
     This is the quantity the oriented router burns down before its final
     crossing move; it never increases along a well-formed route.
     """
-    n = len(c)
-    k = boundary(n).k
-    tpos = [0] * (n + 1)
-    for i, v in enumerate(t):
-        tpos[v] = i + 1
-    load = 0
-    for i, v in enumerate(c):
-        p = i + 1
-        tp = tpos[v]
-        if tp == p or p == 1 or tp == 1:
-            continue
-        if (p <= k) == (tp <= k):
-            load += 1
-    return load
+    return _crossing_load(c, positions(t), boundary(len(c)).half)
 
 
 def _counts(c: Sequence[int], t: Sequence[int]) -> tuple[int, int, int, int, int, int]:
@@ -160,57 +164,18 @@ def _counts(c: Sequence[int], t: Sequence[int]) -> tuple[int, int, int, int, int
 
     Returns ``(ull, urr, ulr, url, alternating, nonsingleton)`` as plain ints.
     """
-    n = len(c)
-    k = boundary(n).k
-    tpos = [0] * (n + 1)
-    for i, v in enumerate(t):
-        tpos[v] = i + 1
-    cpos = [0] * (n + 1)
-    ull = urr = ulr = url = 0
-    for i, v in enumerate(c):
-        p = i + 1
-        cpos[v] = p
-        tp = tpos[v]
-        if tp == p or p == 1 or tp == 1:
-            continue
-        cleft = p <= k
-        tleft = tp <= k
-        if cleft:
-            if tleft:
-                ull += 1
-            else:
-                ulr += 1
-        elif tleft:
-            url += 1
-        else:
-            urr += 1
-    # cycles of c o t^-1: successor of value v is c[tpos[v] - 1]
+    half = boundary(len(c)).half
+    tpos = positions(t)
+    dest = [0] * len(tpos)
+    tally = [0] * 9
+    for p, v in enumerate(c, 1):
+        tp = dest[p] = tpos[v]
+        if tp != p:
+            tally[3 * half[p] + half[tp]] += 1
+    seen = [False] * len(dest)
     chi = nonsingleton = 0
-    seen = [False] * (n + 1)
-    for start in range(1, n + 1):
-        if seen[start]:
-            continue
-        seen[start] = True
-        succ = c[tpos[start] - 1]
-        if succ == start:
-            continue
-        nonsingleton += 1
-        length = 1
-        alternating = cpos[start] != 1
-        prev_left = cpos[start] <= k
-        first_left = prev_left
-        v = succ
-        while v != start:
-            seen[v] = True
-            length += 1
-            if cpos[v] == 1:
-                alternating = False
-            else:
-                left = cpos[v] <= k
-                if left == prev_left:
-                    alternating = False
-                prev_left = left
-            v = c[tpos[v] - 1]
-        if alternating and prev_left != first_left:
-            chi += 1
-    return ull, urr, ulr, url, chi, nonsingleton
+    for p in range(1, len(dest)):
+        if not seen[p] and dest[p] != p:
+            nonsingleton += 1
+            chi += _alternates(p, dest, half, seen)
+    return tally[_ULL], tally[_URR], tally[_ULR], tally[_URL], chi, nonsingleton

@@ -154,8 +154,9 @@ def _cmd_distance(args: argparse.Namespace) -> int:
 
 
 def _cmd_diameter(args: argparse.Namespace) -> int:
-    mode = args.mode or ("exhaustive" if args.n <= 7 else "orbit")
-    result = diameter(args.n, directed=args.directed, scheme=Scheme.parse(args.scheme), mode=mode)
+    result = diameter(
+        args.n, directed=args.directed, scheme=Scheme.parse(args.scheme), mode=args.mode
+    )
     if args.json:
         print(
             json.dumps(
@@ -208,7 +209,7 @@ def _report_json(report: VerificationReport) -> dict:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    checks = args.checks.split(",") if args.checks else None
+    checks = None if args.checks is None else [name for name in args.checks.split(",") if name]
     report = verify(
         args.n,
         scheme=Scheme.parse(args.scheme),
@@ -216,7 +217,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         sources=args.sources,
         seed=args.seed,
         sample_size=args.sample_size,
-        threads=args.threads,
     )
     if args.json:
         print(json.dumps(_report_json(report), indent=2))
@@ -341,7 +341,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sources", choices=["all", "reduced"], default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--sample-size", type=int, default=SPLIT_MERGE_SAMPLES)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_verify)
 

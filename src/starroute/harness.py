@@ -13,12 +13,12 @@ import itertools
 import json
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .oracle import bfs, diameter
-from .perm import Perm, apply_generator, identity, relative_cycles
+from .classify import _crossing_load
+from .oracle import MAX_TABLE_ORDER, bfs, diameter, orbit_sources
+from .perm import Perm, apply_generator, identity, positions, relative_cycles
 from .routing import (
     check_phase_invariants,
     classic_distance,
@@ -89,30 +89,13 @@ def hop_cap(n: int) -> int:
     return 2 * n + 2 if n % 2 else 2 * n + 4
 
 
-def _reduced_sources(n: int) -> list[Perm]:
-    return [identity(n), apply_generator(identity(n), 2)]
-
-
-def _burn_count(node: Sequence[int], tpos: list[int], k: int) -> int:
-    """Unsettled values sitting in the same half as their target position."""
-    burn = 0
-    for i in range(1, len(node)):
-        v = node[i]
-        tp = tpos[v]
-        if tp == i + 1 or tp == 1:
-            continue
-        if (tp <= k) == (i + 1 <= k):
-            burn += 1
-    return burn
-
-
 def _route_violations(
     n: int,
     sources: list[Perm],
     targets: list[Perm],
     selected: list[str],
 ) -> dict[str, list[Violation]]:
-    k = boundary(n).k
+    half = boundary(n).half
     cap = hop_cap(n)
     found: dict[str, list[Violation]] = {name: [] for name in selected}
     want_stretch = "stretch-bound" in found
@@ -148,19 +131,15 @@ def _route_violations(
                         Violation(s, t, "; ".join(report.violations), "phase invariants")
                     )
             if want_mono:
-                tpos = [0] * (n + 1)
-                for i, v in enumerate(t):
-                    tpos[v] = i + 1
-                prev = _burn_count(s, tpos, k)
-                for hop in trace.hops:
-                    node = apply_generator(hop.node, hop.link)
-                    cur = _burn_count(node, tpos, k)
+                tpos = positions(t)
+                loads = [_crossing_load(node, tpos, half) for node in trace.nodes()]
+                for hop in range(1, len(loads)):
+                    prev, cur = loads[hop - 1], loads[hop]
                     if cur > prev:
                         found["crossing-monotone"].append(
-                            Violation(s, t, f"{prev} -> {cur} at hop {hop.index}", "non-increasing")
+                            Violation(s, t, f"{prev} -> {cur} at hop {hop}", "non-increasing")
                         )
                         break
-                    prev = cur
     return found
 
 
@@ -252,7 +231,6 @@ def verify(
     sources: str | None = None,
     seed: int = 0,
     sample_size: int = SPLIT_MERGE_SAMPLES,
-    threads: int = 1,
 ) -> VerificationReport:
     """Run the named checks over ordered node pairs of the order-``n`` graph.
 
@@ -260,13 +238,18 @@ def verify(
     ``"reduced"`` (the identity plus one odd node, default from n=7 on; the
     two parity classes are interchangeable under even left-translations).
     Oriented-route checks demand the contiguous-half scheme.  ``seed`` and
-    ``sample_size`` control the sampled split/merge law at n >= 6.  With
-    ``threads > 1`` sources are swept concurrently.  Checks co-swept in one
-    pass share their ``elapsed`` wall time.
+    ``sample_size`` control the sampled split/merge law at n >= 6.  Checks
+    co-swept in one pass share their ``elapsed`` wall time.
     """
+    if not 3 <= n <= MAX_TABLE_ORDER:
+        raise ValueError(f"verify covers orders 3..{MAX_TABLE_ORDER}, got {n}")
+    if sample_size < 1:
+        raise ValueError(f"sample size must be at least 1, got {sample_size}")
     if isinstance(scheme, str):
         scheme = Scheme.parse(scheme)
     selected = list(ALL_CHECKS) if checks is None else list(checks)
+    if not selected:
+        raise ValueError(f"no checks selected; valid: {', '.join(ALL_CHECKS)}")
     unknown = [name for name in selected if name not in ALL_CHECKS]
     if unknown:
         raise ValueError(f"unknown checks {unknown}; valid: {', '.join(ALL_CHECKS)}")
@@ -281,39 +264,26 @@ def verify(
     if sources not in ("all", "reduced"):
         raise ValueError(f"sources must be 'all' or 'reduced', not {sources!r}")
     targets = [tuple(p) for p in itertools.permutations(range(1, n + 1))]
-    source_list = targets if sources == "all" else _reduced_sources(n)
+    source_list = targets if sources == "all" else list(orbit_sources(n))
 
     results: list[CheckResult] = []
-
-    def run_pair_sweep(names: list[str], sweep) -> None:
-        if not names:
-            return
-        population = len(source_list) * len(targets)
-        start = time.perf_counter()
-        if threads > 1:
-            chunks = [source_list[i::threads] for i in range(threads)]
-            merged: dict[str, list[Violation]] = {name: [] for name in names}
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                for part in pool.map(lambda ch: sweep(n, ch, targets, names), chunks):
-                    for name in names:
-                        merged[name].extend(part[name])
-            by_name = merged
-        else:
+    population = len(source_list) * len(targets)
+    distance_selected = [name for name in selected if name in ("distance-vs-bfs", "set-formula")]
+    for names, sweep in (
+        (route_selected, _route_violations),
+        (distance_selected, _distance_violations),
+    ):
+        if names:
+            start = time.perf_counter()
             by_name = sweep(n, source_list, targets, names)
-        elapsed = time.perf_counter() - start
-        for name in names:
-            results.append(CheckResult(name, population, tuple(by_name[name]), elapsed))
-
-    run_pair_sweep(route_selected, _route_violations)
-    run_pair_sweep(
-        [name for name in selected if name in ("distance-vs-bfs", "set-formula")],
-        _distance_violations,
-    )
+            elapsed = time.perf_counter() - start
+            for name in names:
+                results.append(CheckResult(name, population, tuple(by_name[name]), elapsed))
     if "split-merge" in selected:
         start = time.perf_counter()
-        found, population = _split_merge_violations(n, seed, sample_size)
+        found, sampled = _split_merge_violations(n, seed, sample_size)
         results.append(
-            CheckResult("split-merge", population, tuple(found), time.perf_counter() - start)
+            CheckResult("split-merge", sampled, tuple(found), time.perf_counter() - start)
         )
 
     ordered = sorted(results, key=lambda c: selected.index(c.name))
@@ -419,17 +389,16 @@ def diameter_table(ns: Iterable[int], mode: str | None = None) -> list[DiameterR
 
     ``lower``/``upper`` are the proven directed brackets for the
     contiguous-half scheme (blank below n=5, where they do not apply).
-    ``mode`` defaults to exhaustive through n=7 and orbit beyond.
+    ``mode`` takes the default of :func:`oracle.diameter`.
     """
     rows = []
     for n in ns:
-        row_mode = mode or ("exhaustive" if n <= 7 else "orbit")
-        und = diameter(n, directed=False, mode=row_mode).value
-        fuj = diameter(n, directed=True, scheme=Scheme.FUJITA, mode=row_mode).value
-        day = diameter(n, directed=True, scheme=Scheme.DAY_TRIPATHI, mode=row_mode).value
+        und = diameter(n, directed=False, mode=mode)
+        fuj = diameter(n, directed=True, scheme=Scheme.FUJITA, mode=mode)
+        day = diameter(n, directed=True, scheme=Scheme.DAY_TRIPATHI, mode=mode)
         lower = None if n < 5 else (2 * n - 1 if n in (5, 6) else 2 * n)
         upper = None if n < 5 else hop_cap(n)
-        rows.append(DiameterRow(n, und, fuj, day, lower, upper, row_mode))
+        rows.append(DiameterRow(n, und.value, fuj.value, day.value, lower, upper, und.mode))
     return rows
 
 

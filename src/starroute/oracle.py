@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import ceil, factorial
-from typing import Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -240,35 +240,41 @@ class DiameterResult:
     witness_target: Perm
 
 
-def _sources(n: int, mode: str) -> Iterator[Perm]:
-    if mode == "orbit":
-        # left translation by any even permutation is a label-preserving
-        # automorphism of both orientations, so one even and one odd source
-        # realise every eccentricity
-        ident = tuple(range(1, n + 1))
-        yield ident
-        yield (2, 1) + ident[2:]
-    elif mode == "exhaustive":
-        yield from itertools.permutations(range(1, n + 1))
-    else:
-        raise ValueError(f"unknown diameter mode {mode!r}")
+def orbit_sources(n: int) -> tuple[Perm, Perm]:
+    """One even and one odd source: the identity and (2, 1, 3, ..., n).
+
+    Left translation by any even permutation is a label-preserving
+    automorphism of both orientations, so these two realise every
+    eccentricity.
+    """
+    ident = tuple(range(1, n + 1))
+    return ident, (2, 1) + ident[2:]
 
 
 def diameter(
     n: int,
     directed: bool = False,
     scheme: Scheme = Scheme.FUJITA,
-    mode: str = "exhaustive",
+    mode: str | None = None,
 ) -> DiameterResult:
     """Largest finite BFS distance over the chosen source set.
 
     ``mode="exhaustive"`` scans every source (practical through order 7,
     slow at 8); ``mode="orbit"`` uses the two-source symmetry reduction and
-    stays fast through order 9.
+    stays fast through order 9.  The default is exhaustive through order 7
+    and orbit beyond.
     """
+    if mode is None:
+        mode = "exhaustive" if n <= 7 else "orbit"
+    if mode == "orbit":
+        sources: Iterable[Perm] = orbit_sources(n)
+    elif mode == "exhaustive":
+        sources = itertools.permutations(range(1, n + 1))
+    else:
+        raise ValueError(f"unknown diameter mode {mode!r}")
     best = -1
     witness: tuple[Perm, Perm] | None = None
-    for source in _sources(n, mode):
+    for source in sources:
         field = bfs(source, directed=directed, scheme=scheme)
         ecc = field.eccentricity()
         if ecc > best:

@@ -81,16 +81,27 @@ def compose(p: Sequence[int], q: Sequence[int]) -> Perm:
     return tuple(p[v - 1] for v in q)
 
 
+def positions(p: Sequence[int]) -> list[int]:
+    """Position index: ``positions(p)[v]`` is the position holding value ``v``.
+
+    Entry 0 is unused, so the list has length n+1.
+
+    >>> positions((2, 3, 1))
+    [0, 3, 1, 2]
+    """
+    pos = [0] * (len(p) + 1)
+    for i, v in enumerate(p, 1):
+        pos[v] = i
+    return pos
+
+
 def inverse(p: Sequence[int]) -> Perm:
     """The inverse permutation: ``compose(p, inverse(p))`` is the identity.
 
     >>> format_perm(inverse(parse_perm("23145")))
     '31245'
     """
-    out = [0] * len(p)
-    for i, v in enumerate(p):
-        out[v - 1] = i + 1
-    return tuple(out)
+    return tuple(positions(p)[1:])
 
 
 def parity(p: Sequence[int]) -> int:

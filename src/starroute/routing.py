@@ -47,9 +47,9 @@ import enum
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .classify import _counts as _set_counts
-from .perm import Perm, apply_generator, parity
-from .topology import Direction, Scheme, arc_direction, boundary
+from .classify import _alternates, _counts as _set_counts
+from .perm import Perm, apply_generator, parity, positions
+from .topology import Scheme, boundary, is_outgoing
 
 
 class MoveKind(enum.Enum):
@@ -67,7 +67,7 @@ CROSSING_KINDS = frozenset(
 
 class RoutingInvariantError(RuntimeError):
     """A pick-set the analysis guarantees non-empty was empty, or a route ran
-    past its hop cap.  Signals a routing bug (or an uncertified small order)."""
+    past its runaway limit.  Signals a routing bug (or an uncertified small order)."""
 
 
 @dataclass(frozen=True)
@@ -98,20 +98,10 @@ class RouteTrace:
         yield self.target
 
 
-def _hop_cap(n: int) -> int:
-    # generous runaway guard: beyond any proven bound for certified orders
+def _runaway_limit(n: int) -> int:
+    # stops a looping router; well beyond any proven bound for certified
+    # orders (the proven cap is harness.hop_cap)
     return 4 * n + 8
-
-
-def _positions(p: Sequence[int]) -> list[int]:
-    pos = [0] * (len(p) + 1)
-    for i, v in enumerate(p):
-        pos[v] = i + 1
-    return pos
-
-
-def _target_halves(tpos: list[int], k: int) -> list[int]:
-    return [0] + [0 if tp == 1 else (1 if tp <= k else 2) for tp in tpos[1:]]
 
 
 # ---------------------------------------------------------------------------
@@ -138,20 +128,23 @@ def classic_step(c: Sequence[int], t: Sequence[int]) -> tuple[int, MoveKind]:
         raise ValueError(f"order mismatch: {len(c)} vs {len(t)}")
     if tuple(c) == tuple(t):
         raise ValueError("already at the target; no step to take")
-    return _classic_pick(list(c), t, _positions(t))
+    return _classic_pick(list(c), t, positions(t))
 
 
 def classic_distance(s: Sequence[int], t: Sequence[int]) -> int:
     """Undirected shortest-path distance between ``s`` and ``t``.
 
     Closed form: (mismatched values) + (non-singleton relative cycles),
-    minus 2 when position 1 already agrees... inverted: minus 2 exactly when
-    it *disagrees*, since the first and last hops then do double duty.
+    minus 2 when ``s`` and ``t`` differ at position 1.  A cycle away from
+    position 1 costs its length plus one: a seeding hop pulls one of its
+    values to the front, then each hop settles one value.  The cycle through
+    position 1 needs no seeding hop, and its last hop settles two values at
+    once, so it costs its length minus one.
     """
     n = len(s)
     if n != len(t):
         raise ValueError(f"order mismatch: {n} vs {len(t)}")
-    tpos = _positions(t)
+    tpos = positions(t)
     mismatched = 0
     for i in range(n):
         if s[i] != t[i]:
@@ -193,15 +186,14 @@ def _oriented_pick(
     odd: int,
     t: Sequence[int],
     tpos: list[int],
-    thalf: list[int],
-    k: int,
+    half: Sequence[int],
 ) -> tuple[int, MoveKind, str]:
     n = len(c)
     c1 = c[0]
     t1 = t[0]
-    home = 2 if odd else 1  # the half this node's outgoing links cover
+    home = 1 + odd  # the half this node's outgoing links cover
 
-    if thalf[c1] == home:
+    if half[tpos[c1]] == home:
         return tpos[c1], MoveKind.SETTLING, "1"
 
     burn = 0  # |ull| + |urr| over both halves
@@ -212,12 +204,12 @@ def _oriented_pick(
         v = c[i]
         p = i + 1
         tp = tpos[v]
-        ch = 1 if p <= k else 2
+        ch = half[p]
         if tp == p:
             if ch == home and not sh_first:
                 sh_first = p
             continue
-        th = thalf[v]
+        th = half[tp]
         if th == ch:
             burn += 1
             if ch == home:
@@ -255,17 +247,16 @@ def _oriented_pick(
         if c_list:
             return c_list[0], kind, "2.4"
         t1p = cpos[t1]
-        if t1p == 1 or (1 if t1p <= k else 2) != home:
+        if half[t1p] != home:
             raise RoutingInvariantError("nothing to displace in the reachable half")
         return t1p, kind, "2.5"
 
-    if thalf[c1]:  # destined for the opposite half, burn-down complete
+    if half[tpos[c1]]:  # destined for the opposite half, burn-down complete
         if c_list:
-            link = _prefer_alternating(c_list, c, cpos, tpos, k)
+            link = _prefer_alternating(c_list, c, tpos, half)
             return link, MoveKind.FINAL_CROSSING, "3.1"
         t1p = cpos[t1]
-        t1_home = t1p != 1 and (1 if t1p <= k else 2) == home
-        if t1_home:
+        if half[t1p] == home:
             return t1p, MoveKind.FINAL_CROSSING, "3.2"
         if not sh_first:
             raise RoutingInvariantError("case 3.2 found neither t(1) nor a settled value")
@@ -278,32 +269,15 @@ def _oriented_pick(
 
 
 def _prefer_alternating(
-    c_list: list[int],
-    c: list[int],
-    cpos: list[int],
-    tpos: list[int],
-    k: int,
+    c_list: list[int], c: list[int], tpos: list[int], half: Sequence[int]
 ) -> int:
     """Lowest position in ``c_list`` whose value lies on an alternating
     relative cycle; lowest position outright when no such value exists."""
+    dest = [0] + [tpos[v] for v in c]
+    seen = [False] * len(dest)
     for p in c_list:
-        start = c[p - 1]
-        ok = True
-        prev_left = p <= k
-        first_left = prev_left
-        w = c[tpos[start] - 1]
-        while w != start:
-            wp = cpos[w]
-            if wp == 1:
-                ok = False
-                break
-            left = wp <= k
-            if left == prev_left:
-                ok = False
-                break
-            prev_left = left
-            w = c[tpos[w] - 1]
-        if ok and prev_left != first_left:
+        # skip cycles already walked: none of them alternated
+        if not seen[p] and _alternates(p, dest, half, seen):
             return p
     return c_list[0]
 
@@ -322,10 +296,8 @@ def oriented_step(
         raise ValueError("the oriented router is defined for the contiguous-half scheme")
     if tuple(c) == tuple(t):
         raise ValueError("already at the target; no step to take")
-    k = boundary(len(c)).k
-    tpos = _positions(t)
     return _oriented_pick(
-        list(c), _positions(c), parity(c), t, tpos, _target_halves(tpos, k), k
+        list(c), positions(c), parity(c), t, positions(t), boundary(len(c)).half
     )
 
 
@@ -334,21 +306,20 @@ def _route_raw(
 ) -> tuple[list[Perm], list[int], list[MoveKind], list[str]]:
     """Shared route loop.  Returns (nodes before each hop, links, kinds, cases)."""
     n = len(s)
-    k = boundary(n).k
-    tpos = _positions(t)
-    thalf = _target_halves(tpos, k)
+    half = boundary(n).half
+    tpos = positions(t)
     c = list(s)
-    cpos = _positions(s)
+    cpos = positions(s)
     odd = parity(s)
     unsettled = sum(1 for i in range(n) if s[i] != t[i])
-    cap = _hop_cap(n)
+    limit = _runaway_limit(n)
     nodes: list[Perm] = []
     links: list[int] = []
     kinds: list[MoveKind] = []
     cases: list[str] = []
     while unsettled:
         if oriented:
-            link, kind, case = _oriented_pick(c, cpos, odd, t, tpos, thalf, k)
+            link, kind, case = _oriented_pick(c, cpos, odd, t, tpos, half)
         else:
             link, kind = _classic_pick(c, t, tpos)
             case = "classic"
@@ -363,8 +334,8 @@ def _route_raw(
         cpos[c[i]] = link
         unsettled += was - ((c[0] == t[0]) + (c[i] == t[i]))
         odd ^= 1
-        if len(links) > cap:
-            raise RoutingInvariantError(f"route exceeded {cap} hops without terminating")
+        if len(links) > limit:
+            raise RoutingInvariantError(f"route exceeded {limit} hops without terminating")
     return nodes, links, kinds, cases
 
 
@@ -435,23 +406,25 @@ def validate_trace(trace: RouteTrace) -> list[str]:
     Empty list means the trace is well formed."""
     faults: list[str] = []
     current = trace.source
+    odd = parity(current)  # every hop flips it
     for hop in trace.hops:
         if hop.node != current:
             faults.append(f"hop {hop.index}: node chain broken")
             current = hop.node
+            odd = parity(current)
         try:
             nxt = apply_generator(current, hop.link)
         except ValueError as exc:
             faults.append(f"hop {hop.index}: {exc}")
             continue
-        if trace.scheme is not None:
-            if arc_direction(current, hop.link, trace.scheme) is not Direction.OUTGOING:
-                faults.append(f"hop {hop.index}: link {hop.link} is not an outgoing arc")
+        if trace.scheme is not None and not is_outgoing(len(current), hop.link, odd, trace.scheme):
+            faults.append(f"hop {hop.index}: link {hop.link} is not an outgoing arc")
         current = nxt
+        odd ^= 1
     if current != trace.target:
         faults.append("route does not terminate at the target")
-    if trace.length > _hop_cap(len(trace.source)):
-        faults.append("route exceeds the hop cap")
+    if trace.length > _runaway_limit(len(trace.source)):
+        faults.append("route exceeds the runaway limit")
     if [h.index for h in trace.hops] != list(range(1, trace.length + 1)):
         faults.append("hop indices are not 1..length")
     return faults

@@ -46,12 +46,18 @@ class Direction(enum.Enum):
 
 @dataclass(frozen=True)
 class HalfBoundary:
-    """The left/right split of link positions for order ``n``."""
+    """The left/right split of link positions for order ``n``.
+
+    ``half[p]`` names the half of position ``p``: 0 for position 1 (which
+    belongs to neither), 1 for the left half, 2 for the right half.  Entry 0
+    is unused.
+    """
 
     n: int
     k: int
     left_positions: tuple[int, ...]
     right_positions: tuple[int, ...]
+    half: tuple[int, ...]
 
 
 @lru_cache(maxsize=None)
@@ -60,11 +66,14 @@ def boundary(n: int) -> HalfBoundary:
 
     >>> boundary(5).k, boundary(5).left_positions, boundary(5).right_positions
     (3, (2, 3), (4, 5))
+    >>> boundary(5).half
+    (0, 0, 1, 1, 2, 2)
     """
     if n < 3:
         raise ValueError(f"order must be at least 3, got {n}")
     k = ceil((n - 1) / 2) + 1
-    return HalfBoundary(n, k, tuple(range(2, k + 1)), tuple(range(k + 1, n + 1)))
+    half = (0, 0) + (1,) * (k - 1) + (2,) * (n - k)
+    return HalfBoundary(n, k, tuple(range(2, k + 1)), tuple(range(k + 1, n + 1)), half)
 
 
 def neighbors(u: Sequence[int]) -> list[tuple[int, Perm]]:
@@ -72,19 +81,27 @@ def neighbors(u: Sequence[int]) -> list[tuple[int, Perm]]:
     return [(link, apply_generator(u, link)) for link in range(2, len(u) + 1)]
 
 
+def is_outgoing(n: int, link: int, odd: int, scheme: Scheme = Scheme.FUJITA) -> bool:
+    """Whether ``link`` leaves an order-``n`` vertex of parity ``odd`` (0 or 1).
+
+    The caller supplies the parity, so a walk can carry it along instead of
+    recomputing it: every hop flips it.
+    """
+    if scheme is Scheme.FUJITA:
+        return boundary(n).half[link] == 1 + odd
+    if scheme is Scheme.DAY_TRIPATHI:
+        return link % 2 == odd
+    raise ValueError(f"unknown scheme: {scheme!r}")  # pragma: no cover - enum is closed
+
+
 def arc_direction(u: Sequence[int], link: int, scheme: Scheme = Scheme.FUJITA) -> Direction:
     """Direction of the edge at ``u`` labelled ``link`` under ``scheme``."""
     n = len(u)
     if not 2 <= link <= n:
         raise ValueError(f"link must be within 2..{n}, got {link}")
-    even = parity(u) == 0
-    if scheme is Scheme.FUJITA:
-        outgoing = (link <= boundary(n).k) == even
-    elif scheme is Scheme.DAY_TRIPATHI:
-        outgoing = (link % 2 == 0) == even
-    else:  # pragma: no cover - enum is closed
-        raise ValueError(f"unknown scheme: {scheme!r}")
-    return Direction.OUTGOING if outgoing else Direction.INCOMING
+    if is_outgoing(n, link, parity(u), scheme):
+        return Direction.OUTGOING
+    return Direction.INCOMING
 
 
 def out_neighbors(u: Sequence[int], scheme: Scheme = Scheme.FUJITA) -> list[tuple[int, Perm]]:

@@ -1,10 +1,14 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from starroute.cli import build_parser, main
+from starroute.harness import verify
 
 
 def run(capsys, *argv):
@@ -162,3 +166,70 @@ def test_parser_knows_all_subcommands():
         "witness",
     ):
         assert name in text
+
+
+@pytest.mark.parametrize("n", ["-1", "2", "10"])
+def test_verify_rejects_orders_outside_three_to_nine(capsys, n):
+    code, out, err = run(capsys, "verify", n, "--checks", "split-merge")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("size", ["0", "-3"])
+def test_verify_rejects_sample_size_below_one(capsys, size):
+    code, out, err = run(capsys, "verify", "6", "--checks", "split-merge", "--sample-size", size)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ")
+
+
+def test_verify_rejects_empty_check_string(capsys):
+    code, out, err = run(capsys, "verify", "4", "--checks", "")
+    assert code == 2 and out == ""
+    assert err.startswith("error: no checks selected")
+
+
+def test_verify_rejects_empty_check_list():
+    with pytest.raises(ValueError, match="no checks selected"):
+        verify(4, checks=[])
+
+
+_ORDER = st.integers(-2, 4).map(str)
+_PERM = st.one_of(
+    st.permutations(["1", "2", "3", "4"]).map("".join),
+    st.text(alphabet="0123456789,-x ", max_size=6),
+)
+_ORDERS = st.one_of(
+    _ORDER,
+    st.builds(lambda a, b: f"{a}..{b}", _ORDER, _ORDER),
+    # malformed only: a digit-bearing random string could name a costly order
+    st.sampled_from(["", "..", "3..", "..4", "3,,4", "3...4", "3..4..5", "1.5", "x", "-"]),
+)
+_FLAGS = st.lists(
+    st.sampled_from(["--json", "--directed", "--trace", "--classic", "--scheme", "day-tripathi"]),
+    max_size=2,
+)
+_ARGV = st.one_of(
+    st.tuples(st.just("neighbors"), _PERM),
+    st.tuples(st.sampled_from(["classify", "route", "distance"]), _PERM, _PERM),
+    st.tuples(st.sampled_from(["diameter", "witness"]), _ORDER),
+    st.tuples(
+        st.just("verify"),
+        _ORDER,
+        st.just("--checks"),
+        st.sampled_from(["", ",", "bogus", "route-validity", "set-formula", "split-merge"]),
+    ),
+    st.tuples(st.just("table"), _ORDERS),
+).flatmap(lambda head: _FLAGS.map(lambda flags: list(head) + flags))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_ARGV)
+def test_cli_fuzz_exits_cleanly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in err.getvalue()

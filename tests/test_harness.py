@@ -112,13 +112,6 @@ def test_verify_split_merge_sampled():
     assert report.check("split-merge").population == 500
 
 
-def test_verify_threads_agree_with_serial():
-    serial = verify(4, checks=["route-validity", "hop-bound"])
-    threaded = verify(4, checks=["route-validity", "hop-bound"], threads=2)
-    assert serial.ok and threaded.ok
-    assert [c.population for c in serial.checks] == [c.population for c in threaded.checks]
-
-
 def test_diameter_table_frozen_rows():
     rows = diameter_table([3, 4, 5])
     assert [(r.n, r.undirected, r.fujita, r.daytripathi) for r in rows] == [

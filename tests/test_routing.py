@@ -1,12 +1,13 @@
 from __future__ import annotations
 
 import dataclasses
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from starroute.oracle import distance
-from starroute.perm import parse_perm
+from starroute.perm import compose, parity, parse_perm
 from starroute.routing import (
     CROSSING_KINDS,
     MoveKind,
@@ -231,3 +232,26 @@ def test_trace_nodes_walk_matches_hops(s, t):
     assert len(nodes) == trace.length + 1
     for hop, here in zip(trace.hops, nodes):
         assert hop.node == here
+
+
+def _decisions(trace: RouteTrace) -> list[tuple[int, str, MoveKind]]:
+    return [(h.link, h.case, h.move) for h in trace.hops]
+
+
+@pytest.mark.parametrize("n", [6, 7])
+def test_router_is_equivariant_under_even_relabeling(n):
+    # sources="reduced" sweeps route from two sources only; that covers every
+    # pair because relabeling values by an even h maps routes to routes
+    rng = random.Random(n)
+    values = list(range(1, n + 1))
+
+    def draw() -> tuple[int, ...]:
+        rng.shuffle(values)
+        return tuple(values)
+
+    for _ in range(2000):
+        s, t, h = draw(), draw(), draw()
+        if parity(h):
+            h = (h[1], h[0]) + h[2:]
+        moved = oriented_route(compose(h, s), compose(h, t))
+        assert _decisions(moved) == _decisions(oriented_route(s, t)), (s, t, h)
