@@ -39,7 +39,6 @@ from .perm import (
     relative_cycles,
 )
 from .routing import (
-    Hop,
     MoveKind,
     PhaseReport,
     RouteTrace,

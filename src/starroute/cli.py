@@ -33,7 +33,7 @@ from .harness import (
     verify,
     witness,
 )
-from .oracle import bfs, diameter
+from .oracle import MAX_TABLE_ORDER, bfs, diameter
 from .perm import format_perm, parse_perm
 from .routing import RouteTrace, classic_route, oriented_route
 from .topology import Scheme, arc_direction, neighbors
@@ -111,14 +111,16 @@ def _trace_json(trace: RouteTrace) -> dict:
         "length": trace.length,
         "hops": [
             {
-                "index": h.index,
-                "node": format_perm(h.node),
-                "link": h.link,
-                "move": h.move.value,
-                "case": h.case,
-                "phase": h.phase,
+                "index": j,
+                "node": format_perm(node),
+                "link": link,
+                "move": move.value,
+                "case": case,
+                "phase": phase,
             }
-            for h in trace.hops
+            for j, (node, link, move, case, phase) in enumerate(
+                zip(trace.nodes, trace.links, trace.moves, trace.cases, trace.phases), 1
+            )
         ],
     }
 
@@ -128,16 +130,17 @@ def _cmd_route(args: argparse.Namespace) -> int:
     if args.classic:
         trace = classic_route(s, t)
     else:
-        trace = oriented_route(s, t, Scheme.parse(args.scheme))
+        trace = oriented_route(s, t)
     if args.json:
         print(json.dumps(_trace_json(trace), indent=2))
         return 0
     if args.trace:
-        nodes = list(trace.nodes())
-        for h in trace.hops:
+        nodes = trace.nodes
+        hops = zip(trace.links, trace.moves, trace.cases, trace.phases)
+        for j, (link, move, case, phase) in enumerate(hops, 1):
             print(
-                f"{h.index} {format_perm(nodes[h.index - 1])} --{h.link}--> "
-                f"{format_perm(nodes[h.index])} {h.move.value} case={h.case} phase={h.phase}"
+                f"{j} {format_perm(nodes[j - 1])} --{link}--> {format_perm(nodes[j])} "
+                f"{move.value} case={case} phase={phase}"
             )
     print(f"hops={trace.length}")
     return 0
@@ -184,7 +187,6 @@ def _cmd_diameter(args: argparse.Namespace) -> int:
 def _report_json(report: VerificationReport) -> dict:
     return {
         "n": report.n,
-        "scheme": report.scheme.value,
         "sources": report.sources,
         "ok": report.ok,
         "checks": [
@@ -212,7 +214,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     checks = None if args.checks is None else [name for name in args.checks.split(",") if name]
     report = verify(
         args.n,
-        scheme=Scheme.parse(args.scheme),
         checks=checks,
         sources=args.sources,
         seed=args.seed,
@@ -234,13 +235,17 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _parse_orders(text: str) -> list[int]:
-    out: list[int] = []
+    """Orders named by ``6``, ``3..7`` or ``5,7,9``; every order and range end
+    is checked against 3..MAX_TABLE_ORDER before any range is expanded."""
+    spans: list[tuple[int, int]] = []
     for item in text.split(","):
-        if ".." in item:
-            lo, hi = item.split("..", 1)
-            out.extend(range(int(lo), int(hi) + 1))
-        else:
-            out.append(int(item))
+        lo, dots, hi = item.partition("..")
+        span = (int(lo), int(hi if dots else lo))
+        for order in span:
+            if not 3 <= order <= MAX_TABLE_ORDER:
+                raise ValueError(f"table covers orders 3..{MAX_TABLE_ORDER}, got {order}")
+        spans.append(span)
+    out = [n for lo, hi in spans for n in range(lo, hi + 1)]
     if not out:
         raise ValueError("empty order list")
     return out
@@ -308,7 +313,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("route", help="route a packet and optionally show the hops")
     p.add_argument("source")
     p.add_argument("target")
-    _scheme_arg(p)
     p.add_argument("--classic", action="store_true", help="undirected greedy router")
     p.add_argument("--trace", action="store_true", help="print one line per hop")
     p.add_argument("--json", action="store_true")
@@ -331,7 +335,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run bound and law checks over node pairs")
     p.add_argument("n", type=int)
-    _scheme_arg(p)
     p.add_argument(
         "--checks",
         default=None,

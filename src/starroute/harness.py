@@ -69,7 +69,6 @@ class CheckResult:
 @dataclass(frozen=True)
 class VerificationReport:
     n: int
-    scheme: Scheme
     sources: str
     checks: tuple[CheckResult, ...]
 
@@ -132,7 +131,7 @@ def _route_violations(
                     )
             if want_mono:
                 tpos = positions(t)
-                loads = [_crossing_load(node, tpos, half) for node in trace.nodes()]
+                loads = [_crossing_load(node, tpos, half) for node in trace.nodes]
                 for hop in range(1, len(loads)):
                     prev, cur = loads[hop - 1], loads[hop]
                     if cur > prev:
@@ -226,7 +225,6 @@ def _split_merge_violations(
 
 def verify(
     n: int,
-    scheme: Scheme | str = Scheme.FUJITA,
     checks: Iterable[str] | None = None,
     sources: str | None = None,
     seed: int = 0,
@@ -237,7 +235,7 @@ def verify(
     ``sources`` is ``"all"`` (every permutation, default through n=6) or
     ``"reduced"`` (the identity plus one odd node, default from n=7 on; the
     two parity classes are interchangeable under even left-translations).
-    Oriented-route checks demand the contiguous-half scheme.  ``seed`` and
+    Route checks follow the contiguous-half scheme.  ``seed`` and
     ``sample_size`` control the sampled split/merge law at n >= 6.  Checks
     co-swept in one pass share their ``elapsed`` wall time.
     """
@@ -245,8 +243,6 @@ def verify(
         raise ValueError(f"verify covers orders 3..{MAX_TABLE_ORDER}, got {n}")
     if sample_size < 1:
         raise ValueError(f"sample size must be at least 1, got {sample_size}")
-    if isinstance(scheme, str):
-        scheme = Scheme.parse(scheme)
     selected = list(ALL_CHECKS) if checks is None else list(checks)
     if not selected:
         raise ValueError(f"no checks selected; valid: {', '.join(ALL_CHECKS)}")
@@ -254,11 +250,6 @@ def verify(
     if unknown:
         raise ValueError(f"unknown checks {unknown}; valid: {', '.join(ALL_CHECKS)}")
     route_selected = [name for name in selected if name in _ROUTE_CHECKS]
-    if route_selected and scheme is not Scheme.FUJITA:
-        raise ValueError(
-            "oriented-route checks are only defined for the contiguous-half "
-            f"scheme, not {scheme.value}"
-        )
     if sources is None:
         sources = "all" if n <= 6 else "reduced"
     if sources not in ("all", "reduced"):
@@ -287,7 +278,7 @@ def verify(
         )
 
     ordered = sorted(results, key=lambda c: selected.index(c.name))
-    return VerificationReport(n, scheme, sources, tuple(ordered))
+    return VerificationReport(n, sources, tuple(ordered))
 
 
 # ---------------------------------------------------------------------------

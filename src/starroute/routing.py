@@ -39,13 +39,19 @@ swap that sets it up is tagged *pre-final*.
 
 Routes split into phases: Phase One is the maximal settling prefix, Phase Two
 runs through the final crossing move, Phase Three is the rest.
+
+A route is stored once, as columns (``RouteTrace``): ``nodes`` is the walk
+from the source to the last node reached, one entry longer than the route,
+and hop j leaves ``nodes[j]`` along ``links[j]`` as a ``moves[j]`` move picked
+by decision case ``cases[j]``.  Hop numbers and phase labels are not stored;
+``phases`` derives the labels from the move kinds.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .classify import _alternates, _counts as _set_counts
 from .perm import Perm, apply_generator, parity, positions
@@ -71,31 +77,26 @@ class RoutingInvariantError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class Hop:
-    index: int  # 1-based position in the route
-    node: Perm  # node the hop leaves from
-    link: int
-    move: MoveKind
-    case: str  # decision-tree label: "1", "2.1", ..., "4", or "classic"
-    phase: int  # 1, 2 or 3
-
-
-@dataclass(frozen=True)
 class RouteTrace:
-    source: Perm
     target: Perm
     scheme: Scheme | None  # None for classic (undirected) routes
-    hops: tuple[Hop, ...]
+    nodes: tuple[Perm, ...]  # source through the last node reached
+    links: tuple[int, ...]
+    moves: tuple[MoveKind, ...]
+    cases: tuple[str, ...]  # decision-tree label: "1", "2.1", ..., "4", or "classic"
+
+    @property
+    def source(self) -> Perm:
+        return self.nodes[0]
 
     @property
     def length(self) -> int:
-        return len(self.hops)
+        return len(self.links)
 
-    def nodes(self) -> Iterator[Perm]:
-        """Every node on the route, source through target inclusive."""
-        for hop in self.hops:
-            yield hop.node
-        yield self.target
+    @property
+    def phases(self) -> list[int]:
+        """Phase label (1, 2 or 3) of each hop."""
+        return _assign_phases(self.moves)
 
 
 def _runaway_limit(n: int) -> int:
@@ -282,18 +283,14 @@ def _prefer_alternating(
     return c_list[0]
 
 
-def oriented_step(
-    c: Sequence[int], t: Sequence[int], scheme: Scheme = Scheme.FUJITA
-) -> tuple[int, MoveKind, str]:
+def oriented_step(c: Sequence[int], t: Sequence[int]) -> tuple[int, MoveKind, str]:
     """Next oriented move from ``c`` toward ``t``: ``(link, kind, case)``.
 
-    The link always lies on an outgoing arc of ``c``.  Raises ValueError at
-    the target or for schemes other than the contiguous-half one.
+    The link always lies on an outgoing arc of ``c`` under the contiguous-half
+    scheme.  Raises ValueError at the target.
     """
     if len(c) != len(t):
         raise ValueError(f"order mismatch: {len(c)} vs {len(t)}")
-    if scheme is not Scheme.FUJITA:
-        raise ValueError("the oriented router is defined for the contiguous-half scheme")
     if tuple(c) == tuple(t):
         raise ValueError("already at the target; no step to take")
     return _oriented_pick(
@@ -301,11 +298,11 @@ def oriented_step(
     )
 
 
-def _route_raw(
-    s: Sequence[int], t: Sequence[int], oriented: bool
-) -> tuple[list[Perm], list[int], list[MoveKind], list[str]]:
-    """Shared route loop.  Returns (nodes before each hop, links, kinds, cases)."""
+def _route(s: Sequence[int], t: Sequence[int], scheme: Scheme | None) -> RouteTrace:
+    """Shared route loop: oriented for ``Scheme.FUJITA``, classic for None."""
     n = len(s)
+    if n != len(t):
+        raise ValueError(f"order mismatch: {n} vs {len(t)}")
     half = boundary(n).half
     tpos = positions(t)
     c = list(s)
@@ -313,19 +310,18 @@ def _route_raw(
     odd = parity(s)
     unsettled = sum(1 for i in range(n) if s[i] != t[i])
     limit = _runaway_limit(n)
-    nodes: list[Perm] = []
+    nodes: list[Perm] = [tuple(s)]
     links: list[int] = []
-    kinds: list[MoveKind] = []
+    moves: list[MoveKind] = []
     cases: list[str] = []
     while unsettled:
-        if oriented:
-            link, kind, case = _oriented_pick(c, cpos, odd, t, tpos, half)
-        else:
+        if scheme is None:
             link, kind = _classic_pick(c, t, tpos)
             case = "classic"
-        nodes.append(tuple(c))
+        else:
+            link, kind, case = _oriented_pick(c, cpos, odd, t, tpos, half)
         links.append(link)
-        kinds.append(kind)
+        moves.append(kind)
         cases.append(case)
         i = link - 1
         was = (c[0] == t[0]) + (c[i] == t[i])
@@ -334,9 +330,10 @@ def _route_raw(
         cpos[c[i]] = link
         unsettled += was - ((c[0] == t[0]) + (c[i] == t[i]))
         odd ^= 1
+        nodes.append(tuple(c))
         if len(links) > limit:
             raise RoutingInvariantError(f"route exceeded {limit} hops without terminating")
-    return nodes, links, kinds, cases
+    return RouteTrace(tuple(t), scheme, tuple(nodes), tuple(links), tuple(moves), tuple(cases))
 
 
 def _assign_phases(kinds: Sequence[MoveKind]) -> list[int]:
@@ -354,37 +351,14 @@ def _assign_phases(kinds: Sequence[MoveKind]) -> list[int]:
     return [1] * len1 + [2] * (end2 - len1) + [3] * (m - end2)
 
 
-def _build_trace(
-    s: Sequence[int],
-    t: Sequence[int],
-    scheme: Scheme | None,
-    raw: tuple[list[Perm], list[int], list[MoveKind], list[str]],
-) -> RouteTrace:
-    nodes, links, kinds, cases = raw
-    phases = _assign_phases(kinds)
-    hops = tuple(
-        Hop(index=j + 1, node=nodes[j], link=links[j], move=kinds[j], case=cases[j], phase=phases[j])
-        for j in range(len(links))
-    )
-    return RouteTrace(source=tuple(s), target=tuple(t), scheme=scheme, hops=hops)
-
-
 def classic_route(s: Sequence[int], t: Sequence[int]) -> RouteTrace:
     """Full classic route; its length equals ``classic_distance(s, t)``."""
-    if len(s) != len(t):
-        raise ValueError(f"order mismatch: {len(s)} vs {len(t)}")
-    return _build_trace(s, t, None, _route_raw(s, t, oriented=False))
+    return _route(s, t, None)
 
 
-def oriented_route(
-    s: Sequence[int], t: Sequence[int], scheme: Scheme = Scheme.FUJITA
-) -> RouteTrace:
+def oriented_route(s: Sequence[int], t: Sequence[int]) -> RouteTrace:
     """Full oriented route from ``s`` to ``t`` along outgoing arcs only."""
-    if len(s) != len(t):
-        raise ValueError(f"order mismatch: {len(s)} vs {len(t)}")
-    if scheme is not Scheme.FUJITA:
-        raise ValueError("the oriented router is defined for the contiguous-half scheme")
-    return _build_trace(s, t, scheme, _route_raw(s, t, oriented=True))
+    return _route(s, t, Scheme.FUJITA)
 
 
 def hop_bound(s: Sequence[int], t: Sequence[int]) -> int:
@@ -401,32 +375,33 @@ def hop_bound(s: Sequence[int], t: Sequence[int]) -> int:
 
 
 def validate_trace(trace: RouteTrace) -> list[str]:
-    """Structural faults of a trace: broken node chaining, hops along
-    non-outgoing arcs (oriented traces), wrong terminal node, runaway length.
-    Empty list means the trace is well formed."""
+    """Structural faults of a trace: ragged columns, broken node chaining,
+    hops along non-outgoing arcs (oriented traces), wrong terminal node,
+    runaway length.  Empty list means the trace is well formed."""
     faults: list[str] = []
-    current = trace.source
-    odd = parity(current)  # every hop flips it
-    for hop in trace.hops:
-        if hop.node != current:
-            faults.append(f"hop {hop.index}: node chain broken")
-            current = hop.node
-            odd = parity(current)
+    nodes, links = trace.nodes, trace.links
+    m = len(links)
+    if not len(nodes) - 1 == m == len(trace.moves) == len(trace.cases):
+        faults.append("columns have unequal lengths")
+    odd = parity(nodes[0])  # every hop flips it
+    for j, (here, link, there) in enumerate(zip(nodes, links, nodes[1:]), 1):
         try:
-            nxt = apply_generator(current, hop.link)
+            nxt = apply_generator(here, link)
         except ValueError as exc:
-            faults.append(f"hop {hop.index}: {exc}")
+            faults.append(f"hop {j}: {exc}")
+            odd = parity(there)
             continue
-        if trace.scheme is not None and not is_outgoing(len(current), hop.link, odd, trace.scheme):
-            faults.append(f"hop {hop.index}: link {hop.link} is not an outgoing arc")
-        current = nxt
-        odd ^= 1
-    if current != trace.target:
+        if trace.scheme is not None and not is_outgoing(len(here), link, odd, trace.scheme):
+            faults.append(f"hop {j}: link {link} is not an outgoing arc")
+        if nxt == there:
+            odd ^= 1
+        else:
+            faults.append(f"hop {j}: node chain broken")
+            odd = parity(there)
+    if nodes[-1] != trace.target:
         faults.append("route does not terminate at the target")
-    if trace.length > _runaway_limit(len(trace.source)):
+    if m > _runaway_limit(len(nodes[0])):
         faults.append("route exceeds the runaway limit")
-    if [h.index for h in trace.hops] != list(range(1, trace.length + 1)):
-        faults.append("hop indices are not 1..length")
     return faults
 
 
@@ -435,8 +410,6 @@ class PhaseReport:
     ok: bool
     violations: tuple[str, ...]
     phase_lengths: tuple[int, int, int]
-    alpha: Perm  # node at the end of Phase One
-    gamma: Perm  # node at the end of Phase Two
     extended: bool = False  # a 2.4/2.5 fallback hop interrupted the burn-down
 
 
@@ -459,8 +432,7 @@ def check_phase_invariants(trace: RouteTrace) -> PhaseReport:
        ``|X(gamma)| <= |X(alpha)| + 2*max(ull, urr)``.
     c. Phase Three settles and seeds optimally: its length is exactly
        ``|X(gamma)| + c(gamma)``, and gamma has ``ull = urr = 0``.
-    d. structure: the labelled phases match the settle-prefix/final-crossing
-       split; Phase Two is all crossing moves except possibly its first;
+    d. structure: Phase Two is all crossing moves except possibly its first;
        Phase Three contains no crossing move; there is exactly one final
        crossing when any crossing occurs, as the last of Phase Two, with a
        pre-final crossing (at most one) directly before it.
@@ -473,22 +445,18 @@ def check_phase_invariants(trace: RouteTrace) -> PhaseReport:
 
     Violations are reported, never raised.
     """
-    hops = trace.hops
-    if not hops:
-        return PhaseReport(True, (), (0, 0, 0), trace.source, trace.source)
-    extended = any(h.case in ("2.4", "2.5") for h in hops)
+    moves = trace.moves
+    if not moves:
+        return PhaseReport(True, (), (0, 0, 0))
+    extended = "2.4" in trace.cases or "2.5" in trace.cases
     t = trace.target
-    kinds = [h.move for h in hops]
     faults: list[str] = []
-    expected = _assign_phases(kinds)
-    if [h.phase for h in hops] != expected:
-        faults.append("phase labels do not match the phase definitions")
-    len1 = sum(1 for p in expected if p == 1)
-    len2 = sum(1 for p in expected if p == 2)
-    len3 = len(hops) - len1 - len2
-    nodes = [h.node for h in hops] + [t]
-    alpha = nodes[len1]
-    gamma = nodes[len1 + len2]
+    phases = trace.phases
+    len1 = phases.count(1)
+    len2 = phases.count(2)
+    len3 = len(moves) - len1 - len2
+    alpha = trace.nodes[len1]
+    gamma = trace.nodes[len1 + len2]
 
     s_ull, s_urr, s_ulr, s_url, s_chi, _ = _set_counts(trace.source, t)
     a_ull, a_urr, a_ulr, a_url, a_chi, _ = _set_counts(alpha, t)
@@ -529,13 +497,13 @@ def check_phase_invariants(trace: RouteTrace) -> PhaseReport:
 
     if not extended:
         for j in range(len1 + 1, len1 + len2):
-            if kinds[j] not in CROSSING_KINDS:
-                faults.append(f"hop {j + 1} inside Phase Two is {kinds[j].value}")
-    for j in range(len1 + len2, len(kinds)):
-        if kinds[j] in CROSSING_KINDS:
+            if moves[j] not in CROSSING_KINDS:
+                faults.append(f"hop {j + 1} inside Phase Two is {moves[j].value}")
+    for j in range(len1 + len2, len(moves)):
+        if moves[j] in CROSSING_KINDS:
             faults.append(f"hop {j + 1} in Phase Three is a crossing move")
-    finals = [j for j, kind in enumerate(kinds) if kind is MoveKind.FINAL_CROSSING]
-    any_crossing = any(kind in CROSSING_KINDS for kind in kinds)
+    finals = [j for j, kind in enumerate(moves) if kind is MoveKind.FINAL_CROSSING]
+    any_crossing = any(kind in CROSSING_KINDS for kind in moves)
     if any_crossing:
         if len(finals) != 1:
             faults.append(f"expected exactly one final crossing, found {len(finals)}")
@@ -543,10 +511,10 @@ def check_phase_invariants(trace: RouteTrace) -> PhaseReport:
             faults.append("final crossing is not the last hop of Phase Two")
     elif finals:
         faults.append("final crossing present in a route without crossing moves")
-    prefinals = [j for j, kind in enumerate(kinds) if kind is MoveKind.PRE_FINAL_CROSSING]
+    prefinals = [j for j, kind in enumerate(moves) if kind is MoveKind.PRE_FINAL_CROSSING]
     if len(prefinals) > 1:
         faults.append(f"{len(prefinals)} pre-final crossings")
     elif prefinals and (len(finals) != 1 or prefinals[0] + 1 != finals[0]):
         faults.append("pre-final crossing is not directly before the final crossing")
 
-    return PhaseReport(not faults, tuple(faults), (len1, len2, len3), alpha, gamma, extended)
+    return PhaseReport(not faults, tuple(faults), (len1, len2, len3), extended)

@@ -13,7 +13,6 @@ from starroute.harness import (
     verify,
     witness,
 )
-from starroute.topology import Scheme
 
 
 def test_hop_cap_values():
@@ -76,7 +75,7 @@ def test_lower_bound_range():
 def test_verify_order_four_full():
     report = verify(4)
     assert report.ok
-    assert report.n == 4 and report.scheme is Scheme.FUJITA
+    assert report.n == 4 and report.sources == "all"
     populations = {c.name: c.population for c in report.checks}
     assert populations["route-validity"] == 576
     assert populations["split-merge"] == 1728
@@ -89,14 +88,6 @@ def test_verify_order_four_full():
 def test_verify_rejects_unknown_check():
     with pytest.raises(ValueError):
         verify(4, checks=["route-validity", "bogus"])
-
-
-def test_verify_route_checks_need_contiguous_scheme():
-    with pytest.raises(ValueError):
-        verify(4, scheme=Scheme.DAY_TRIPATHI, checks=["route-validity"])
-    # distance checks are scheme-independent and must still run
-    report = verify(4, scheme=Scheme.DAY_TRIPATHI, checks=["distance-vs-bfs"])
-    assert report.ok
 
 
 def test_verify_subset_and_reduced_sources():

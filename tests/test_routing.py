@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from starroute.oracle import distance
-from starroute.perm import compose, parity, parse_perm
+from starroute.perm import apply_generator, compose, parity, parse_perm
 from starroute.routing import (
     CROSSING_KINDS,
     MoveKind,
@@ -22,7 +22,6 @@ from starroute.routing import (
     oriented_step,
     validate_trace,
 )
-from starroute.topology import Scheme
 
 from conftest import all_perms, perms_of
 
@@ -42,7 +41,7 @@ def test_classic_step_seeds_when_front_is_home():
 def test_classic_route_frozen_example():
     trace = classic_route(parse_perm("14523"), ID5)
     assert trace.length == 6
-    assert [h.link for h in trace.hops] == [2, 4, 2, 3, 5, 3]
+    assert trace.links == (2, 4, 2, 3, 5, 3)
     assert trace.scheme is None
     assert validate_trace(trace) == []
 
@@ -84,21 +83,16 @@ def test_hop_bound_frozen_values():
 def test_oriented_route_frozen_example():
     trace = oriented_route(parse_perm("24135"), ID5)
     assert trace.length == 5
-    assert [(h.link, h.case) for h in trace.hops] == [
-        (4, "3.1"),
-        (3, "1"),
-        (4, "4"),
-        (2, "1"),
-        (4, "1"),
-    ]
-    assert [h.move for h in trace.hops] == [
+    assert trace.links == (4, 3, 4, 2, 4)
+    assert trace.cases == ("3.1", "1", "4", "1", "1")
+    assert trace.moves == (
         MoveKind.FINAL_CROSSING,
         MoveKind.SETTLING,
         MoveKind.SEEDING,
         MoveKind.SETTLING,
         MoveKind.SETTLING,
-    ]
-    assert [h.phase for h in trace.hops] == [2, 3, 3, 3, 3]
+    )
+    assert trace.phases == [2, 3, 3, 3, 3]
     assert validate_trace(trace) == []
     report = check_phase_invariants(trace)
     assert report.ok and not report.extended
@@ -113,13 +107,6 @@ def test_oriented_route_empty_at_target():
     assert report.ok and report.phase_lengths == (0, 0, 0)
 
 
-def test_oriented_route_rejects_other_scheme():
-    with pytest.raises(ValueError):
-        oriented_route(parse_perm("21345"), ID5, Scheme.DAY_TRIPATHI)
-    with pytest.raises(ValueError):
-        oriented_step(parse_perm("21345"), ID5, Scheme.DAY_TRIPATHI)
-
-
 def test_oriented_step_refuses_at_target():
     with pytest.raises(ValueError):
         oriented_step(ID5, ID5)
@@ -132,9 +119,7 @@ def test_extension_pair_routes_cleanly():
     trace = oriented_route(s, t)
     assert validate_trace(trace) == []
     assert trace.length == 9
-    assert [h.case for h in trace.hops] == [
-        "2.1", "2.4", "1", "1", "1", "3.2", "4", "1", "1",
-    ]
+    assert trace.cases == ("2.1", "2.4", "1", "1", "1", "3.2", "4", "1", "1")
     assert trace.length <= hop_bound(s, t) == 15
     report = check_phase_invariants(trace)
     assert report.ok
@@ -175,17 +160,17 @@ def test_oriented_route_properties_order_six(s, t):
 
 @given(perms_of(5), perms_of(5))
 def test_at_most_one_final_crossing(s, t):
-    trace = oriented_route(s, t)
-    finals = [h for h in trace.hops if h.move is MoveKind.FINAL_CROSSING]
-    crossings = [h for h in trace.hops if h.move in CROSSING_KINDS]
+    moves = oriented_route(s, t).moves
+    finals = [j for j, move in enumerate(moves) if move is MoveKind.FINAL_CROSSING]
+    crossings = [j for j, move in enumerate(moves) if move in CROSSING_KINDS]
     assert len(finals) == (1 if crossings else 0)
     if finals:
-        assert finals[-1] is crossings[-1]
+        assert finals[-1] == crossings[-1]
 
 
 @given(perms_of(5), perms_of(5))
 def test_phases_are_monotone(s, t):
-    phases = [h.phase for h in oriented_route(s, t).hops]
+    phases = oriented_route(s, t).phases
     assert phases == sorted(phases)
     assert all(p in (1, 2, 3) for p in phases)
 
@@ -194,27 +179,28 @@ def _tamper(trace: RouteTrace, **changes) -> RouteTrace:
     return dataclasses.replace(trace, **changes)
 
 
+def _replace_at(column: tuple, j: int, value) -> tuple:
+    return column[:j] + (value,) + column[j + 1 :]
+
+
 def test_validate_trace_flags_tampering():
     trace = oriented_route(parse_perm("24135"), ID5)
+    assert validate_trace(trace) == []
+
+    # link 3 is not outgoing at the third node, and it leads elsewhere
+    relinked = _tamper(trace, links=_replace_at(trace.links, 2, 3))
+    faults = validate_trace(relinked)
+    assert faults == ["hop 3: link 3 is not an outgoing arc", "hop 3: node chain broken"]
+
+    unchained = _tamper(trace, nodes=_replace_at(trace.nodes, 2, parse_perm("12345")))
+    faults = validate_trace(unchained)
+    assert "hop 2: node chain broken" in faults and "hop 3: node chain broken" in faults
 
     wrong_target = _tamper(trace, target=parse_perm("12354"))
-    assert any("terminate" in f for f in validate_trace(wrong_target))
+    assert validate_trace(wrong_target) == ["route does not terminate at the target"]
 
-    hops = list(trace.hops)
-    hops[2] = dataclasses.replace(hops[2], link=3)  # 3 is not outgoing there
-    broken = _tamper(trace, hops=tuple(hops))
-    faults = validate_trace(broken)
-    assert any("outgoing" in f for f in faults) or any("chain" in f for f in faults)
-
-    hops = list(trace.hops)
-    hops[1] = dataclasses.replace(hops[1], node=parse_perm("12345"))
-    unchained = _tamper(trace, hops=tuple(hops))
-    assert any("chain" in f for f in validate_trace(unchained))
-
-    hops = list(trace.hops)
-    hops[4] = dataclasses.replace(hops[4], index=9)
-    misnumbered = _tamper(trace, hops=tuple(hops))
-    assert any("indices" in f for f in validate_trace(misnumbered))
+    ragged = _tamper(trace, cases=trace.cases[:-1])
+    assert validate_trace(ragged) == ["columns have unequal lengths"]
 
 
 def test_validate_trace_accepts_classic_even_against_arcs():
@@ -227,15 +213,15 @@ def test_validate_trace_accepts_classic_even_against_arcs():
 @given(perms_of(5), perms_of(5))
 def test_trace_nodes_walk_matches_hops(s, t):
     trace = oriented_route(s, t)
-    nodes = list(trace.nodes())
-    assert nodes[0] == s and nodes[-1] == t
+    nodes = trace.nodes
+    assert nodes[0] == trace.source == s and nodes[-1] == t
     assert len(nodes) == trace.length + 1
-    for hop, here in zip(trace.hops, nodes):
-        assert hop.node == here
+    for j in range(trace.length):
+        assert apply_generator(nodes[j], trace.links[j]) == nodes[j + 1]
 
 
 def _decisions(trace: RouteTrace) -> list[tuple[int, str, MoveKind]]:
-    return [(h.link, h.case, h.move) for h in trace.hops]
+    return list(zip(trace.links, trace.cases, trace.moves))
 
 
 @pytest.mark.parametrize("n", [6, 7])
