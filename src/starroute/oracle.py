@@ -3,8 +3,17 @@
 Vertices are indexed by Lehmer-code rank (lexicographic order of one-line
 notation, identity = 0).  For each order a move table is built once: row r,
 column j holds the rank of vertex r after swapping positions 1 and j+2.
-BFS then expands whole frontiers with numpy gathers, storing distances one
-byte per vertex, so full distance fields stay cheap up to 9! vertices.
+
+Two searches share that table.  :func:`bfs` runs from one source and
+expands whole frontiers with numpy gathers, storing distances one byte per
+vertex, so full distance fields stay cheap up to 9! vertices.
+:func:`diameter` needs only eccentricities, so it runs the bit-parallel
+multi-source BFS of Akiba, Iwata & Yoshida (SIGMOD 2013): 64 sources at
+once, one bit each in a uint64 word per vertex, each level pulling the
+frontier along in-arcs.  The generators are involutions, so the in-arcs of
+a vertex are move-table columns.  Exhaustive order 7 takes about 0.2 s
+for the undirected and the directed graph together, against 16 s for one
+:func:`bfs` per source (2-core Xeon).
 
 Everything here is deliberately independent of the routing formulas it is
 used to check: vertex parity comes from Lehmer digit sums and the per-scheme
@@ -16,7 +25,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import ceil, factorial
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -229,6 +238,85 @@ def eccentricity(
     return bfs(source, directed=directed, scheme=scheme).eccentricity()
 
 
+SWEEP_WIDTH = 64  # sources per diameter sweep: one bit each of a uint64 word
+
+
+@dataclass(frozen=True)
+class _InArcs:
+    """In-arcs of every vertex, as move-table columns, for bit-parallel BFS.
+
+    Every generator is an involution, so the vertex that enters ``v`` over
+    link ``j`` is ``moves[v, j]``.  Undirected, every column is an in-arc of
+    every vertex (``rows`` is None).  Directed, each generator also flips
+    parity: an even vertex is entered from odd vertices over their outgoing
+    columns and an odd vertex from even vertices over theirs, so
+    ``columns[p]`` lists those in-arc columns for the ranks ``rows[p]``.
+    """
+
+    size: int
+    rows: tuple[np.ndarray, np.ndarray] | None
+    columns: tuple[list[np.ndarray], ...]
+
+    @classmethod
+    def build(cls, table: MoveTable, directed: bool, scheme: Scheme) -> _InArcs:
+        size = len(table.odd)
+        if not directed:
+            return cls(size, None, ([table.moves[:, j] for j in range(table.n - 1)],))
+        even_cols, odd_cols = table.out_columns(scheme)
+        evens, odds = np.flatnonzero(~table.odd), np.flatnonzero(table.odd)
+        columns = (
+            [table.moves[evens, j] for j in odd_cols],
+            [table.moves[odds, j] for j in even_cols],
+        )
+        return cls(size, (evens, odds), columns)
+
+    def _pull(self, frontier: np.ndarray) -> np.ndarray:
+        """Each vertex's word: the OR of ``frontier`` over its in-arcs."""
+        if self.rows is None:
+            return _gather_or(frontier, self.columns[0])
+        pulled = np.empty_like(frontier)
+        for rows, columns in zip(self.rows, self.columns):
+            pulled[rows] = _gather_or(frontier, columns)
+        return pulled
+
+    def sweep(self, sources: np.ndarray) -> tuple[int, np.ndarray]:
+        """BFS from up to 64 source ranks at once, bit i for ``sources[i]``.
+
+        Returns the number of levels, which is the largest finite
+        eccentricity among the sources, and the last frontier that set a
+        new bit, one word per vertex.
+        """
+        frontier = np.zeros(self.size, dtype=np.uint64)
+        frontier[sources] = np.left_shift(np.uint64(1), np.arange(len(sources), dtype=np.uint64))
+        unseen = ~frontier
+        levels = 0
+        while True:
+            fresh = self._pull(frontier)
+            fresh &= unseen
+            if not fresh.any():
+                return levels, frontier
+            unseen ^= fresh
+            frontier = fresh
+            levels += 1
+
+
+def _gather_or(words: np.ndarray, columns: list[np.ndarray]) -> np.ndarray:
+    # take(mode="clip") skips the bounds check of fancy indexing (every
+    # column holds valid ranks) and is about twice as fast on int32 columns
+    acc = np.take(words, columns[0], mode="clip")
+    for column in columns[1:]:
+        acc |= np.take(words, column, mode="clip")
+    return acc
+
+
+def _witness(frontier: np.ndarray) -> tuple[int, int]:
+    """First source bit set in ``frontier`` and the lowest rank holding it."""
+    reached = int(np.bitwise_or.reduce(frontier))
+    bit = (reached & -reached).bit_length() - 1
+    target = int(np.flatnonzero(frontier & np.uint64(1 << bit))[0])
+    return bit, target
+
+
 @dataclass(frozen=True)
 class DiameterResult:
     n: int
@@ -259,27 +347,35 @@ def diameter(
 ) -> DiameterResult:
     """Largest finite BFS distance over the chosen source set.
 
-    ``mode="exhaustive"`` scans every source (practical through order 7,
-    slow at 8); ``mode="orbit"`` uses the two-source symmetry reduction and
-    stays fast through order 9.  The default is exhaustive through order 7
-    and orbit beyond.
+    ``mode="exhaustive"`` sweeps every source, 64 at a time in rank order;
+    ``mode="orbit"`` sweeps the two sources of :func:`orbit_sources` at
+    once.  The default is exhaustive through order 7 and orbit beyond.
+    Measured on a 2-core Xeon: exhaustive order 7 in about 0.1 s per graph,
+    orbit mode for all three graphs at orders 8 and 9 in 0.5 s, exhaustive
+    order 8 in 6-10 s per graph.  The witness is the first source in rank
+    order of largest eccentricity, and the lowest-rank vertex at that
+    distance from it, which is what :meth:`DistanceField.farthest` picks.
     """
+    if mode not in (None, "exhaustive", "orbit"):
+        raise ValueError(f"unknown diameter mode {mode!r}")
     if mode is None:
         mode = "exhaustive" if n <= 7 else "orbit"
+    arcs = _InArcs.build(move_table(n), directed, scheme)
     if mode == "orbit":
-        sources: Iterable[Perm] = orbit_sources(n)
-    elif mode == "exhaustive":
-        sources = itertools.permutations(range(1, n + 1))
+        batches = [np.array([rank(s) for s in orbit_sources(n)])]
     else:
-        raise ValueError(f"unknown diameter mode {mode!r}")
+        batches = [
+            np.arange(lo, min(lo + SWEEP_WIDTH, arcs.size))
+            for lo in range(0, arcs.size, SWEEP_WIDTH)
+        ]
     best = -1
     witness: tuple[Perm, Perm] | None = None
-    for source in sources:
-        field = bfs(source, directed=directed, scheme=scheme)
-        ecc = field.eccentricity()
-        if ecc > best:
-            best = ecc
-            witness = (tuple(source), field.farthest())
+    for sources in batches:
+        levels, frontier = arcs.sweep(sources)
+        if levels > best:
+            best = levels
+            bit, target = _witness(frontier)
+            witness = (unrank(int(sources[bit]), n), unrank(target, n))
     assert witness is not None
     return DiameterResult(
         n=n,

@@ -111,12 +111,22 @@ def test_criterion_5_directed_diameter_brackets():
     _audit(5, f"contiguous-half diameters {measured} inside brackets, artifact agrees")
 
 
+GRAPHS = [(False, Scheme.FUJITA), (True, Scheme.FUJITA), (True, Scheme.DAY_TRIPATHI)]
+
+
+def _orbit_equals_exhaustive(n: int) -> list[int]:
+    values = []
+    for directed, scheme in GRAPHS:
+        orbit = diameter(n, directed=directed, scheme=scheme, mode="orbit").value
+        full = diameter(n, directed=directed, scheme=scheme, mode="exhaustive").value
+        assert orbit == full, (n, directed, scheme)
+        values.append(full)
+    return values
+
+
 def test_criterion_6_orbit_mode_validity():
-    for n in (4, 5, 6):
-        for directed in (False, True):
-            orbit = diameter(n, directed=directed, mode="orbit").value
-            full = diameter(n, directed=directed, mode="exhaustive").value
-            assert orbit == full, (n, directed)
+    for n in (4, 5, 6, 7):
+        _orbit_equals_exhaustive(n)
 
     rng = random.Random(20260815)
     n = 7
@@ -133,7 +143,16 @@ def test_criterion_6_orbit_mode_validity():
         assert compose(h, apply_generator(u, link)) == apply_generator(hu, link)
         for scheme in (Scheme.FUJITA, Scheme.DAY_TRIPATHI):
             assert arc_direction(hu, link, scheme) is arc_direction(u, link, scheme)
-    _audit(6, "orbit = exhaustive at n=4..6; 10000 sampled translations preserve arcs")
+    _audit(6, "orbit = exhaustive at n=4..7, all three graphs; 10000 sampled translations preserve arcs")
+
+
+@pytest.mark.skipif(
+    not os.environ.get("STARROUTE_LONG"),
+    reason="exhaustive order-8 sweeps are an opt-in long run (STARROUTE_LONG=1)",
+)
+def test_criterion_6_order_eight_exhaustive():
+    assert _orbit_equals_exhaustive(8) == [10, 16, 16]
+    _audit(6, "orbit = exhaustive at n=8: undirected 10, contiguous-half 16, parity-link 16")
 
 
 def test_criterion_7_split_merge_law():

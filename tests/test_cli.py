@@ -109,7 +109,26 @@ def test_diameter_lines(capsys):
     assert out == "n=4 scheme=fujita directed=true diameter=9 witness=1243->1423\n"
     code, out, _ = run(capsys, "diameter", "5")
     assert code == 0
-    assert out.startswith("n=5 scheme=- directed=false diameter=6 witness=")
+    assert out == "n=5 scheme=- directed=false diameter=6 witness=12345->13254\n"
+
+
+@pytest.mark.parametrize("argv,scheme,value,target", [
+    ((), None, 9, "1325476"),
+    (("--directed",), "fujita", 14, "1342675"),
+])
+def test_diameter_json_documents_order_seven(capsys, argv, scheme, value, target):
+    code, out, _ = run(capsys, "diameter", "7", *argv, "--json")
+    assert code == 0
+    expected = {
+        "n": 7,
+        "scheme": scheme,
+        "directed": bool(argv),
+        "mode": "exhaustive",
+        "diameter": value,
+        "witness_source": "1234567",
+        "witness_target": target,
+    }
+    assert out == json.dumps(expected) + "\n"
 
 
 def test_verify_pass_output_and_exit(capsys):

@@ -14,6 +14,7 @@ from starroute.oracle import (
     distance,
     eccentricity,
     move_table,
+    orbit_sources,
     rank,
     unrank,
 )
@@ -159,6 +160,32 @@ def test_orbit_mode_matches_exhaustive(n, directed):
     a = diameter(n, directed=directed, mode="orbit")
     b = diameter(n, directed=directed, mode="exhaustive")
     assert a.value == b.value
+
+
+GRAPHS = [(False, Scheme.FUJITA), (True, Scheme.FUJITA), (True, Scheme.DAY_TRIPATHI)]
+
+
+def _reference_diameter(n, directed, scheme, mode):
+    """One BFS per source in rank order; the first strict maximum wins."""
+    sources = orbit_sources(n) if mode == "orbit" else all_perms(n)
+    best = None
+    for source in sources:
+        field = bfs(source, directed=directed, scheme=scheme)
+        ecc = field.eccentricity()
+        if best is None or ecc > best[0]:
+            best = (ecc, source, field.farthest())
+    return best
+
+
+# exhaustive n = 5 has 120 sources: one full sweep of 64 and one of 56
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+@pytest.mark.parametrize("directed,scheme", GRAPHS)
+@pytest.mark.parametrize("mode", ["exhaustive", "orbit"])
+def test_diameter_matches_per_source_reference(n, directed, scheme, mode):
+    res = diameter(n, directed=directed, scheme=scheme, mode=mode)
+    assert (res.value, res.witness_source, res.witness_target) == _reference_diameter(
+        n, directed, scheme, mode
+    )
 
 
 def test_diameter_result_witness_is_consistent():
