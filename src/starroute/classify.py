@@ -124,7 +124,7 @@ def classify(c: Sequence[int], t: Sequence[int]) -> ClassifiedSets:
             settled_in[half[p]].append(v)
         else:
             slots[3 * half[p] + half[tp]].append(v)
-    *_, chi, nonsingleton = _counts(c, t)
+    *_, chi, nonsingleton = _counts(c, tpos, half)
     return ClassifiedSets(
         n=n,
         k=b.k,
@@ -159,13 +159,14 @@ def crossing_load(c: Sequence[int], t: Sequence[int]) -> int:
     return _crossing_load(c, positions(t), boundary(len(c)).half)
 
 
-def _counts(c: Sequence[int], t: Sequence[int]) -> tuple[int, int, int, int, int, int]:
-    """Lean counterpart of :func:`classify` for hot loops.
+def _counts(
+    c: Sequence[int], tpos: Sequence[int], half: Sequence[int]
+) -> tuple[int, int, int, int, int, int]:
+    """Lean counterpart of :func:`classify` for hot loops, against a prebuilt
+    target position index and half table.
 
     Returns ``(ull, urr, ulr, url, alternating, nonsingleton)`` as plain ints.
     """
-    half = boundary(len(c)).half
-    tpos = positions(t)
     dest = [0] * len(tpos)
     tally = [0] * 9
     for p, v in enumerate(c, 1):

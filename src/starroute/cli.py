@@ -26,6 +26,7 @@ from .classify import classify
 from .harness import (
     ALL_CHECKS,
     SPLIT_MERGE_SAMPLES,
+    CheckResult,
     VerificationReport,
     diameter_table,
     format_table,
@@ -189,25 +190,26 @@ def _report_json(report: VerificationReport) -> dict:
         "n": report.n,
         "sources": report.sources,
         "ok": report.ok,
-        "checks": [
-            {
-                "name": c.name,
-                "population": c.population,
-                "violations": len(c.violations),
-                "elapsed": round(c.elapsed, 3),
-                "examples": [
-                    {
-                        "source": format_perm(v.source),
-                        "target": format_perm(v.target),
-                        "observed": str(v.observed),
-                        "bound": str(v.bound),
-                    }
-                    for v in c.violations[:10]
-                ],
-            }
-            for c in report.checks
-        ],
+        "checks": [_check_json(c) for c in report.checks],
     }
+
+
+def _check_json(c: CheckResult) -> dict:
+    entry: dict = {"name": c.name, "population": c.population}
+    if c.extended is not None:
+        entry["extended"] = c.extended
+    entry["violations"] = len(c.violations)
+    entry["elapsed"] = round(c.elapsed, 3)
+    entry["examples"] = [
+        {
+            "source": format_perm(v.source),
+            "target": format_perm(v.target),
+            "observed": str(v.observed),
+            "bound": str(v.bound),
+        }
+        for v in c.violations[:10]
+    ]
+    return entry
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
@@ -224,7 +226,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         return 0 if report.ok else 1
     for c in report.checks:
         status = "pass" if c.ok else f"FAIL ({len(c.violations)} violations)"
-        print(f"{c.name}: {status} population={c.population} elapsed={c.elapsed:.2f}s")
+        extended = "" if c.extended is None else f" extended={c.extended}"
+        print(f"{c.name}: {status} population={c.population}{extended} elapsed={c.elapsed:.2f}s")
         for v in c.violations[:5]:
             print(
                 f"  {format_perm(v.source)} -> {format_perm(v.target)}: "

@@ -16,16 +16,16 @@ import time
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .classify import _crossing_load
+from .classify import _counts
 from .oracle import MAX_TABLE_ORDER, bfs, diameter, orbit_sources
 from .perm import Perm, apply_generator, identity, positions, relative_cycles
 from .routing import (
-    check_phase_invariants,
+    _bound_from_counts,
+    _phase_laws,
+    _walk,
     classic_distance,
     classic_distance_sets,
-    hop_bound,
     oriented_route,
-    validate_trace,
 )
 from .topology import Scheme, boundary
 
@@ -60,6 +60,9 @@ class CheckResult:
     population: int
     violations: tuple[Violation, ...]
     elapsed: float
+    # phase-structure only: traces where law (b) and the all-crossing part
+    # of law (d) were skipped (PhaseReport.extended); None for other checks
+    extended: int | None = None
 
     @property
     def ok(self) -> bool:
@@ -93,7 +96,9 @@ def _route_violations(
     sources: list[Perm],
     targets: list[Perm],
     selected: list[str],
-) -> dict[str, list[Violation]]:
+) -> tuple[dict[str, list[Violation]], int]:
+    """Route-check violations by check name, and the number of traces whose
+    phase report is ``extended``."""
     half = boundary(n).half
     cap = hop_cap(n)
     found: dict[str, list[Violation]] = {name: [] for name in selected}
@@ -103,18 +108,28 @@ def _route_violations(
     want_valid = "route-validity" in found
     want_phase = "phase-structure" in found
     want_mono = "crossing-monotone" in found
+    extended = 0
     for s in sources:
         for t in targets:
             trace = oriented_route(s, t)
             length = trace.length
-            if want_valid:
-                problems = validate_trace(trace)
-                if problems:
+            # one target index and one count of the source per pair, shared
+            # by the route walk, the hop bound and the phase laws
+            tpos = positions(t)
+            if want_valid or want_mono:
+                problems, rise = _walk(trace, tpos)
+                if want_valid and problems:
                     found["route-validity"].append(
                         Violation(s, t, "; ".join(problems), "valid directed route")
                     )
+                if want_mono and rise:
+                    hop, prev, cur = rise
+                    found["crossing-monotone"].append(
+                        Violation(s, t, f"{prev} -> {cur} at hop {hop}", "non-increasing")
+                    )
+            counts = _counts(s, tpos, half) if want_hop or want_phase else None
             if want_hop:
-                cutoff = hop_bound(s, t)
+                cutoff = _bound_from_counts(counts)
                 if length > cutoff:
                     found["hop-bound"].append(Violation(s, t, length, cutoff))
             if want_stretch:
@@ -124,22 +139,13 @@ def _route_violations(
             if want_cap and length > cap:
                 found["diameter-bound"].append(Violation(s, t, length, cap))
             if want_phase:
-                report = check_phase_invariants(trace)
+                report = _phase_laws(trace, tpos, half, counts)
+                extended += report.extended
                 if not report.ok:
                     found["phase-structure"].append(
                         Violation(s, t, "; ".join(report.violations), "phase invariants")
                     )
-            if want_mono:
-                tpos = positions(t)
-                loads = [_crossing_load(node, tpos, half) for node in trace.nodes]
-                for hop in range(1, len(loads)):
-                    prev, cur = loads[hop - 1], loads[hop]
-                    if cur > prev:
-                        found["crossing-monotone"].append(
-                            Violation(s, t, f"{prev} -> {cur} at hop {hop}", "non-increasing")
-                        )
-                        break
-    return found
+    return found, extended
 
 
 def _distance_violations(
@@ -147,7 +153,7 @@ def _distance_violations(
     sources: list[Perm],
     targets: list[Perm],
     selected: list[str],
-) -> dict[str, list[Violation]]:
+) -> tuple[dict[str, list[Violation]], None]:
     found: dict[str, list[Violation]] = {name: [] for name in selected}
     want_bfs = "distance-vs-bfs" in found
     want_sets = "set-formula" in found
@@ -163,7 +169,7 @@ def _distance_violations(
                 via_sets = classic_distance_sets(s, t)
                 if via_sets != d:
                     found["set-formula"].append(Violation(s, t, via_sets, d))
-    return found
+    return found, None
 
 
 def _cycle_family(c: Perm, t: Perm) -> set[frozenset[int]]:
@@ -266,10 +272,13 @@ def verify(
     ):
         if names:
             start = time.perf_counter()
-            by_name = sweep(n, source_list, targets, names)
+            by_name, extended = sweep(n, source_list, targets, names)
             elapsed = time.perf_counter() - start
             for name in names:
-                results.append(CheckResult(name, population, tuple(by_name[name]), elapsed))
+                skipped = extended if name == "phase-structure" else None
+                results.append(
+                    CheckResult(name, population, tuple(by_name[name]), elapsed, skipped)
+                )
     if "split-merge" in selected:
         start = time.perf_counter()
         found, sampled = _split_merge_violations(n, seed, sample_size)

@@ -22,7 +22,6 @@ outgoing-link columns are re-derived from the orientation rules.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from math import ceil, factorial
 from typing import Sequence
@@ -111,14 +110,32 @@ class MoveTable:
 _tables: dict[int, MoveTable] = {}
 
 
+def _lexicographic_perms(n: int) -> np.ndarray:
+    """All permutations of 1..n as an (n!, n) uint8 array, row r = unrank(r).
+
+    Grown one symbol at a time: the order-k rows are k blocks, one per first
+    value f, each followed by the order-(k-1) rows relabeled onto the values
+    other than f, which keeps lexicographic order.  No Python tuple per row.
+    """
+    perms = np.zeros((1, 1), dtype=np.uint8)  # values 0..k-1
+    for k in range(2, n + 1):
+        rest = len(perms)
+        grown = np.empty((k * rest, k), dtype=np.uint8)
+        for first in range(k):
+            block = grown[first * rest : (first + 1) * rest]
+            block[:, 0] = first
+            block[:, 1:] = perms + (perms >= first)
+        perms = grown
+    perms += 1
+    return perms
+
+
 def move_table(n: int) -> MoveTable:
     if not 3 <= n <= MAX_TABLE_ORDER:
         raise ValueError(f"BFS oracle supports orders 3..{MAX_TABLE_ORDER}, got {n}")
     table = _tables.get(n)
     if table is None:
-        perms = np.array(
-            list(itertools.permutations(range(1, n + 1))), dtype=np.uint8
-        )
+        perms = _lexicographic_perms(n)
         moves = np.empty((len(perms), n - 1), dtype=np.int32)
         for link in range(2, n + 1):
             swapped = perms.copy()

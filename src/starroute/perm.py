@@ -11,6 +11,7 @@ values for larger orders ("2,1,3,4,5,6,7,8,9,10").
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -111,12 +112,11 @@ def parity(p: Sequence[int]) -> int:
     (0, 1)
     """
     inversions = 0
-    n = len(p)
-    for i in range(n):
-        pi = p[i]
-        for j in range(i + 1, n):
-            if p[j] < pi:
-                inversions += 1
+    right: list[int] = []  # the values to the right of the current one, sorted
+    for v in reversed(p):
+        smaller = bisect_left(right, v)
+        inversions += smaller
+        right.insert(smaller, v)
     return inversions & 1
 
 

@@ -53,9 +53,9 @@ import enum
 from dataclasses import dataclass
 from typing import Sequence
 
-from .classify import _alternates, _counts as _set_counts
-from .perm import Perm, apply_generator, parity, positions
-from .topology import Scheme, boundary, is_outgoing
+from .classify import _alternates, _counts as _set_counts, _crossing_load
+from .perm import Perm, parity, positions
+from .topology import Scheme, boundary, out_links
 
 
 class MoveKind(enum.Enum):
@@ -66,9 +66,9 @@ class MoveKind(enum.Enum):
     PRE_FINAL_CROSSING = "pre-final-crossing"
 
 
-CROSSING_KINDS = frozenset(
-    {MoveKind.CROSSING, MoveKind.FINAL_CROSSING, MoveKind.PRE_FINAL_CROSSING}
-)
+# a tuple: ``in`` compares members by identity, where a frozenset would call
+# the enum's Python-level __hash__ on every test
+CROSSING_KINDS = (MoveKind.CROSSING, MoveKind.FINAL_CROSSING, MoveKind.PRE_FINAL_CROSSING)
 
 
 class RoutingInvariantError(RuntimeError):
@@ -173,7 +173,7 @@ def classic_distance_sets(s: Sequence[int], t: Sequence[int]) -> int:
     ``|ull| + |urr| + |crossed| + nonsingleton relative cycles``."""
     if len(s) != len(t):
         raise ValueError(f"order mismatch: {len(s)} vs {len(t)}")
-    ull, urr, ulr, url, _, nonsingleton = _set_counts(s, t)
+    ull, urr, ulr, url, _, nonsingleton = _set_counts(s, positions(t), boundary(len(s)).half)
     return ull + urr + ulr + url + nonsingleton
 
 
@@ -308,13 +308,14 @@ def _route(s: Sequence[int], t: Sequence[int], scheme: Scheme | None) -> RouteTr
     c = list(s)
     cpos = positions(s)
     odd = parity(s)
-    unsettled = sum(1 for i in range(n) if s[i] != t[i])
     limit = _runaway_limit(n)
-    nodes: list[Perm] = [tuple(s)]
+    target = tuple(t)
+    node = tuple(s)
+    nodes: list[Perm] = [node]
     links: list[int] = []
     moves: list[MoveKind] = []
     cases: list[str] = []
-    while unsettled:
+    while node != target:
         if scheme is None:
             link, kind = _classic_pick(c, t, tpos)
             case = "classic"
@@ -324,31 +325,52 @@ def _route(s: Sequence[int], t: Sequence[int], scheme: Scheme | None) -> RouteTr
         moves.append(kind)
         cases.append(case)
         i = link - 1
-        was = (c[0] == t[0]) + (c[i] == t[i])
         c[0], c[i] = c[i], c[0]
         cpos[c[0]] = 1
         cpos[c[i]] = link
-        unsettled += was - ((c[0] == t[0]) + (c[i] == t[i]))
         odd ^= 1
-        nodes.append(tuple(c))
+        node = tuple(c)
+        nodes.append(node)
         if len(links) > limit:
             raise RoutingInvariantError(f"route exceeded {limit} hops without terminating")
-    return RouteTrace(tuple(t), scheme, tuple(nodes), tuple(links), tuple(moves), tuple(cases))
+    return RouteTrace(target, scheme, tuple(nodes), tuple(links), tuple(moves), tuple(cases))
 
 
 def _assign_phases(kinds: Sequence[MoveKind]) -> list[int]:
     """Phase labels: settling prefix = 1, through the last crossing-kind
     move = 2, remainder = 3."""
-    m = len(kinds)
-    len1 = 0
-    while len1 < m and kinds[len1] is MoveKind.SETTLING:
-        len1 += 1
-    end2 = len1
-    for j in range(m - 1, len1 - 1, -1):
-        if kinds[j] in CROSSING_KINDS:
+    len1, end2, *_ = _scan_moves(kinds)
+    return [1] * len1 + [2] * (end2 - len1) + [3] * (len(kinds) - end2)
+
+
+def _scan_moves(
+    kinds: Sequence[MoveKind],
+) -> tuple[int, int, list[int], list[int], list[int]]:
+    """One pass over the move kinds: the settling-prefix length ``len1``, the
+    end of Phase Two ``end2`` (one past the last crossing-kind move, ``len1``
+    when there is none), the hops of the final and of the pre-final
+    crossings, and the hops after the prefix that do not cross."""
+    settling, final, pre_final = (
+        MoveKind.SETTLING,
+        MoveKind.FINAL_CROSSING,
+        MoveKind.PRE_FINAL_CROSSING,
+    )
+    len1 = end2 = 0
+    finals: list[int] = []
+    prefinals: list[int] = []
+    others: list[int] = []
+    for j, kind in enumerate(kinds):
+        if kind is settling and j == len1:
+            len1 += 1
+        elif kind in CROSSING_KINDS:
             end2 = j + 1
-            break
-    return [1] * len1 + [2] * (end2 - len1) + [3] * (m - end2)
+            if kind is final:
+                finals.append(j)
+            elif kind is pre_final:
+                prefinals.append(j)
+        else:
+            others.append(j)
+    return len1, max(end2, len1), finals, prefinals, others
 
 
 def classic_route(s: Sequence[int], t: Sequence[int]) -> RouteTrace:
@@ -366,7 +388,12 @@ def hop_bound(s: Sequence[int], t: Sequence[int]) -> int:
     ``|crossed| + max(6, 4*max(|ull|, |urr|) + alternating + 4)``."""
     if len(s) != len(t):
         raise ValueError(f"order mismatch: {len(s)} vs {len(t)}")
-    ull, urr, ulr, url, chi, _ = _set_counts(s, t)
+    return _bound_from_counts(_set_counts(s, positions(t), boundary(len(s)).half))
+
+
+def _bound_from_counts(counts: tuple[int, ...]) -> int:
+    """:func:`hop_bound` from the source's :func:`classify._counts`."""
+    ull, urr, ulr, url, chi, _ = counts
     return ulr + url + max(6, 4 * max(ull, urr) + chi + 4)
 
 
@@ -377,32 +404,80 @@ def hop_bound(s: Sequence[int], t: Sequence[int]) -> int:
 def validate_trace(trace: RouteTrace) -> list[str]:
     """Structural faults of a trace: ragged columns, broken node chaining,
     hops along non-outgoing arcs (oriented traces), wrong terminal node,
-    runaway length.  Empty list means the trace is well formed."""
-    faults: list[str] = []
+    runaway length.  Empty list means the trace is well formed.
+
+    One walk over ``nodes`` and ``links``: it swaps positions 1 and ``link``
+    of a running copy of the node and compares it with the stored next
+    node, carrying parity along (every hop flips it).  Faults are reported,
+    never raised.
+    """
+    return _walk(trace, None)[0]
+
+
+def _walk(
+    trace: RouteTrace, tpos: Sequence[int] | None
+) -> tuple[list[str], tuple[int, int, int] | None]:
+    """:func:`validate_trace`'s faults, and with a target position index
+    ``tpos`` the first hop at which the crossing load (``|ull| + |urr|``,
+    :func:`classify.crossing_load`) of the stored nodes rises, as
+    ``(hop, before, after)``; None when it never rises or without ``tpos``.
+
+    A hop moves one value into and one out of position ``link``, and
+    position 1 belongs to neither half, so the load changes only by the
+    contributions at ``link``.  At a hop whose stored node does not chain,
+    the load is recounted in full.
+    """
     nodes, links = trace.nodes, trace.links
+    if not nodes:
+        return ["columns have unequal lengths"], None
+    faults: list[str] = []
     m = len(links)
     if not len(nodes) - 1 == m == len(trace.moves) == len(trace.cases):
         faults.append("columns have unequal lengths")
-    odd = parity(nodes[0])  # every hop flips it
-    for j, (here, link, there) in enumerate(zip(nodes, links, nodes[1:]), 1):
-        try:
-            nxt = apply_generator(here, link)
-        except ValueError as exc:
-            faults.append(f"hop {j}: {exc}")
-            odd = parity(there)
-            continue
-        if trace.scheme is not None and not is_outgoing(len(here), link, odd, trace.scheme):
-            faults.append(f"hop {j}: link {link} is not an outgoing arc")
-        if nxt == there:
+    n = len(nodes[0])
+    out = None if trace.scheme is None else out_links(n, trace.scheme)
+    half = boundary(n).half if tpos is not None else ()
+    load = _crossing_load(nodes[0], tpos, half) if tpos is not None else 0
+    rise = None
+    c = list(nodes[0])
+    size = n  # order of the node the hop leaves
+    odd = parity(c)
+    for j, (link, there) in enumerate(zip(links, nodes[1:]), 1):
+        before = load
+        chained = False
+        if not 2 <= link <= size:
+            faults.append(f"hop {j}: link must be within 2..{size}, got {link}")
+        else:
+            if out is not None and link not in out[odd]:
+                faults.append(f"hop {j}: link {link} is not an outgoing arc")
+            i = link - 1
+            if tpos is not None:
+                # the value leaving position link, then the one arriving
+                tp = tpos[c[i]]
+                load -= tp != link and half[tp] == half[link]
+                tp = tpos[c[0]]
+                load += tp != link and half[tp] == half[link]
+            c[0], c[i] = c[i], c[0]
+            # one C-level tuple comparison; comparing position by position
+            # in Python measured slower
+            chained = tuple(c) == there
+            if not chained:
+                faults.append(f"hop {j}: node chain broken")
+        if chained:
             odd ^= 1
         else:
-            faults.append(f"hop {j}: node chain broken")
-            odd = parity(there)
+            c = list(there)
+            size = len(c)
+            odd = parity(c)
+            if tpos is not None:
+                load = _crossing_load(c, tpos, half)
+        if load > before and rise is None:
+            rise = (j, before, load)
     if nodes[-1] != trace.target:
         faults.append("route does not terminate at the target")
-    if m > _runaway_limit(len(nodes[0])):
+    if m > _runaway_limit(n):
         faults.append("route exceeds the runaway limit")
-    return faults
+    return faults, rise
 
 
 @dataclass(frozen=True)
@@ -441,26 +516,46 @@ def check_phase_invariants(trace: RouteTrace) -> PhaseReport:
     burn-down chain; they are skipped (``extended=True`` in the report) when
     a 2.4/2.5 hop had to displace a crossed value mid-chain, which hands the
     front to a settling run before the chain resumes.  Laws (a), (c) and the
-    rest of (d) hold either way.
+    rest of (d) hold either way.  Phase Three holds no crossing move by
+    construction: Phase Two ends at the last crossing-kind move.
 
-    Violations are reported, never raised.
+    The check reads the stored columns only: one scan of ``moves`` finds the
+    phase boundaries, the final and the pre-final crossings, and the counts
+    are taken once per distinct node (alpha is s when the settling prefix is
+    empty, gamma is alpha when Phase Two is).  Ragged columns are reported
+    as such and no law is checked.  Violations are reported, never raised.
     """
-    moves = trace.moves
-    if not moves:
-        return PhaseReport(True, (), (0, 0, 0))
-    extended = "2.4" in trace.cases or "2.5" in trace.cases
     t = trace.target
-    faults: list[str] = []
-    phases = trace.phases
-    len1 = phases.count(1)
-    len2 = phases.count(2)
-    len3 = len(moves) - len1 - len2
-    alpha = trace.nodes[len1]
-    gamma = trace.nodes[len1 + len2]
+    return _phase_laws(trace, positions(t), boundary(len(t)).half, None)
 
-    s_ull, s_urr, s_ulr, s_url, s_chi, _ = _set_counts(trace.source, t)
-    a_ull, a_urr, a_ulr, a_url, a_chi, _ = _set_counts(alpha, t)
-    g_ull, g_urr, g_ulr, g_url, g_chi, g_cyc = _set_counts(gamma, t)
+
+def _phase_laws(
+    trace: RouteTrace,
+    tpos: Sequence[int],
+    half: Sequence[int],
+    source_counts: tuple[int, ...] | None,
+) -> PhaseReport:
+    """:func:`check_phase_invariants` against a prebuilt target position
+    index, reusing the source's :func:`classify._counts` when given."""
+    moves = trace.moves
+    len1, end2, finals, prefinals, others = _scan_moves(moves)
+    nodes = trace.nodes
+    m = len(moves)
+    extended = "2.4" in trace.cases or "2.5" in trace.cases
+    lengths = (len1, end2 - len1, m - end2)
+    if not len(nodes) - 1 == len(trace.links) == m == len(trace.cases):
+        return PhaseReport(False, ("columns have unequal lengths",), lengths, extended)
+    if not m:
+        return PhaseReport(True, (), lengths)
+    len2, len3 = lengths[1], lengths[2]
+    faults: list[str] = []
+
+    s_counts = _set_counts(nodes[0], tpos, half) if source_counts is None else source_counts
+    a_counts = _set_counts(nodes[len1], tpos, half) if len1 else s_counts
+    g_counts = _set_counts(nodes[end2], tpos, half) if len2 else a_counts
+    _, _, s_ulr, s_url, s_chi, _ = s_counts
+    a_ull, a_urr, a_ulr, a_url, a_chi, _ = a_counts
+    g_ull, g_urr, g_ulr, g_url, g_chi, g_cyc = g_counts
     s_x, a_x, g_x = s_ulr + s_url, a_ulr + a_url, g_ulr + g_url
 
     drop = len1 - 1 if len1 else 0
@@ -471,10 +566,13 @@ def check_phase_invariants(trace: RouteTrace) -> PhaseReport:
     if a_chi > s_chi:
         faults.append(f"alternating count grew over the settling prefix: {s_chi} -> {a_chi}")
 
-    a_reach = a_url if parity(trace.source) ^ (len1 & 1) else a_ulr
     if extended:
         pass  # the burn-down chain was interrupted; (b) does not apply
-    elif a_ull == 0 and a_urr == 0 and a_reach == 0:
+    elif (
+        a_ull == 0
+        and a_urr == 0
+        and (a_url if parity(nodes[0]) ^ (len1 & 1) else a_ulr) == 0
+    ):
         if g_chi > 1:
             faults.append(f"chi(gamma) = {g_chi} > 1 with no burn-down at alpha")
         if len2 > 2:
@@ -482,13 +580,13 @@ def check_phase_invariants(trace: RouteTrace) -> PhaseReport:
         if g_x > a_x + 2:
             faults.append(f"crossed count {a_x} -> {g_x} over Phase Two, expected <= +2")
     else:
-        m = max(a_ull, a_urr)
+        most = max(a_ull, a_urr)
         if g_chi > a_chi + 1:
             faults.append(f"chi grew {a_chi} -> {g_chi} over Phase Two, expected <= +1")
-        if len2 > 2 * m + 1:
-            faults.append(f"Phase Two has {len2} hops, expected <= {2 * m + 1}")
-        if g_x > a_x + 2 * m:
-            faults.append(f"crossed count {a_x} -> {g_x} over Phase Two, expected <= +{2 * m}")
+        if len2 > 2 * most + 1:
+            faults.append(f"Phase Two has {len2} hops, expected <= {2 * most + 1}")
+        if g_x > a_x + 2 * most:
+            faults.append(f"crossed count {a_x} -> {g_x} over Phase Two, expected <= +{2 * most}")
 
     if g_ull or g_urr:
         faults.append(f"gamma still has burn-down {g_ull}+{g_urr}")
@@ -496,25 +594,17 @@ def check_phase_invariants(trace: RouteTrace) -> PhaseReport:
         faults.append(f"Phase Three has {len3} hops, expected {g_x} + {g_cyc}")
 
     if not extended:
-        for j in range(len1 + 1, len1 + len2):
-            if moves[j] not in CROSSING_KINDS:
+        for j in others:
+            if len1 < j < end2:
                 faults.append(f"hop {j + 1} inside Phase Two is {moves[j].value}")
-    for j in range(len1 + len2, len(moves)):
-        if moves[j] in CROSSING_KINDS:
-            faults.append(f"hop {j + 1} in Phase Three is a crossing move")
-    finals = [j for j, kind in enumerate(moves) if kind is MoveKind.FINAL_CROSSING]
-    any_crossing = any(kind in CROSSING_KINDS for kind in moves)
-    if any_crossing:
+    if end2 > len1:  # some crossing occurs
         if len(finals) != 1:
             faults.append(f"expected exactly one final crossing, found {len(finals)}")
-        elif finals[0] != len1 + len2 - 1:
+        elif finals[0] != end2 - 1:
             faults.append("final crossing is not the last hop of Phase Two")
-    elif finals:
-        faults.append("final crossing present in a route without crossing moves")
-    prefinals = [j for j, kind in enumerate(moves) if kind is MoveKind.PRE_FINAL_CROSSING]
     if len(prefinals) > 1:
         faults.append(f"{len(prefinals)} pre-final crossings")
     elif prefinals and (len(finals) != 1 or prefinals[0] + 1 != finals[0]):
         faults.append("pre-final crossing is not directly before the final crossing")
 
-    return PhaseReport(not faults, tuple(faults), (len1, len2, len3), extended)
+    return PhaseReport(not faults, tuple(faults), lengths, extended)

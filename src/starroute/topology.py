@@ -81,17 +81,30 @@ def neighbors(u: Sequence[int]) -> list[tuple[int, Perm]]:
     return [(link, apply_generator(u, link)) for link in range(2, len(u) + 1)]
 
 
+@lru_cache(maxsize=None)
+def out_links(n: int, scheme: Scheme = Scheme.FUJITA) -> tuple[frozenset[int], frozenset[int]]:
+    """Outgoing links of an order-``n`` vertex, indexed by its parity:
+    ``out_links(n, scheme)[odd]``.
+
+    >>> [sorted(links) for links in out_links(5)]
+    [[2, 3], [4, 5]]
+    """
+    links = range(2, n + 1)
+    if scheme is Scheme.FUJITA:
+        half = boundary(n).half
+        return frozenset(l for l in links if half[l] == 1), frozenset(l for l in links if half[l] == 2)
+    if scheme is Scheme.DAY_TRIPATHI:
+        return frozenset(l for l in links if l % 2 == 0), frozenset(l for l in links if l % 2 == 1)
+    raise ValueError(f"unknown scheme: {scheme!r}")  # pragma: no cover - enum is closed
+
+
 def is_outgoing(n: int, link: int, odd: int, scheme: Scheme = Scheme.FUJITA) -> bool:
     """Whether ``link`` leaves an order-``n`` vertex of parity ``odd`` (0 or 1).
 
     The caller supplies the parity, so a walk can carry it along instead of
     recomputing it: every hop flips it.
     """
-    if scheme is Scheme.FUJITA:
-        return boundary(n).half[link] == 1 + odd
-    if scheme is Scheme.DAY_TRIPATHI:
-        return link % 2 == odd
-    raise ValueError(f"unknown scheme: {scheme!r}")  # pragma: no cover - enum is closed
+    return link in out_links(n, scheme)[odd]
 
 
 def arc_direction(u: Sequence[int], link: int, scheme: Scheme = Scheme.FUJITA) -> Direction:

@@ -140,6 +140,20 @@ def test_verify_pass_output_and_exit(capsys):
     assert lines[-1] == "overall: pass"
 
 
+def test_verify_reports_extended_count(capsys):
+    code, out, _ = run(capsys, "verify", "4", "--checks", "phase-structure,route-validity")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0].startswith("phase-structure: pass population=576 extended=72 elapsed=")
+    assert lines[1].startswith("route-validity: pass population=576 elapsed=")
+    code, out, _ = run(
+        capsys, "verify", "4", "--checks", "phase-structure,route-validity", "--json"
+    )
+    phase, validity = json.loads(out)["checks"]
+    assert (phase["name"], phase["extended"]) == ("phase-structure", 72)
+    assert "extended" not in validity
+
+
 def test_table_csv(capsys):
     code, out, _ = run(capsys, "table", "3..5", "--format", "csv")
     assert code == 0

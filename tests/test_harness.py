@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
 
+from starroute import harness
 from starroute.harness import (
     ALL_CHECKS,
     diameter_table,
@@ -13,6 +15,8 @@ from starroute.harness import (
     verify,
     witness,
 )
+from starroute.perm import apply_generator
+from starroute.routing import MoveKind, RouteTrace
 
 
 def test_hop_cap_values():
@@ -81,8 +85,98 @@ def test_verify_order_four_full():
     assert populations["split-merge"] == 1728
     assert all(not c.violations for c in report.checks)
     assert report.check("hop-bound").ok
+    assert report.check("phase-structure").extended == 72
+    assert report.check("route-validity").extended is None
     with pytest.raises(KeyError):
         report.check("no-such-check")
+
+
+def test_verify_counts_extended_traces_order_six_reduced():
+    report = verify(6, checks=["phase-structure"], sources="reduced")
+    result = report.check("phase-structure")
+    assert result.ok
+    assert (result.population, result.extended) == (1440, 196)
+
+
+ROUTE_CHECKS = list(ALL_CHECKS[:6])
+PAIR = ((2, 4, 1, 3), (1, 2, 3, 4))  # route: links 4 3 4 2 4, phases (0, 1, 4)
+
+
+def _replace_at(column: tuple, j: int, value) -> tuple:
+    return column[:j] + (value,) + column[j + 1 :]
+
+
+def _relink(trace: RouteTrace) -> RouteTrace:
+    # the third node is odd, so link 2 is incoming there, and leads elsewhere
+    return dataclasses.replace(trace, links=_replace_at(trace.links, 2, 2))
+
+
+def _unchain_with_load(trace: RouteTrace) -> RouteTrace:
+    # a stored Phase Three node swapped for one with crossing load 2 (values 2
+    # and 3 both unsettled in the left half); the rest of the route has load 0
+    return dataclasses.replace(trace, nodes=_replace_at(trace.nodes, 3, (1, 3, 2, 4)))
+
+
+def _cross_in_phase_three(trace: RouteTrace) -> RouteTrace:
+    # phases follow the moves, so Phase Two now runs through hop 4 and holds
+    # a settling and a seeding hop, and the final crossing is not its last
+    return dataclasses.replace(trace, moves=_replace_at(trace.moves, 3, MoveKind.CROSSING))
+
+
+PADDING = (2, 4, 2, 4, 3, 4, 3, 4, 3, 4, 2, 4)  # a directed cycle through the target
+
+
+def _pad_past_cap(trace: RouteTrace) -> RouteTrace:
+    # 17 hops, over the cap 12, the stretch bound 16 and the hop bound 8, yet
+    # a chained directed route ending at the target; the crossing load along
+    # the cycle rises 0 -> 1 at its fifth hop, so the load is carried across
+    # hops that chain
+    nodes = list(trace.nodes)
+    for link in PADDING:
+        nodes.append(apply_generator(nodes[-1], link))
+    return dataclasses.replace(
+        trace,
+        nodes=tuple(nodes),
+        links=trace.links + PADDING,
+        moves=trace.moves + (MoveKind.SEEDING,) * len(PADDING),
+        cases=trace.cases + ("4",) * len(PADDING),
+    )
+
+
+@pytest.mark.parametrize(
+    "tamper, flagged, rise",
+    [
+        (_relink, {"route-validity"}, None),
+        (_unchain_with_load, {"route-validity", "crossing-monotone"}, "0 -> 2 at hop 3"),
+        (_cross_in_phase_three, {"phase-structure"}, None),
+        (
+            _pad_past_cap,
+            {"hop-bound", "stretch-bound", "diameter-bound", "phase-structure", "crossing-monotone"},
+            "0 -> 1 at hop 10",
+        ),
+    ],
+)
+def test_route_checks_report_exactly_the_tampered_pair(monkeypatch, tamper, flagged, rise):
+    route = harness.oriented_route
+
+    def tampered_route(s, t):
+        trace = route(s, t)
+        return tamper(trace) if (s, t) == PAIR else trace
+
+    monkeypatch.setattr(harness, "oriented_route", tampered_route)
+    report = verify(4, checks=ROUTE_CHECKS)
+    for result in report.checks:
+        pairs = [(v.source, v.target) for v in result.violations]
+        assert pairs == ([PAIR] if result.name in flagged else []), result.name
+    if rise is not None:
+        assert report.check("crossing-monotone").violations[0].observed == rise
+    if "route-validity" in flagged:
+        assert "node chain broken" in report.check("route-validity").violations[0].observed
+    if tamper is _cross_in_phase_three:
+        assert report.check("phase-structure").violations[0].observed == (
+            "Phase Two has 4 hops, expected <= 1; hop 2 inside Phase Two is settling; "
+            "hop 3 inside Phase Two is seeding; final crossing is not the last hop of Phase Two"
+        )
 
 
 def test_verify_rejects_unknown_check():

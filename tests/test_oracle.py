@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import random
 from collections import deque
 
 import pytest
@@ -18,6 +19,7 @@ from starroute.oracle import (
     rank,
     unrank,
 )
+from starroute.perm import apply_generator, parity
 from starroute.topology import Scheme, neighbors, out_neighbors
 
 from conftest import all_perms, perms_of
@@ -65,6 +67,23 @@ def test_move_table_matches_generator_action():
             )
     assert not table.odd[0]
     assert bool(table.odd[rank((2, 1, 3, 4))])
+
+
+@pytest.mark.parametrize("n", range(3, 10))
+def test_move_table_rows_follow_unrank(n):
+    # every rank through order 6, seeded ranks beyond; parity cross-checks
+    # the Lehmer-digit parity of the table against perm.parity
+    table = move_table(n)
+    size = math.factorial(n)
+    assert table.perms.shape == (size, n) and table.moves.shape == (size, n - 1)
+    ranks = range(size) if n <= 6 else random.Random(n).sample(range(size), 300)
+    for r in ranks:
+        p = unrank(r, n)
+        assert tuple(table.perms[r].tolist()) == p
+        assert bool(table.odd[r]) == bool(parity(p))
+        assert table.moves[r].tolist() == [
+            rank(apply_generator(p, link)) for link in range(2, n + 1)
+        ]
 
 
 def _naive_distances(source, directed, scheme):

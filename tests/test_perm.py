@@ -74,6 +74,16 @@ def test_parity_anchor_values():
     assert parity((2, 3, 1, 4, 5)) == 0
 
 
+@given(st.lists(st.integers(0, 9), max_size=9))
+def test_parity_is_the_inversion_count_parity(values):
+    # the pairwise count is the reference; any sequence, ties included, so
+    # a malformed node in a tampered trace still gets a parity
+    inversions = sum(
+        values[j] < values[i] for i in range(len(values)) for j in range(i + 1, len(values))
+    )
+    assert parity(values) == inversions & 1
+
+
 @given(perms_of(7))
 def test_cycles_cover_and_canonical_form(p):
     dec = cycles(p)

@@ -202,6 +202,22 @@ def test_validate_trace_flags_tampering():
     ragged = _tamper(trace, cases=trace.cases[:-1])
     assert validate_trace(ragged) == ["columns have unequal lengths"]
 
+    no_nodes = _tamper(trace, nodes=())
+    assert validate_trace(no_nodes) == ["columns have unequal lengths"]
+
+
+def test_phase_check_reports_ragged_columns():
+    trace = oriented_route(parse_perm("24135"), ID5)
+    for ragged in (
+        _tamper(trace, nodes=trace.nodes[:2]),
+        _tamper(trace, nodes=()),
+        _tamper(trace, moves=trace.moves + (MoveKind.CROSSING,)),
+    ):
+        report = check_phase_invariants(ragged)
+        assert not report.ok
+        assert report.violations == ("columns have unequal lengths",)
+    assert check_phase_invariants(_tamper(trace, nodes=trace.nodes[:2])).phase_lengths == (0, 1, 4)
+
 
 def test_validate_trace_accepts_classic_even_against_arcs():
     # classic traces carry no scheme, so arc directions are not checked.
