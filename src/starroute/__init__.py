@@ -21,6 +21,7 @@ from .oracle import (
     bfs,
     diameter,
     distance,
+    distance_fields,
     eccentricity,
     rank,
     unrank,

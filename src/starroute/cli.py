@@ -34,7 +34,7 @@ from .harness import (
     verify,
     witness,
 )
-from .oracle import MAX_TABLE_ORDER, bfs, diameter
+from .oracle import MAX_TABLE_ORDER, diameter, distance
 from .perm import format_perm, parse_perm
 from .routing import RouteTrace, classic_route, oriented_route
 from .topology import Scheme, arc_direction, neighbors
@@ -149,11 +149,7 @@ def _cmd_route(args: argparse.Namespace) -> int:
 
 def _cmd_distance(args: argparse.Namespace) -> int:
     s, t = parse_perm(args.source), parse_perm(args.target)
-    if args.directed:
-        d = bfs(s, directed=True, scheme=Scheme.parse(args.scheme)).distance(t)
-    else:
-        d = bfs(s).distance(t)
-    print(d)
+    print(distance(s, t, directed=args.directed, scheme=Scheme.parse(args.scheme)))
     return 0
 
 

@@ -7,6 +7,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from starroute import oracle
 from starroute.cli import build_parser, main
 from starroute.harness import verify
 
@@ -200,6 +201,16 @@ def test_bad_permutation_exits_two(capsys):
 def test_mismatched_orders_exit_two(capsys):
     code, _, err = run(capsys, "distance", "1234", "12345")
     assert code == 2 and "error:" in err
+
+
+def test_distance_order_mismatch_fails_before_any_search(capsys, monkeypatch):
+    def no_table(n):
+        raise AssertionError(f"move_table({n}) built for a mismatched pair")
+
+    monkeypatch.setattr(oracle, "move_table", no_table)
+    code, out, err = run(capsys, "distance", "123456789", "1234")
+    assert code == 2 and out == ""
+    assert err.startswith("error: order mismatch")
 
 
 def test_parser_knows_all_subcommands():

@@ -69,6 +69,19 @@ def test_lower_bound_order_six():
     assert not report.supports_2n
 
 
+@pytest.mark.parametrize("n,variant,value", [
+    (7, "default", 14),
+    (8, "even-refined", 16),
+    (9, "default", 18),
+])
+def test_lower_bound_fujita_orders_seven_to_nine(n, variant, value):
+    # at n = 8 both variants are measured in one sweep and the farther wins
+    report = lower_bound_check(n)
+    assert (report.variant, report.distance) == (variant, value)
+    assert report.witness == witness(n, variant)
+    assert report.required == 2 * n and report.ok and report.supports_2n
+
+
 def test_lower_bound_range():
     with pytest.raises(ValueError):
         lower_bound_check(4)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import functools
 import math
 import random
 from collections import deque
@@ -13,6 +14,7 @@ from starroute.oracle import (
     bfs,
     diameter,
     distance,
+    distance_fields,
     eccentricity,
     move_table,
     orbit_sources,
@@ -86,17 +88,37 @@ def test_move_table_rows_follow_unrank(n):
         ]
 
 
-def _naive_distances(source, directed, scheme):
-    dist = {source: 0}
-    queue = deque([source])
+@functools.cache
+def _adjacency(n, directed, scheme):
+    """Nodes in lexicographic order, their indices, and each node's out-neighbour
+    indices, from the topology alone."""
+    nodes = all_perms(n)
+    index = {p: i for i, p in enumerate(nodes)}
+    adj = [
+        [index[q] for _, q in (out_neighbors(p, scheme) if directed else neighbors(p))]
+        for p in nodes
+    ]
+    return nodes, index, adj
+
+
+def _plain_bfs(adj, start):
+    """Distances from node ``start`` by a queue BFS; -1 where unreachable."""
+    dist = [-1] * len(adj)
+    dist[start] = 0
+    queue = deque([start])
     while queue:
         u = queue.popleft()
-        nbrs = out_neighbors(u, scheme) if directed else neighbors(u)
-        for _, v in nbrs:
-            if v not in dist:
+        for v in adj[u]:
+            if dist[v] < 0:
                 dist[v] = dist[u] + 1
                 queue.append(v)
     return dist
+
+
+def _naive_distances(source, directed, scheme):
+    nodes, index, adj = _adjacency(len(source), directed, scheme)
+    dist = _plain_bfs(adj, index[source])
+    return {p: d for p, d in zip(nodes, dist) if d >= 0}
 
 
 @pytest.mark.parametrize("directed,scheme", [
@@ -185,14 +207,16 @@ GRAPHS = [(False, Scheme.FUJITA), (True, Scheme.FUJITA), (True, Scheme.DAY_TRIPA
 
 
 def _reference_diameter(n, directed, scheme, mode):
-    """One BFS per source in rank order; the first strict maximum wins."""
-    sources = orbit_sources(n) if mode == "orbit" else all_perms(n)
+    """One plain BFS per source in lexicographic (rank) order; the first strict
+    maximum wins, with its first farthest node in that order."""
+    nodes, index, adj = _adjacency(n, directed, scheme)
+    sources = orbit_sources(n) if mode == "orbit" else nodes
     best = None
     for source in sources:
-        field = bfs(source, directed=directed, scheme=scheme)
-        ecc = field.eccentricity()
+        dist = _plain_bfs(adj, index[source])
+        ecc = max(dist)
         if best is None or ecc > best[0]:
-            best = (ecc, source, field.farthest())
+            best = (ecc, source, nodes[dist.index(ecc)])
     return best
 
 
@@ -205,6 +229,29 @@ def test_diameter_matches_per_source_reference(n, directed, scheme, mode):
     assert (res.value, res.witness_source, res.witness_target) == _reference_diameter(
         n, directed, scheme, mode
     )
+
+
+# n = 5 has 120 sources: one full batch of 64 and a partial one of 56
+@pytest.mark.parametrize("n", [4, 5])
+@pytest.mark.parametrize("directed,scheme", GRAPHS)
+def test_distance_fields_match_naive_search(n, directed, scheme):
+    nodes = all_perms(n)
+    fields = list(distance_fields(nodes, directed=directed, scheme=scheme))
+    assert [field.source for field in fields] == nodes
+    for field in fields:
+        assert (field.directed, field.scheme) == (directed, scheme if directed else None)
+        expected = _naive_distances(field.source, directed, scheme)
+        # rank order is lexicographic order
+        assert field.dist.tolist() == [expected.get(t, UNREACHABLE) for t in nodes]
+
+
+def test_distance_fields_edge_inputs():
+    assert list(distance_fields([])) == []
+    s = (2, 4, 1, 3)
+    twice = list(distance_fields([s, s], directed=True))
+    assert [f.dist.tolist() for f in twice] == [bfs(s, directed=True).dist.tolist()] * 2
+    with pytest.raises(ValueError, match="order mismatch"):
+        list(distance_fields([(1, 2, 3), (1, 2, 3, 4)]))
 
 
 def test_diameter_result_witness_is_consistent():
