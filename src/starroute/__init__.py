@@ -22,7 +22,6 @@ from .oracle import (
     diameter,
     distance,
     distance_fields,
-    eccentricity,
     rank,
     unrank,
 )

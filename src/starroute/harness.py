@@ -13,6 +13,7 @@ import itertools
 import json
 import random
 import time
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -29,19 +30,16 @@ from .routing import (
 )
 from .topology import Scheme, boundary
 
-ALL_CHECKS: tuple[str, ...] = (
+ROUTE_CHECKS: tuple[str, ...] = (
     "route-validity",
     "hop-bound",
     "stretch-bound",
     "diameter-bound",
     "phase-structure",
     "crossing-monotone",
-    "distance-vs-bfs",
-    "set-formula",
-    "split-merge",
 )
-
-_ROUTE_CHECKS = frozenset(ALL_CHECKS[:6])
+DISTANCE_CHECKS: tuple[str, ...] = ("distance-vs-bfs", "set-formula")
+ALL_CHECKS: tuple[str, ...] = ROUTE_CHECKS + DISTANCE_CHECKS + ("split-merge",)
 
 SPLIT_MERGE_SAMPLES = 10_000
 
@@ -92,22 +90,13 @@ def hop_cap(n: int) -> int:
 
 
 def _route_violations(
-    n: int,
-    sources: list[Perm],
-    targets: list[Perm],
-    selected: list[str],
+    n: int, sources: list[Perm], targets: list[Perm]
 ) -> tuple[dict[str, list[Violation]], int]:
-    """Route-check violations by check name, and the number of traces whose
-    phase report is ``extended``."""
+    """Violations of every route check by name, and the number of traces
+    whose phase report is ``extended``."""
     half = boundary(n).half
     cap = hop_cap(n)
-    found: dict[str, list[Violation]] = {name: [] for name in selected}
-    want_stretch = "stretch-bound" in found
-    want_hop = "hop-bound" in found
-    want_cap = "diameter-bound" in found
-    want_valid = "route-validity" in found
-    want_phase = "phase-structure" in found
-    want_mono = "crossing-monotone" in found
+    found: dict[str, list[Violation]] = {name: [] for name in ROUTE_CHECKS}
     extended = 0
     for s in sources:
         for t in targets:
@@ -116,61 +105,50 @@ def _route_violations(
             # one target index and one count of the source per pair, shared
             # by the route walk, the hop bound and the phase laws
             tpos = positions(t)
-            if want_valid or want_mono:
-                problems, rise = _walk(trace, tpos)
-                if want_valid and problems:
-                    found["route-validity"].append(
-                        Violation(s, t, "; ".join(problems), "valid directed route")
-                    )
-                if want_mono and rise:
-                    hop, prev, cur = rise
-                    found["crossing-monotone"].append(
-                        Violation(s, t, f"{prev} -> {cur} at hop {hop}", "non-increasing")
-                    )
-            counts = _counts(s, tpos, half) if want_hop or want_phase else None
-            if want_hop:
-                cutoff = _bound_from_counts(counts)
-                if length > cutoff:
-                    found["hop-bound"].append(Violation(s, t, length, cutoff))
-            if want_stretch:
-                cutoff = 4 * classic_distance(s, t) + 4
-                if length > cutoff:
-                    found["stretch-bound"].append(Violation(s, t, length, cutoff))
-            if want_cap and length > cap:
+            problems, rise = _walk(trace, tpos)
+            if problems:
+                found["route-validity"].append(
+                    Violation(s, t, "; ".join(problems), "valid directed route")
+                )
+            if rise:
+                hop, prev, cur = rise
+                found["crossing-monotone"].append(
+                    Violation(s, t, f"{prev} -> {cur} at hop {hop}", "non-increasing")
+                )
+            counts = _counts(s, tpos, half)
+            cutoff = _bound_from_counts(counts)
+            if length > cutoff:
+                found["hop-bound"].append(Violation(s, t, length, cutoff))
+            cutoff = 4 * classic_distance(s, t) + 4
+            if length > cutoff:
+                found["stretch-bound"].append(Violation(s, t, length, cutoff))
+            if length > cap:
                 found["diameter-bound"].append(Violation(s, t, length, cap))
-            if want_phase:
-                report = _phase_laws(trace, tpos, half, counts)
-                extended += report.extended
-                if not report.ok:
-                    found["phase-structure"].append(
-                        Violation(s, t, "; ".join(report.violations), "phase invariants")
-                    )
+            report = _phase_laws(trace, tpos, half, counts)
+            extended += report.extended
+            if not report.ok:
+                found["phase-structure"].append(
+                    Violation(s, t, "; ".join(report.violations), "phase invariants")
+                )
     return found, extended
 
 
 def _distance_violations(
-    n: int,
-    sources: list[Perm],
-    targets: list[Perm],
-    selected: list[str],
+    n: int, sources: list[Perm], targets: list[Perm]
 ) -> tuple[dict[str, list[Violation]], None]:
-    """``targets`` is every permutation in ``itertools.permutations`` order,
-    which is rank order, so target j's BFS distance is ``dist[j]``."""
-    found: dict[str, list[Violation]] = {name: [] for name in selected}
-    want_bfs = "distance-vs-bfs" in found
-    want_sets = "set-formula" in found
-    fields = distance_fields(sources) if want_bfs else itertools.repeat(None)
-    for s, field in zip(sources, fields):
-        row = field.dist.tolist() if want_bfs else itertools.repeat(None)
-        for t, actual in zip(targets, row):
+    """Violations of every distance check by name.  ``targets`` is every
+    permutation in ``itertools.permutations`` order, which is rank order, so
+    target j's BFS distance is ``dist[j]``."""
+    found: dict[str, list[Violation]] = {name: [] for name in DISTANCE_CHECKS}
+    for s, field in zip(sources, distance_fields(sources)):
+        for t, actual in zip(targets, field.dist.tolist()):
             d = classic_distance(s, t)
-            if want_bfs and d != actual:
+            if d != actual:
                 actual = None if actual == UNREACHABLE else actual
                 found["distance-vs-bfs"].append(Violation(s, t, d, actual))
-            if want_sets:
-                via_sets = classic_distance_sets(s, t)
-                if via_sets != d:
-                    found["set-formula"].append(Violation(s, t, via_sets, d))
+            via_sets = classic_distance_sets(s, t)
+            if via_sets != d:
+                found["set-formula"].append(Violation(s, t, via_sets, d))
     return found, None
 
 
@@ -244,8 +222,13 @@ def verify(
     ``"reduced"`` (the identity plus one odd node, default from n=7 on; the
     two parity classes are interchangeable under even left-translations).
     Route checks follow the contiguous-half scheme.  ``seed`` and
-    ``sample_size`` control the sampled split/merge law at n >= 6.  Checks
-    co-swept in one pass share their ``elapsed`` wall time.
+    ``sample_size`` control the sampled split/merge law at n >= 6.
+
+    The route checks (:data:`ROUTE_CHECKS`) are one sweep and the distance
+    checks (:data:`DISTANCE_CHECKS`) another: selecting any check of a family
+    runs the whole family, every check of it reports the family's ``elapsed``
+    wall time, and the report holds just the selected checks in the order
+    given.
     """
     if not 3 <= n <= MAX_TABLE_ORDER:
         raise ValueError(f"verify covers orders 3..{MAX_TABLE_ORDER}, got {n}")
@@ -257,7 +240,9 @@ def verify(
     unknown = [name for name in selected if name not in ALL_CHECKS]
     if unknown:
         raise ValueError(f"unknown checks {unknown}; valid: {', '.join(ALL_CHECKS)}")
-    route_selected = [name for name in selected if name in _ROUTE_CHECKS]
+    duplicates = [name for name, count in Counter(selected).items() if count > 1]
+    if duplicates:
+        raise ValueError(f"duplicate checks {duplicates}")
     if sources is None:
         sources = "all" if n <= 6 else "reduced"
     if sources not in ("all", "reduced"):
@@ -265,31 +250,27 @@ def verify(
     targets = [tuple(p) for p in itertools.permutations(range(1, n + 1))]
     source_list = targets if sources == "all" else list(orbit_sources(n))
 
-    results: list[CheckResult] = []
+    results: dict[str, CheckResult] = {}
     population = len(source_list) * len(targets)
-    distance_selected = [name for name in selected if name in ("distance-vs-bfs", "set-formula")]
-    for names, sweep in (
-        (route_selected, _route_violations),
-        (distance_selected, _distance_violations),
+    for family, sweep in (
+        (ROUTE_CHECKS, _route_violations),
+        (DISTANCE_CHECKS, _distance_violations),
     ):
-        if names:
+        if not set(family).isdisjoint(selected):
             start = time.perf_counter()
-            by_name, extended = sweep(n, source_list, targets, names)
+            by_name, extended = sweep(n, source_list, targets)
             elapsed = time.perf_counter() - start
-            for name in names:
+            for name in family:
                 skipped = extended if name == "phase-structure" else None
-                results.append(
-                    CheckResult(name, population, tuple(by_name[name]), elapsed, skipped)
-                )
+                violations = tuple(by_name[name])
+                results[name] = CheckResult(name, population, violations, elapsed, skipped)
     if "split-merge" in selected:
         start = time.perf_counter()
         found, sampled = _split_merge_violations(n, seed, sample_size)
-        results.append(
-            CheckResult("split-merge", sampled, tuple(found), time.perf_counter() - start)
+        results["split-merge"] = CheckResult(
+            "split-merge", sampled, tuple(found), time.perf_counter() - start
         )
-
-    ordered = sorted(results, key=lambda c: selected.index(c.name))
-    return VerificationReport(n, sources, tuple(ordered))
+    return VerificationReport(n, sources, tuple(results[name] for name in selected))
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +278,8 @@ def verify(
 
 
 def witness(n: int, variant: str = "default") -> Perm:
-    """The rotated-halves permutation used for the directed lower bound.
+    """The rotated-halves permutation used for the directed lower bound, at
+    orders 5..MAX_TABLE_ORDER (the orders whose distances can be measured).
 
     ``default`` cycles each half by one position: (1)(2..k)(k+1..n).  The
     ``even-refined`` form peels (2,3) off the left half — (1)(2,3)(4..k)
@@ -310,8 +292,8 @@ def witness(n: int, variant: str = "default") -> Perm:
     """
     if variant not in ("default", "even-refined"):
         raise ValueError(f"variant must be 'default' or 'even-refined', not {variant!r}")
-    if n < 5:
-        raise ValueError(f"witness needs n >= 5, got {n}")
+    if not 5 <= n <= MAX_TABLE_ORDER:
+        raise ValueError(f"witness covers orders 5..{MAX_TABLE_ORDER}, got {n}")
     if variant == "even-refined" and (n % 2 or n < 8):
         raise ValueError(f"even-refined witness needs even n >= 8, got {n}")
     k = boundary(n).k

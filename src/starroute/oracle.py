@@ -211,14 +211,6 @@ def distance(
     return bfs(s, directed=directed, scheme=scheme).distance(t)
 
 
-def eccentricity(
-    source: Sequence[int],
-    directed: bool = False,
-    scheme: Scheme = Scheme.FUJITA,
-) -> int:
-    return bfs(source, directed=directed, scheme=scheme).eccentricity()
-
-
 SWEEP_WIDTH = 64  # sources per sweep: one bit each of a uint64 word
 
 

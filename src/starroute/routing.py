@@ -401,6 +401,12 @@ def _bound_from_counts(counts: tuple[int, ...]) -> int:
 # trace validation
 
 
+def _ragged(trace: RouteTrace) -> bool:
+    """Whether the columns disagree: a well-formed trace has one more node
+    than it has links, moves and cases."""
+    return not len(trace.nodes) - 1 == len(trace.links) == len(trace.moves) == len(trace.cases)
+
+
 def validate_trace(trace: RouteTrace) -> list[str]:
     """Structural faults of a trace: ragged columns, broken node chaining,
     hops along non-outgoing arcs (oriented traces), wrong terminal node,
@@ -432,7 +438,7 @@ def _walk(
         return ["columns have unequal lengths"], None
     faults: list[str] = []
     m = len(links)
-    if not len(nodes) - 1 == m == len(trace.moves) == len(trace.cases):
+    if _ragged(trace):
         faults.append("columns have unequal lengths")
     n = len(nodes[0])
     out = None if trace.scheme is None else out_links(n, trace.scheme)
@@ -543,7 +549,7 @@ def _phase_laws(
     m = len(moves)
     extended = "2.4" in trace.cases or "2.5" in trace.cases
     lengths = (len1, end2 - len1, m - end2)
-    if not len(nodes) - 1 == len(trace.links) == m == len(trace.cases):
+    if _ragged(trace):
         return PhaseReport(False, ("columns have unequal lengths",), lengths, extended)
     if not m:
         return PhaseReport(True, (), lengths)

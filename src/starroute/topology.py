@@ -98,21 +98,12 @@ def out_links(n: int, scheme: Scheme = Scheme.FUJITA) -> tuple[frozenset[int], f
     raise ValueError(f"unknown scheme: {scheme!r}")  # pragma: no cover - enum is closed
 
 
-def is_outgoing(n: int, link: int, odd: int, scheme: Scheme = Scheme.FUJITA) -> bool:
-    """Whether ``link`` leaves an order-``n`` vertex of parity ``odd`` (0 or 1).
-
-    The caller supplies the parity, so a walk can carry it along instead of
-    recomputing it: every hop flips it.
-    """
-    return link in out_links(n, scheme)[odd]
-
-
 def arc_direction(u: Sequence[int], link: int, scheme: Scheme = Scheme.FUJITA) -> Direction:
     """Direction of the edge at ``u`` labelled ``link`` under ``scheme``."""
     n = len(u)
     if not 2 <= link <= n:
         raise ValueError(f"link must be within 2..{n}, got {link}")
-    if is_outgoing(n, link, parity(u), scheme):
+    if link in out_links(n, scheme)[parity(u)]:
         return Direction.OUTGOING
     return Direction.INCOMING
 

@@ -14,12 +14,11 @@ from pathlib import Path
 
 import pytest
 
-from starroute.harness import ALL_CHECKS, verify
+from starroute.harness import DISTANCE_CHECKS, ROUTE_CHECKS, verify
 from starroute.oracle import diameter
 from starroute.perm import apply_generator, compose, parity
 from starroute.topology import Scheme, arc_direction
 
-ROUTE_CHECKS = list(ALL_CHECKS[:6])
 ARTIFACT = Path(__file__).resolve().parent.parent / "results" / "diameter_table.csv"
 
 
@@ -61,15 +60,15 @@ def test_criterion_1_undirected_diameter():
 
 @pytest.mark.parametrize("n", [5, 6])
 def test_criterion_2_distance_formulas_full(n):
-    report = verify(n, checks=["distance-vs-bfs", "set-formula"])
-    _assert_clean(report, ["distance-vs-bfs", "set-formula"])
+    report = verify(n, checks=DISTANCE_CHECKS)
+    _assert_clean(report, DISTANCE_CHECKS)
     pairs = report.check("distance-vs-bfs").population
     _audit(2, f"n={n}: both closed forms equal BFS on all {pairs} ordered pairs")
 
 
 def test_criterion_2_distance_formulas_reduced_seven():
-    report = verify(7, checks=["distance-vs-bfs", "set-formula"], sources="reduced")
-    _assert_clean(report, ["distance-vs-bfs", "set-formula"])
+    report = verify(7, checks=DISTANCE_CHECKS, sources="reduced")
+    _assert_clean(report, DISTANCE_CHECKS)
     pairs = report.check("distance-vs-bfs").population
     _audit(2, f"n=7 reduced: both closed forms equal BFS on {pairs} pairs")
 

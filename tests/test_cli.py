@@ -249,6 +249,12 @@ def test_verify_rejects_empty_check_string(capsys):
     assert err.startswith("error: no checks selected")
 
 
+def test_verify_rejects_duplicate_checks(capsys):
+    code, out, err = run(capsys, "verify", "4", "--checks", "hop-bound,hop-bound", "--json")
+    assert code == 2 and out == ""
+    assert err == "error: duplicate checks ['hop-bound']\n"
+
+
 def test_verify_rejects_empty_check_list():
     with pytest.raises(ValueError, match="no checks selected"):
         verify(4, checks=[])
@@ -273,7 +279,7 @@ _FLAGS = st.lists(
 _ARGV = st.one_of(
     st.tuples(st.just("neighbors"), _PERM),
     st.tuples(st.sampled_from(["classify", "route", "distance"]), _PERM, _PERM),
-    st.tuples(st.sampled_from(["diameter", "witness"]), _ORDER),
+    st.tuples(st.sampled_from(["diameter", "witness"]), _END),
     st.tuples(
         st.just("verify"),
         _ORDER,

@@ -8,6 +8,7 @@ import pytest
 from starroute import harness
 from starroute.harness import (
     ALL_CHECKS,
+    ROUTE_CHECKS,
     diameter_table,
     format_table,
     hop_cap,
@@ -49,6 +50,9 @@ def test_witness_rejects_bad_inputs():
         witness(5, "even-refined")  # refinement needs even order >= 8
     with pytest.raises(ValueError):
         witness(6, "something-else")
+    for n in (4, 10, 100_000_000_000):
+        with pytest.raises(ValueError, match="witness covers orders 5..9"):
+            witness(n)
 
 
 def test_lower_bound_order_five():
@@ -111,7 +115,6 @@ def test_verify_counts_extended_traces_order_six_reduced():
     assert (result.population, result.extended) == (1440, 196)
 
 
-ROUTE_CHECKS = list(ALL_CHECKS[:6])
 PAIR = ((2, 4, 1, 3), (1, 2, 3, 4))  # route: links 4 3 4 2 4, phases (0, 1, 4)
 
 
@@ -156,6 +159,17 @@ def _pad_past_cap(trace: RouteTrace) -> RouteTrace:
     )
 
 
+def _summary(result) -> tuple:
+    return result.name, result.population, result.violations, result.extended
+
+
+@pytest.mark.parametrize(
+    "checks",
+    [
+        pytest.param(ROUTE_CHECKS, id="all"),
+        *(pytest.param((name,), id=name) for name in ROUTE_CHECKS),
+    ],
+)
 @pytest.mark.parametrize(
     "tamper, flagged, rise",
     [
@@ -169,7 +183,7 @@ def _pad_past_cap(trace: RouteTrace) -> RouteTrace:
         ),
     ],
 )
-def test_route_checks_report_exactly_the_tampered_pair(monkeypatch, tamper, flagged, rise):
+def test_route_checks_report_exactly_the_tampered_pair(monkeypatch, tamper, flagged, rise, checks):
     route = harness.oriented_route
 
     def tampered_route(s, t):
@@ -190,6 +204,9 @@ def test_route_checks_report_exactly_the_tampered_pair(monkeypatch, tamper, flag
             "Phase Two has 4 hops, expected <= 1; hop 2 inside Phase Two is settling; "
             "hop 3 inside Phase Two is seeding; final crossing is not the last hop of Phase Two"
         )
+    # a selection only filters the report: the family is swept whole either way
+    subset = verify(4, checks=checks)
+    assert [_summary(r) for r in subset.checks] == [_summary(report.check(name)) for name in checks]
 
 
 def test_verify_rejects_unknown_check():

@@ -15,7 +15,6 @@ from starroute.oracle import (
     diameter,
     distance,
     distance_fields,
-    eccentricity,
     move_table,
     orbit_sources,
     rank,
@@ -169,8 +168,8 @@ def test_directed_distance_dominates_undirected(s, t):
 
 
 def test_eccentricity_identity():
-    assert eccentricity((1, 2, 3, 4, 5)) == 6
-    assert eccentricity((1, 2, 3, 4, 5), directed=True) == 10
+    assert bfs((1, 2, 3, 4, 5)).eccentricity() == 6
+    assert bfs((1, 2, 3, 4, 5), directed=True).eccentricity() == 10
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
