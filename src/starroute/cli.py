@@ -30,6 +30,7 @@ from .harness import (
     VerificationReport,
     diameter_table,
     format_table,
+    hop_cap,
     lower_bound_check,
     verify,
     witness,
@@ -186,14 +187,17 @@ def _report_json(report: VerificationReport) -> dict:
         "n": report.n,
         "sources": report.sources,
         "ok": report.ok,
-        "checks": [_check_json(c) for c in report.checks],
+        "checks": [_check_json(c, report.n) for c in report.checks],
     }
 
 
-def _check_json(c: CheckResult) -> dict:
+def _check_json(c: CheckResult, n: int) -> dict:
     entry: dict = {"name": c.name, "population": c.population}
     if c.extended is not None:
         entry["extended"] = c.extended
+    if c.longest is not None:
+        entry["longest"] = c.longest
+        entry["hop_cap"] = hop_cap(n)
     entry["violations"] = len(c.violations)
     entry["elapsed"] = round(c.elapsed, 3)
     entry["examples"] = [
@@ -222,8 +226,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         return 0 if report.ok else 1
     for c in report.checks:
         status = "pass" if c.ok else f"FAIL ({len(c.violations)} violations)"
-        extended = "" if c.extended is None else f" extended={c.extended}"
-        print(f"{c.name}: {status} population={c.population}{extended} elapsed={c.elapsed:.2f}s")
+        figures = "" if c.extended is None else f" extended={c.extended}"
+        if c.longest is not None:
+            figures += f" longest={c.longest} hop_cap={hop_cap(report.n)}"
+        print(f"{c.name}: {status} population={c.population}{figures} elapsed={c.elapsed:.2f}s")
         for v in c.violations[:5]:
             print(
                 f"  {format_perm(v.source)} -> {format_perm(v.target)}: "
@@ -340,7 +346,14 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="LIST",
         help=f"comma-separated subset of: {', '.join(ALL_CHECKS)}",
     )
-    p.add_argument("--sources", choices=["all", "reduced"], default=None)
+    p.add_argument(
+        "--sources",
+        choices=["all", "reduced"],
+        default=None,
+        help="all: every ordered pair (default through n=6); reduced: one pair per orbit "
+        "under even relabeling, 2*n! pairs (default from n=7): route checks route every "
+        "node into the two canonical targets, distance checks measure from them",
+    )
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--sample-size", type=int, default=SPLIT_MERGE_SAMPLES)
     p.add_argument("--json", action="store_true")

@@ -15,18 +15,20 @@ import random
 import time
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
-from .classify import _counts
 from .oracle import MAX_TABLE_ORDER, UNREACHABLE, diameter, distance_fields, orbit_sources
-from .perm import Perm, apply_generator, identity, positions, relative_cycles
+from .perm import Perm, apply_generator, compose, identity, inverse, parity, relative_cycles
+from .routetree import NodeTable, RouteTree
 from .routing import (
     _bound_from_counts,
-    _phase_laws,
+    _phase_faults,
     _walk,
+    check_phase_invariants,
     classic_distance,
     classic_distance_sets,
-    oriented_route,
+    oriented_step,
+    validate_trace,
 )
 from .topology import Scheme, boundary
 
@@ -39,7 +41,9 @@ ROUTE_CHECKS: tuple[str, ...] = (
     "crossing-monotone",
 )
 DISTANCE_CHECKS: tuple[str, ...] = ("distance-vs-bfs", "set-formula")
-ALL_CHECKS: tuple[str, ...] = ROUTE_CHECKS + DISTANCE_CHECKS + ("split-merge",)
+ALL_CHECKS: tuple[str, ...] = (
+    ROUTE_CHECKS + DISTANCE_CHECKS + ("split-merge", "router-equivariance")
+)
 
 SPLIT_MERGE_SAMPLES = 10_000
 
@@ -52,6 +56,11 @@ class Violation:
     bound: object
 
 
+# what a family's sweep returns: its population, its violations by check
+# name, and per check any extra figures for CheckResult
+_Sweep = tuple[int, dict[str, list[Violation]], dict[str, dict[str, int]]]
+
+
 @dataclass(frozen=True)
 class CheckResult:
     name: str
@@ -61,6 +70,8 @@ class CheckResult:
     # phase-structure only: traces where law (b) and the all-crossing part
     # of law (d) were skipped (PhaseReport.extended); None for other checks
     extended: int | None = None
+    # diameter-bound only: the longest route, to set beside hop_cap(n)
+    longest: int | None = None
 
     @property
     def ok(self) -> bool:
@@ -90,33 +101,50 @@ def hop_cap(n: int) -> int:
 
 
 def _route_violations(
-    n: int, sources: list[Perm], targets: list[Perm]
-) -> tuple[dict[str, list[Violation]], int]:
-    """Violations of every route check by name, and the number of traces
-    whose phase report is ``extended``."""
-    half = boundary(n).half
+    n: int, nodes: list[Perm], targets: list[Perm]
+) -> _Sweep:
+    """Every route check for every ordered pair (s, t) with s in ``nodes``
+    and t in ``targets``: the population, the violations by check name, and
+    the ``extended`` and ``longest`` figures.
+
+    One :class:`routetree.RouteTree` per target gives every route into it.
+    The hop, stretch and cap bounds are checked once per route, the phase
+    laws by :func:`routing._phase_faults` from its summary.  A route that
+    meets a cycle or would exceed the runaway limit is a ``route-validity``
+    violation, and no other check reads it.  A flagged pair's text comes
+    from its :class:`RouteTrace`, rebuilt from the tree and given to the
+    single-trace checks, so it reads exactly as for a routed trace.
+    """
+    table = NodeTable(nodes)
     cap = hop_cap(n)
     found: dict[str, list[Violation]] = {name: [] for name in ROUTE_CHECKS}
-    extended = 0
-    for s in sources:
-        for t in targets:
-            trace = oriented_route(s, t)
-            length = trace.length
-            # one target index and one count of the source per pair, shared
-            # by the route walk, the hop bound and the phase laws
-            tpos = positions(t)
-            problems, rise = _walk(trace, tpos)
-            if problems:
+    extended = longest = 0
+    for t in targets:
+        tree = RouteTree(table, t)
+        tpos = tree.tpos
+        for v, summary, incoming, rise in tree.routes():
+            s = nodes[v]
+            if summary is None:
+                problems = validate_trace(tree.trace(v))
                 found["route-validity"].append(
                     Violation(s, t, "; ".join(problems), "valid directed route")
                 )
-            if rise:
-                hop, prev, cur = rise
-                found["crossing-monotone"].append(
-                    Violation(s, t, f"{prev} -> {cur} at hop {hop}", "non-increasing")
-                )
-            counts = _counts(s, tpos, half)
-            cutoff = _bound_from_counts(counts)
+                continue
+            if incoming or rise:
+                problems, raised = _walk(tree.trace(v), tpos)
+                if problems:
+                    found["route-validity"].append(
+                        Violation(s, t, "; ".join(problems), "valid directed route")
+                    )
+                if raised:
+                    hop, prev, cur = raised
+                    found["crossing-monotone"].append(
+                        Violation(s, t, f"{prev} -> {cur} at hop {hop}", "non-increasing")
+                    )
+            length = summary.length
+            if length > longest:
+                longest = length
+            cutoff = _bound_from_counts(summary.source)
             if length > cutoff:
                 found["hop-bound"].append(Violation(s, t, length, cutoff))
             cutoff = 4 * classic_distance(s, t) + 4
@@ -124,21 +152,22 @@ def _route_violations(
                 found["stretch-bound"].append(Violation(s, t, length, cutoff))
             if length > cap:
                 found["diameter-bound"].append(Violation(s, t, length, cap))
-            report = _phase_laws(trace, tpos, half, counts)
-            extended += report.extended
-            if not report.ok:
+            extended += summary.extended
+            if _phase_faults(summary):
+                report = check_phase_invariants(tree.trace(v))
                 found["phase-structure"].append(
                     Violation(s, t, "; ".join(report.violations), "phase invariants")
                 )
-    return found, extended
+    extras = {"phase-structure": {"extended": extended}, "diameter-bound": {"longest": longest}}
+    return len(nodes) * len(targets), found, extras
 
 
 def _distance_violations(
     n: int, sources: list[Perm], targets: list[Perm]
-) -> tuple[dict[str, list[Violation]], None]:
-    """Violations of every distance check by name.  ``targets`` is every
-    permutation in ``itertools.permutations`` order, which is rank order, so
-    target j's BFS distance is ``dist[j]``."""
+) -> _Sweep:
+    """The population and the violations of every distance check by name.
+    ``targets`` is every permutation in ``itertools.permutations`` order,
+    which is rank order, so target j's BFS distance is ``dist[j]``."""
     found: dict[str, list[Violation]] = {name: [] for name in DISTANCE_CHECKS}
     for s, field in zip(sources, distance_fields(sources)):
         for t, actual in zip(targets, field.dist.tolist()):
@@ -149,7 +178,50 @@ def _distance_violations(
             via_sets = classic_distance_sets(s, t)
             if via_sets != d:
                 found["set-formula"].append(Violation(s, t, via_sets, d))
-    return found, None
+    return len(sources) * len(targets), found, {}
+
+
+def _decision(s: Perm, t: Perm) -> tuple[int, str, str]:
+    link, kind, case = oriented_step(s, t)
+    return link, case, kind.value
+
+
+def _equivariance_violations(
+    n: int, nodes: list[Perm], seed: int, sample_size: int
+) -> _Sweep:
+    """Router equivariance under even relabeling, the property that lets
+    ``sources="reduced"`` route into two canonical targets only.
+
+    Each target t has the parity of one canonical target c in
+    :func:`oracle.orbit_sources`, so h = t c^-1 is even and relabels c to
+    t.  The decision (link, case, move kind) at node s toward t must equal
+    the one at h^-1 s = c t^-1 s toward c.  Every node and target is
+    compared through order 5; from order 6 on, ``sample_size`` (node,
+    target) pairs drawn from ``seed``.
+    """
+
+    def sampled() -> Iterator[tuple[Perm, Perm]]:
+        rng = random.Random(seed)
+        for _ in range(sample_size):
+            t = s = tuple(rng.sample(range(1, n + 1), n))
+            while s == t:
+                s = tuple(rng.sample(range(1, n + 1), n))
+            yield s, t
+
+    if n <= 5:
+        population = len(nodes) * (len(nodes) - 1)
+        pairs: Iterable[tuple[Perm, Perm]] = ((s, t) for t in nodes for s in nodes if s != t)
+    else:
+        population, pairs = sample_size, sampled()
+    canonical = orbit_sources(n)
+    found: list[Violation] = []
+    for s, t in pairs:
+        c = canonical[parity(t)]
+        relabeled = compose(c, compose(inverse(t), s))
+        expected, got = _decision(relabeled, c), _decision(s, t)
+        if got != expected:
+            found.append(Violation(s, t, got, f"{expected} at {relabeled} toward {c}"))
+    return population, {"router-equivariance": found}, {}
 
 
 def _cycle_family(c: Perm, t: Perm) -> set[frozenset[int]]:
@@ -182,20 +254,19 @@ def _split_merge_problem(c: Perm, t: Perm, link: int) -> str | None:
 
 
 def _split_merge_violations(
-    n: int, seed: int, sample_size: int
-) -> tuple[list[Violation], int]:
-    values = list(range(1, n + 1))
+    n: int, nodes: list[Perm], seed: int, sample_size: int
+) -> _Sweep:
     found: list[Violation] = []
     if n <= 5:
-        perms = [tuple(p) for p in itertools.permutations(values)]
-        population = len(perms) * len(perms) * (n - 1)
-        for c in perms:
-            for t in perms:
+        population = len(nodes) * len(nodes) * (n - 1)
+        for c in nodes:
+            for t in nodes:
                 for link in range(2, n + 1):
                     problem = _split_merge_problem(c, t, link)
                     if problem:
                         found.append(Violation(c, t, f"link {link}: {problem}", "split/merge law"))
-        return found, population
+        return population, {"split-merge": found}, {}
+    values = list(range(1, n + 1))
     rng = random.Random(seed)
     for _ in range(sample_size):
         c = values[:]
@@ -206,7 +277,7 @@ def _split_merge_violations(
         problem = _split_merge_problem(tuple(c), tuple(t), link)
         if problem:
             found.append(Violation(tuple(c), tuple(t), f"link {link}: {problem}", "split/merge law"))
-    return found, sample_size
+    return sample_size, {"split-merge": found}, {}
 
 
 def verify(
@@ -218,11 +289,16 @@ def verify(
 ) -> VerificationReport:
     """Run the named checks over ordered node pairs of the order-``n`` graph.
 
-    ``sources`` is ``"all"`` (every permutation, default through n=6) or
-    ``"reduced"`` (the identity plus one odd node, default from n=7 on; the
-    two parity classes are interchangeable under even left-translations).
-    Route checks follow the contiguous-half scheme.  ``seed`` and
-    ``sample_size`` control the sampled split/merge law at n >= 6.
+    ``sources`` is ``"all"`` (every ordered pair, default through n=6) or
+    ``"reduced"`` (default from n=7 on): one pair from each orbit of ordered
+    pairs under even relabeling, which the router respects
+    (``router-equivariance`` checks that), 2·n! pairs in all.  The route
+    checks take every node as source into the two canonical targets of
+    :func:`oracle.orbit_sources`; the distance checks take those two as
+    sources toward every node.  Route checks follow the contiguous-half
+    scheme.  ``seed`` and ``sample_size`` control the sampled
+    ``router-equivariance`` and ``split-merge`` checks at n >= 6; both are
+    exhaustive below.
 
     The route checks (:data:`ROUTE_CHECKS`) are one sweep and the distance
     checks (:data:`DISTANCE_CHECKS`) another: selecting any check of a family
@@ -247,29 +323,25 @@ def verify(
         sources = "all" if n <= 6 else "reduced"
     if sources not in ("all", "reduced"):
         raise ValueError(f"sources must be 'all' or 'reduced', not {sources!r}")
-    targets = [tuple(p) for p in itertools.permutations(range(1, n + 1))]
-    source_list = targets if sources == "all" else list(orbit_sources(n))
+    nodes = [tuple(p) for p in itertools.permutations(range(1, n + 1))]
+    chosen = nodes if sources == "all" else list(orbit_sources(n))
 
     results: dict[str, CheckResult] = {}
-    population = len(source_list) * len(targets)
     for family, sweep in (
-        (ROUTE_CHECKS, _route_violations),
-        (DISTANCE_CHECKS, _distance_violations),
+        (ROUTE_CHECKS, lambda: _route_violations(n, nodes, chosen)),
+        (DISTANCE_CHECKS, lambda: _distance_violations(n, chosen, nodes)),
+        (("router-equivariance",), lambda: _equivariance_violations(n, nodes, seed, sample_size)),
+        (("split-merge",), lambda: _split_merge_violations(n, nodes, seed, sample_size)),
     ):
         if not set(family).isdisjoint(selected):
             start = time.perf_counter()
-            by_name, extended = sweep(n, source_list, targets)
+            population, by_name, extras = sweep()
             elapsed = time.perf_counter() - start
             for name in family:
-                skipped = extended if name == "phase-structure" else None
                 violations = tuple(by_name[name])
-                results[name] = CheckResult(name, population, violations, elapsed, skipped)
-    if "split-merge" in selected:
-        start = time.perf_counter()
-        found, sampled = _split_merge_violations(n, seed, sample_size)
-        results["split-merge"] = CheckResult(
-            "split-merge", sampled, tuple(found), time.perf_counter() - start
-        )
+                results[name] = CheckResult(
+                    name, population, violations, elapsed, **extras.get(name, {})
+                )
     return VerificationReport(n, sources, tuple(results[name] for name in selected))
 
 

@@ -51,7 +51,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .classify import _alternates, _counts as _set_counts, _crossing_load
 from .perm import Perm, parity, positions
@@ -182,8 +182,8 @@ def classic_distance_sets(s: Sequence[int], t: Sequence[int]) -> int:
 
 
 def _oriented_pick(
-    c: list[int],
-    cpos: list[int],
+    c: Sequence[int],
+    cpos: Sequence[int],
     odd: int,
     t: Sequence[int],
     tpos: list[int],
@@ -270,7 +270,7 @@ def _oriented_pick(
 
 
 def _prefer_alternating(
-    c_list: list[int], c: list[int], tpos: list[int], half: Sequence[int]
+    c_list: list[int], c: Sequence[int], tpos: Sequence[int], half: Sequence[int]
 ) -> int:
     """Lowest position in ``c_list`` whose value lies on an alternating
     relative cycle; lowest position outright when no such value exists."""
@@ -494,6 +494,37 @@ class PhaseReport:
     extended: bool = False  # a 2.4/2.5 fallback hop interrupted the burn-down
 
 
+class PhaseSummary(NamedTuple):
+    """What the phase laws read of one route.  Hops are numbered from 0.
+
+    A trace gives it through :func:`_phase_summary`; a route tree
+    (:meth:`routetree.RouteTree.routes`) builds it from per-node values.
+    Either way :func:`_phase_faults` evaluates it, so each law is written
+    once.
+    """
+
+    length: int
+    len1: int  # settling-prefix length: alpha is the node after hop len1 - 1
+    end2: int  # one past Phase Two: gamma is the node after hop end2 - 1
+    extended: bool  # a 2.4/2.5 fallback hop interrupted the burn-down
+    finals: int  # number of final crossings
+    final_hop: int  # hop of the first final crossing, -1 without one
+    prefinals: int
+    prefinal_hop: int  # hop of the first pre-final crossing, -1 without one
+    # (hop, kind) of each non-crossing hop strictly inside Phase Two; the law
+    # that reads it is skipped on extended routes, so they list none
+    inside: tuple[tuple[int, MoveKind], ...]
+    source: Sequence[int]  # classify._counts of s, alpha and gamma
+    alpha: Sequence[int]
+    gamma: Sequence[int]
+    alpha_odd: int  # parity of alpha
+
+    @property
+    def lengths(self) -> tuple[int, int, int]:
+        """Phase One, Two and Three lengths."""
+        return self.len1, self.end2 - self.len1, self.length - self.end2
+
+
 def check_phase_invariants(trace: RouteTrace) -> PhaseReport:
     """Check the per-trace phase laws of the oriented router.
 
@@ -531,34 +562,60 @@ def check_phase_invariants(trace: RouteTrace) -> PhaseReport:
     empty, gamma is alpha when Phase Two is).  Ragged columns are reported
     as such and no law is checked.  Violations are reported, never raised.
     """
-    t = trace.target
-    return _phase_laws(trace, positions(t), boundary(len(t)).half, None)
-
-
-def _phase_laws(
-    trace: RouteTrace,
-    tpos: Sequence[int],
-    half: Sequence[int],
-    source_counts: tuple[int, ...] | None,
-) -> PhaseReport:
-    """:func:`check_phase_invariants` against a prebuilt target position
-    index, reusing the source's :func:`classify._counts` when given."""
-    moves = trace.moves
-    len1, end2, finals, prefinals, others = _scan_moves(moves)
-    nodes = trace.nodes
-    m = len(moves)
-    extended = "2.4" in trace.cases or "2.5" in trace.cases
-    lengths = (len1, end2 - len1, m - end2)
     if _ragged(trace):
-        return PhaseReport(False, ("columns have unequal lengths",), lengths, extended)
+        len1, end2, *_ = _scan_moves(trace.moves)
+        lengths = (len1, end2 - len1, len(trace.moves) - end2)
+        return PhaseReport(
+            False, ("columns have unequal lengths",), lengths, _extended(trace.cases)
+        )
+    summary = _phase_summary(trace)
+    faults = _phase_faults(summary)
+    return PhaseReport(not faults, tuple(faults), summary.lengths, summary.extended)
+
+
+def _extended(cases: Sequence[str]) -> bool:
+    return "2.4" in cases or "2.5" in cases
+
+
+def _phase_summary(trace: RouteTrace) -> PhaseSummary:
+    """The summary of a well-formed trace."""
+    moves, nodes, t = trace.moves, trace.nodes, trace.target
+    tpos, half = positions(t), boundary(len(t)).half
+    len1, end2, finals, prefinals, others = _scan_moves(moves)
+    extended = _extended(trace.cases)
+    s_counts = _set_counts(nodes[0], tpos, half)
+    a_counts = _set_counts(nodes[len1], tpos, half) if len1 else s_counts
+    g_counts = _set_counts(nodes[end2], tpos, half) if end2 > len1 else a_counts
+    inside = () if extended else tuple((j, moves[j]) for j in others if len1 < j < end2)
+    return PhaseSummary(
+        len(moves),
+        len1,
+        end2,
+        extended,
+        len(finals),
+        finals[0] if finals else -1,
+        len(prefinals),
+        prefinals[0] if prefinals else -1,
+        inside,
+        s_counts,
+        a_counts,
+        g_counts,
+        parity(nodes[0]) ^ (len1 & 1),
+    )
+
+
+def _phase_faults(summary: PhaseSummary) -> list[str]:
+    """The phase laws of :func:`check_phase_invariants`, read off a route's
+    summary; an empty list when they all hold."""
+    (
+        m, len1, end2, extended, finals, final_hop, prefinals, prefinal_hop, inside,
+        s_counts, a_counts, g_counts, alpha_odd,
+    ) = summary
     if not m:
-        return PhaseReport(True, (), lengths)
-    len2, len3 = lengths[1], lengths[2]
+        return []
+    len2, len3 = end2 - len1, m - end2
     faults: list[str] = []
 
-    s_counts = _set_counts(nodes[0], tpos, half) if source_counts is None else source_counts
-    a_counts = _set_counts(nodes[len1], tpos, half) if len1 else s_counts
-    g_counts = _set_counts(nodes[end2], tpos, half) if len2 else a_counts
     _, _, s_ulr, s_url, s_chi, _ = s_counts
     a_ull, a_urr, a_ulr, a_url, a_chi, _ = a_counts
     g_ull, g_urr, g_ulr, g_url, g_chi, g_cyc = g_counts
@@ -574,11 +631,7 @@ def _phase_laws(
 
     if extended:
         pass  # the burn-down chain was interrupted; (b) does not apply
-    elif (
-        a_ull == 0
-        and a_urr == 0
-        and (a_url if parity(nodes[0]) ^ (len1 & 1) else a_ulr) == 0
-    ):
+    elif a_ull == 0 and a_urr == 0 and (a_url if alpha_odd else a_ulr) == 0:
         if g_chi > 1:
             faults.append(f"chi(gamma) = {g_chi} > 1 with no burn-down at alpha")
         if len2 > 2:
@@ -599,18 +652,17 @@ def _phase_laws(
     if len3 != g_x + g_cyc:
         faults.append(f"Phase Three has {len3} hops, expected {g_x} + {g_cyc}")
 
-    if not extended:
-        for j in others:
-            if len1 < j < end2:
-                faults.append(f"hop {j + 1} inside Phase Two is {moves[j].value}")
+    for j, kind in inside:
+        faults.append(f"hop {j + 1} inside Phase Two is {kind.value}")
     if end2 > len1:  # some crossing occurs
-        if len(finals) != 1:
-            faults.append(f"expected exactly one final crossing, found {len(finals)}")
-        elif finals[0] != end2 - 1:
+        if finals != 1:
+            faults.append(f"expected exactly one final crossing, found {finals}")
+        elif final_hop != end2 - 1:
             faults.append("final crossing is not the last hop of Phase Two")
-    if len(prefinals) > 1:
-        faults.append(f"{len(prefinals)} pre-final crossings")
-    elif prefinals and (len(finals) != 1 or prefinals[0] + 1 != finals[0]):
+    if prefinals > 1:
+        faults.append(f"{prefinals} pre-final crossings")
+    elif prefinals and (finals != 1 or prefinal_hop + 1 != final_hop):
         faults.append("pre-final crossing is not directly before the final crossing")
 
-    return PhaseReport(not faults, tuple(faults), lengths, extended)
+    return faults
+

@@ -1,9 +1,9 @@
 """Acceptance suite: one test per criterion, each printing a PASS line.
 
 The oriented-route sweeps at n = 5, 6 (all ordered pairs) and n = 7
-(symmetry-reduced sources) are shared across criteria through module-scoped
-fixtures, so the expensive n = 6 sweep runs exactly once.  Run with ``-v``
-(optionally ``-s`` to see the audit lines on passing runs).
+(every source into the two canonical targets) are shared across criteria
+through module-scoped fixtures, so the n = 6 sweep runs exactly once.  Run
+with ``-v`` (optionally ``-s`` to see the audit lines on passing runs).
 """
 from __future__ import annotations
 
@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from starroute.harness import DISTANCE_CHECKS, ROUTE_CHECKS, verify
+from starroute.harness import DISTANCE_CHECKS, ROUTE_CHECKS, hop_cap, verify
 from starroute.oracle import diameter
 from starroute.perm import apply_generator, compose, parity
 from starroute.topology import Scheme, arc_direction
@@ -76,19 +76,45 @@ def test_criterion_2_distance_formulas_reduced_seven():
 BOUND_CHECKS = ["route-validity", "hop-bound", "stretch-bound", "diameter-bound"]
 
 
+def _bound_audit(report, label: str, longest: int) -> None:
+    _assert_clean(report, BOUND_CHECKS)
+    result = report.check("diameter-bound")
+    assert result.longest == longest
+    _audit(
+        3,
+        f"{label}: {result.population} routes, zero violations, "
+        f"longest {result.longest} of cap {hop_cap(report.n)}",
+    )
+
+
 def test_criterion_3_bound_suite_five(sweep5):
-    _assert_clean(sweep5, BOUND_CHECKS)
-    _audit(3, f"n=5: {sweep5.check('route-validity').population} routes, zero violations")
+    _bound_audit(sweep5, "n=5", 10)
 
 
 def test_criterion_3_bound_suite_six(sweep6):
-    _assert_clean(sweep6, BOUND_CHECKS)
-    _audit(3, f"n=6: {sweep6.check('route-validity').population} routes, zero violations")
+    _bound_audit(sweep6, "n=6", 13)
 
 
 def test_criterion_3_bound_suite_seven_reduced(sweep7):
-    _assert_clean(sweep7, BOUND_CHECKS)
-    _audit(3, f"n=7 reduced: {sweep7.check('route-validity').population} routes, zero violations")
+    _bound_audit(sweep7, "n=7 reduced", 14)
+
+
+def test_criterion_3_and_4_order_eight_reduced():
+    report = verify(8, checks=ROUTE_CHECKS)
+    assert report.sources == "reduced" and report.check("route-validity").population == 2 * 40_320
+    _assert_clean(report, ROUTE_CHECKS)
+    assert report.check("phase-structure").extended == 11_796
+    _bound_audit(report, "n=8 reduced", 17)
+
+
+@pytest.mark.skipif(
+    not os.environ.get("STARROUTE_LONG"),
+    reason="the order-9 route sweep is an opt-in long run (STARROUTE_LONG=1)",
+)
+def test_criterion_3_and_4_order_nine_reduced():
+    report = verify(9, checks=ROUTE_CHECKS)
+    _assert_clean(report, ROUTE_CHECKS)
+    _bound_audit(report, "n=9 reduced", 18)
 
 
 def test_criterion_4_phase_structure(sweep5, sweep6, sweep7):
@@ -96,7 +122,7 @@ def test_criterion_4_phase_structure(sweep5, sweep6, sweep7):
         _assert_clean(report, ["phase-structure", "crossing-monotone"])
     total = sum(r.check("phase-structure").population for r in (sweep5, sweep6, sweep7))
     # traces where law (b) and the all-crossing part of (d) were skipped; at
-    # n=6 all pairs this is 360 times the 196 of the reduced sources, as
+    # n=6 all pairs this is 360 times the 196 of the reduced pairs, as
     # router equivariance predicts
     extended = [r.check("phase-structure").extended for r in (sweep5, sweep6, sweep7)]
     assert extended == [0, 70_560, 0]

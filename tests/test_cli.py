@@ -155,6 +155,18 @@ def test_verify_reports_extended_count(capsys):
     assert "extended" not in validity
 
 
+def test_verify_reports_longest_route_beside_the_cap(capsys):
+    code, out, _ = run(capsys, "verify", "4", "--checks", "diameter-bound,hop-bound")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0].startswith("diameter-bound: pass population=576 longest=9 hop_cap=12 elapsed=")
+    assert lines[1].startswith("hop-bound: pass population=576 elapsed=")
+    code, out, _ = run(capsys, "verify", "4", "--checks", "diameter-bound,hop-bound", "--json")
+    cap, bound = json.loads(out)["checks"]
+    assert (cap["longest"], cap["hop_cap"]) == (9, 12)
+    assert "longest" not in bound and "hop_cap" not in bound
+
+
 def test_table_csv(capsys):
     code, out, _ = run(capsys, "table", "3..5", "--format", "csv")
     assert code == 0

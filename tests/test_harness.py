@@ -1,11 +1,10 @@
 from __future__ import annotations
 
-import dataclasses
 import json
 
 import pytest
 
-from starroute import harness
+from starroute import routing
 from starroute.harness import (
     ALL_CHECKS,
     ROUTE_CHECKS,
@@ -16,8 +15,18 @@ from starroute.harness import (
     verify,
     witness,
 )
-from starroute.perm import apply_generator
-from starroute.routing import MoveKind, RouteTrace
+from starroute.classify import crossing_load
+from starroute.routing import (
+    MoveKind,
+    RoutingInvariantError,
+    check_phase_invariants,
+    classic_distance,
+    hop_bound,
+    oriented_route,
+    validate_trace,
+)
+
+from conftest import all_perms
 
 
 def test_hop_cap_values():
@@ -35,6 +44,7 @@ def test_check_names_are_stable():
         "distance-vs-bfs",
         "set-formula",
         "split-merge",
+        "router-equivariance",
     )
 
 
@@ -115,52 +125,52 @@ def test_verify_counts_extended_traces_order_six_reduced():
     assert (result.population, result.extended) == (1440, 196)
 
 
-PAIR = ((2, 4, 1, 3), (1, 2, 3, 4))  # route: links 4 3 4 2 4, phases (0, 1, 4)
+T4 = (1, 2, 3, 4)
+PAIR = ((2, 4, 1, 3), T4)  # route: links 4 3 4 2 4, phases (0, 1, 4)
+LEAF = (4, 1, 2, 3)  # no other route into T4 passes through it
 
 
-def _replace_at(column: tuple, j: int, value) -> tuple:
-    return column[:j] + (value,) + column[j + 1 :]
+def _relink(link: int):
+    return lambda _, kind, case: (link, kind, case)
 
 
-def _relink(trace: RouteTrace) -> RouteTrace:
-    # the third node is odd, so link 2 is incoming there, and leads elsewhere
-    return dataclasses.replace(trace, links=_replace_at(trace.links, 2, 2))
+def _recross(link, kind, case):
+    return link, MoveKind.CROSSING, case
 
 
-def _unchain_with_load(trace: RouteTrace) -> RouteTrace:
-    # a stored Phase Three node swapped for one with crossing load 2 (values 2
-    # and 3 both unsettled in the left half); the rest of the route has load 0
-    return dataclasses.replace(trace, nodes=_replace_at(trace.nodes, 3, (1, 3, 2, 4)))
+def _routed_nodes(s, t) -> tuple:
+    """The nodes a route leaves, by the untampered router."""
+    return oriented_route(s, t).nodes[:-1]
 
 
-def _cross_in_phase_three(trace: RouteTrace) -> RouteTrace:
-    # phases follow the moves, so Phase Two now runs through hop 4 and holds
-    # a settling and a seeding hop, and the final crossing is not its last
-    return dataclasses.replace(trace, moves=_replace_at(trace.moves, 3, MoveKind.CROSSING))
-
-
-PADDING = (2, 4, 2, 4, 3, 4, 3, 4, 3, 4, 2, 4)  # a directed cycle through the target
-
-
-def _pad_past_cap(trace: RouteTrace) -> RouteTrace:
-    # 17 hops, over the cap 12, the stretch bound 16 and the hop bound 8, yet
-    # a chained directed route ending at the target; the crossing load along
-    # the cycle rises 0 -> 1 at its fifth hop, so the load is carried across
-    # hops that chain
-    nodes = list(trace.nodes)
-    for link in PADDING:
-        nodes.append(apply_generator(nodes[-1], link))
-    return dataclasses.replace(
-        trace,
-        nodes=tuple(nodes),
-        links=trace.links + PADDING,
-        moves=trace.moves + (MoveKind.SEEDING,) * len(PADDING),
-        cases=trace.cases + ("4",) * len(PADDING),
-    )
+def _per_trace_flags(s, t) -> set[str]:
+    """The route checks that the pair fails by its routed trace and the
+    single-trace checks; a runaway route fails route-validity only."""
+    try:
+        trace = oriented_route(s, t)
+    except RoutingInvariantError:
+        return {"route-validity"}
+    loads = [crossing_load(node, t) for node in trace.nodes]
+    length = trace.length
+    failed = {
+        "route-validity": bool(validate_trace(trace)),
+        "crossing-monotone": any(b > a for a, b in zip(loads, loads[1:])),
+        "hop-bound": length > hop_bound(s, t),
+        "stretch-bound": length > 4 * classic_distance(s, t) + 4,
+        "diameter-bound": length > hop_cap(len(s)),
+        "phase-structure": not check_phase_invariants(trace).ok,
+    }
+    return {name for name, fails in failed.items() if fails}
 
 
 def _summary(result) -> tuple:
-    return result.name, result.population, result.violations, result.extended
+    return result.name, result.population, result.violations, result.extended, result.longest
+
+
+CYCLE_TEXT = "; ".join(
+    [f"hop {j}: link 2 is not an outgoing arc" for j in range(1, 26, 2)]
+    + ["route does not terminate at the target", "route exceeds the runaway limit"]
+)
 
 
 @pytest.mark.parametrize(
@@ -171,42 +181,135 @@ def _summary(result) -> tuple:
     ],
 )
 @pytest.mark.parametrize(
-    "tamper, flagged, rise",
+    "entries, designed, texts",
     [
-        (_relink, {"route-validity"}, None),
-        (_unchain_with_load, {"route-validity", "crossing-monotone"}, "0 -> 2 at hop 3"),
-        (_cross_in_phase_three, {"phase-structure"}, None),
-        (
-            _pad_past_cap,
-            {"hop-bound", "stretch-bound", "diameter-bound", "phase-structure", "crossing-monotone"},
-            "0 -> 1 at hop 10",
+        # a leaf steps along incoming link 2 instead of outgoing link 4
+        pytest.param(
+            {LEAF: _relink(2)},
+            "route-validity",
+            {("route-validity", LEAF): "hop 1: link 2 is not an outgoing arc"},
+            id="incoming-arc",
+        ),
+        # PAIR's second node (even) takes its other outgoing link, 2, where
+        # the crossing load rises 0 -> 1; one of the routes through it
+        # grows to 13 hops, past the cap of 12
+        pytest.param(
+            {(3, 4, 1, 2): _relink(2)},
+            "crossing-monotone",
+            {
+                ("crossing-monotone", PAIR[0]): "0 -> 1 at hop 2",
+                ("diameter-bound", (1, 3, 2, 4)): 13,
+            },
+            id="load-rise",
+        ),
+        # PAIR's fourth hop, a seeding hop in Phase Three, claims to cross
+        pytest.param(
+            {(2, 4, 3, 1): _recross},
+            "phase-structure",
+            {
+                ("phase-structure", PAIR[0]): (
+                    "Phase Two has 4 hops, expected <= 1; hop 2 inside Phase Two is settling; "
+                    "hop 3 inside Phase Two is seeding; final crossing is not the last hop of "
+                    "Phase Two"
+                )
+            },
+            id="cross-in-phase-three",
+        ),
+        # the leaf and its link-2 neighbour point at each other: the routes
+        # through either never arrive
+        pytest.param(
+            {LEAF: _relink(2), (1, 4, 2, 3): _relink(2)},
+            "route-validity",
+            {("route-validity", LEAF): CYCLE_TEXT},
+            id="cycle",
         ),
     ],
 )
-def test_route_checks_report_exactly_the_tampered_pair(monkeypatch, tamper, flagged, rise, checks):
-    route = harness.oriented_route
+def test_route_checks_report_exactly_the_pairs_through_a_tampered_pick(
+    monkeypatch, entries, designed, texts, checks
+):
+    # the pairs whose route uses a tampered tree entry, by the untouched router
+    users = {(s, T4) for s in all_perms(4) if s != T4 and set(entries) & set(_routed_nodes(s, T4))}
+    pick = routing._oriented_pick
 
-    def tampered_route(s, t):
-        trace = route(s, t)
-        return tamper(trace) if (s, t) == PAIR else trace
+    def tampered_pick(c, cpos, odd, t, tpos, half):
+        decision = pick(c, cpos, odd, t, tpos, half)
+        change = entries.get(tuple(c)) if tuple(t) == T4 else None
+        return change(*decision) if change else decision
 
-    monkeypatch.setattr(harness, "oriented_route", tampered_route)
+    monkeypatch.setattr(routing, "_oriented_pick", tampered_pick)
     report = verify(4, checks=ROUTE_CHECKS)
+    flagged = set()
     for result in report.checks:
-        pairs = [(v.source, v.target) for v in result.violations]
-        assert pairs == ([PAIR] if result.name in flagged else []), result.name
-    if rise is not None:
-        assert report.check("crossing-monotone").violations[0].observed == rise
-    if "route-validity" in flagged:
-        assert "node chain broken" in report.check("route-validity").violations[0].observed
-    if tamper is _cross_in_phase_three:
-        assert report.check("phase-structure").violations[0].observed == (
-            "Phase Two has 4 hops, expected <= 1; hop 2 inside Phase Two is settling; "
-            "hop 3 inside Phase Two is seeding; final crossing is not the last hop of Phase Two"
-        )
+        pairs = {(v.source, v.target) for v in result.violations}
+        assert len(pairs) == len(result.violations), result.name
+        # the routed traces, under the same tampered pick, fail the same checks
+        expected = {(s, t) for s, t in users if result.name in _per_trace_flags(s, t)}
+        assert pairs == expected, result.name
+        flagged |= pairs
+    assert flagged == users
+    assert {(v.source, v.target) for v in report.check(designed).violations} == users
+    observed = {
+        (result.name, v.source): v.observed for result in report.checks for v in result.violations
+    }
+    for key, text in texts.items():
+        assert observed[key] == text, key
+    # 9 hops is the longest route at order 4; runaway routes have no length
+    assert report.check("diameter-bound").longest == max(
+        [9] + [v.observed for v in report.check("diameter-bound").violations]
+    )
     # a selection only filters the report: the family is swept whole either way
     subset = verify(4, checks=checks)
     assert [_summary(r) for r in subset.checks] == [_summary(report.check(name)) for name in checks]
+
+
+def test_routes_past_the_runaway_limit_fail_route_validity_only(monkeypatch):
+    lengths = {(s, t): len(_routed_nodes(s, t)) for t in all_perms(4) for s in all_perms(4)}
+    # with a limit of 5 hops, every longer route counts as a runaway: its
+    # chain is cut after 6 hops, as oriented_route would cut it, and only a
+    # 6-hop route reaches the target there
+    expected = {
+        pair: ("" if length == 6 else "route does not terminate at the target; ")
+        + "route exceeds the runaway limit"
+        for pair, length in lengths.items()
+        if length > 5
+    }
+    assert len(set(expected.values())) == 2
+    monkeypatch.setattr(routing, "_runaway_limit", lambda n: 5)
+    report = verify(4, checks=ROUTE_CHECKS)
+    validity = report.check("route-validity").violations
+    assert {(v.source, v.target): v.observed for v in validity} == expected
+    assert all(report.check(name).ok for name in ROUTE_CHECKS if name != "route-validity")
+    assert report.check("diameter-bound").longest == 5
+
+
+def test_router_equivariance_is_exhaustive_through_order_five():
+    for n, population in ((4, 24 * 23), (5, 120 * 119)):
+        result = verify(n, checks=["router-equivariance"]).check("router-equivariance")
+        assert result.ok and result.population == population
+
+
+def test_router_equivariance_is_sampled_from_order_six():
+    result = verify(6, checks=["router-equivariance"], seed=3, sample_size=300)
+    assert result.ok and result.check("router-equivariance").population == 300
+
+
+def test_router_equivariance_flags_a_decision_the_relabeling_does_not_carry(monkeypatch):
+    # an odd target other than the canonical (2, 1, 3, 4): one node's
+    # decision toward it changes, so that one pair differs from the
+    # canonical tree at the relabeled node
+    target, node = (2, 4, 1, 3), (3, 1, 4, 2)
+    pick = routing._oriented_pick
+
+    def tampered_pick(c, cpos, odd, t, tpos, half):
+        link, kind, case = pick(c, cpos, odd, t, tpos, half)
+        if (tuple(c), tuple(t)) == (node, target):
+            return link, MoveKind.CROSSING if kind is MoveKind.SETTLING else MoveKind.SETTLING, case
+        return link, kind, case
+
+    monkeypatch.setattr(routing, "_oriented_pick", tampered_pick)
+    result = verify(4, checks=["router-equivariance"]).check("router-equivariance")
+    assert [(v.source, v.target) for v in result.violations] == [(node, target)]
 
 
 def test_verify_rejects_unknown_check():

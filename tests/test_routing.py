@@ -242,7 +242,7 @@ def _decisions(trace: RouteTrace) -> list[tuple[int, str, MoveKind]]:
 
 @pytest.mark.parametrize("n", [6, 7])
 def test_router_is_equivariant_under_even_relabeling(n):
-    # sources="reduced" sweeps route from two sources only; that covers every
+    # sources="reduced" sweeps route into two targets only; that covers every
     # pair because relabeling values by an even h maps routes to routes
     rng = random.Random(n)
     values = list(range(1, n + 1))
