@@ -12,13 +12,15 @@ One executable, eight subcommands::
     starroute witness 7 --bound
 
 Exit status: 0 on success, 1 when a verification-style command finds
-violations, 2 on usage errors.
+violations or standard output is closed before the output is written
+(``| head``), 2 on usage errors.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Sequence
 
@@ -380,7 +382,16 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        # a reader that went away raises here, not in the flush at exit
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the recipe of the Python signal docs: later writes to stdout,
+        # including the one at exit, go to the null device
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

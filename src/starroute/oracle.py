@@ -5,15 +5,21 @@ notation, identity = 0).  For each order a move table is built once: row r,
 column j holds the rank of vertex r after swapping positions 1 and j+2.
 
 One search runs over that table: the bit-parallel multi-source BFS of
-Akiba, Iwata & Yoshida (SIGMOD 2013).  It follows 64 sources at once, one
-bit each in a uint64 word per vertex, each level pulling the frontier
-along in-arcs.  The generators are involutions, so the in-arcs of a vertex
-are move-table columns.  :func:`diameter` keeps only the level count and
-the last frontier of each sweep; :func:`distance_fields` writes each level
-into one byte per vertex and source, and :func:`bfs` is its one-source
-case.  On a 2-core Xeon, exhaustive order 7 takes about 0.2 s for the
-undirected and the directed graph together, and all 720 order-6 distance
-fields about 0.02 s.
+Akiba, Iwata & Yoshida (SIGMOD 2013).  It follows up to 64 sources at once,
+one bit each in a word per vertex, and the word is the narrowest unsigned
+type with a bit per source: uint8 up to 8 sources, so the two-source orbit
+sweep and the one-source :func:`bfs` move one byte per vertex, and uint64
+for a full batch of 64.  Each level pulls the frontier along in-arcs.  The
+generators are involutions, so the in-arcs of a vertex are move-table
+entries, and one table of full-length rank columns serves the undirected
+and both directed graphs (:class:`_InArcs`).  :func:`diameter` keeps only
+the level count and the last frontier of each sweep;
+:func:`distance_fields` writes each level into one byte per vertex and
+source, and :func:`bfs` is its one-source case.  On a 2-core Xeon,
+exhaustive order 7 takes about 0.08 s for the undirected and the directed
+graph together, orbit mode for all three graphs at orders 8 and 9 about
+0.2 s, a one-source directed order-9 field about 0.1 s, and all 720
+order-6 distance fields about 0.04 s.
 
 Everything here is deliberately independent of the routing formulas it is
 used to check: vertex parity comes from Lehmer digit sums and the per-scheme
@@ -23,6 +29,7 @@ outgoing-link columns are re-derived from the orientation rules.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import zip_longest
 from math import ceil, factorial
 from typing import Iterator, Sequence
 
@@ -99,7 +106,7 @@ class MoveTable:
     n: int
     k: int
     perms: np.ndarray  # (n!, n) uint8, row r = unrank(r)
-    moves: np.ndarray  # (n!, n-1) int32, column j = generator j+2
+    moves: np.ndarray  # (n!, n-1) int32, column j = generator j+2, column-major
     odd: np.ndarray  # (n!,) bool, True at odd vertices
 
     def out_columns(self, scheme: Scheme) -> tuple[list[int], list[int]]:
@@ -143,7 +150,8 @@ def move_table(n: int) -> MoveTable:
     table = _tables.get(n)
     if table is None:
         perms = _lexicographic_perms(n)
-        moves = np.empty((len(perms), n - 1), dtype=np.int32)
+        # column-major: the sweeps gather along whole columns
+        moves = np.empty((len(perms), n - 1), dtype=np.int32, order="F")
         for link in range(2, n + 1):
             columns = list(perms.T)  # views: the swap copies no row
             columns[0], columns[link - 1] = columns[link - 1], columns[0]
@@ -211,74 +219,77 @@ def distance(
     return bfs(s, directed=directed, scheme=scheme).distance(t)
 
 
-SWEEP_WIDTH = 64  # sources per sweep: one bit each of a uint64 word
+SWEEP_WIDTH = 64  # sources per sweep: one bit each of the widest word, uint64
+_WORDS = (np.uint8, np.uint16, np.uint32, np.uint64)
+
+
+def _word(width: int) -> type[np.unsignedinteger]:
+    """The narrowest unsigned word with one bit for each of ``width`` sources."""
+    for word in _WORDS:
+        if width <= np.iinfo(word).bits:
+            return word
+    raise ValueError(f"a sweep follows at most {SWEEP_WIDTH} sources, got {width}")
 
 
 @dataclass(frozen=True)
 class _InArcs:
-    """In-arcs of every vertex, as move-table columns, for bit-parallel BFS.
+    """In-arcs of every vertex, as full-length rank columns, for bit-parallel BFS.
 
     Every generator is an involution, so the vertex that enters ``v`` over
-    link ``j`` is ``moves[v, j]``.  Undirected, every column is an in-arc of
-    every vertex (``rows`` is None).  Directed, each generator also flips
-    parity: an even vertex is entered from odd vertices over their outgoing
-    columns and an odd vertex from even vertices over theirs, so
-    ``columns[p]`` lists those in-arc columns for the ranks ``rows[p]``.
+    link ``j`` is ``moves[v, j]``.  Undirected, every move-table column is an
+    in-arc column.  Directed, each generator also flips parity: an odd
+    vertex is entered from even vertices over their outgoing columns and an
+    even vertex from odd vertices over theirs, so column j holds, for each
+    vertex, its j-th in-arc under its own parity.  Where the two parities
+    have different numbers of outgoing columns, the shorter side is padded
+    with the vertex's own rank: pulling a vertex's own frontier adds only
+    bits already cleared from its ``unseen`` word.
     """
 
     size: int
-    rows: tuple[np.ndarray, np.ndarray] | None
-    columns: tuple[list[np.ndarray], ...]
+    columns: list[np.ndarray]
 
     @classmethod
     def build(cls, table: MoveTable, directed: bool, scheme: Scheme) -> _InArcs:
         size = len(table.odd)
         if not directed:
-            return cls(size, None, ([table.moves[:, j] for j in range(table.n - 1)],))
-        even_cols, odd_cols = table.out_columns(scheme)
-        evens, odds = np.flatnonzero(~table.odd), np.flatnonzero(table.odd)
-        columns = (
-            [table.moves[evens, j] for j in odd_cols],
-            [table.moves[odds, j] for j in even_cols],
+            return cls(size, [table.moves[:, j] for j in range(table.n - 1)])
+        own = np.arange(size, dtype=table.moves.dtype)
+        from_even, from_odd = (
+            [table.moves[:, j] for j in cols] for cols in table.out_columns(scheme)
         )
-        return cls(size, (evens, odds), columns)
-
-    def _pull(self, frontier: np.ndarray) -> np.ndarray:
-        """Each vertex's word: the OR of ``frontier`` over its in-arcs."""
-        if self.rows is None:
-            return _gather_or(frontier, self.columns[0])
-        pulled = np.empty_like(frontier)
-        for rows, columns in zip(self.rows, self.columns):
-            pulled[rows] = _gather_or(frontier, columns)
-        return pulled
+        columns = [
+            np.where(table.odd, even, odd)
+            for even, odd in zip_longest(from_even, from_odd, fillvalue=own)
+        ]
+        return cls(size, columns)
 
     def sweep(self, sources: np.ndarray) -> Iterator[np.ndarray]:
         """BFS from up to 64 source ranks at once, bit i for ``sources[i]``.
 
+        The words are the narrowest unsigned type with a bit per source
+        (:func:`_word`), so a two-source sweep moves one byte per vertex.
         Yields one word per vertex for each level d = 0, 1, ... in turn:
         bit i of vertex v is set when v is at distance exactly d from
         ``sources[i]``.  Stops after the last level that set a new bit, so
         the number of levels after level 0 is the largest finite
         eccentricity among the sources.
         """
-        frontier = np.zeros(self.size, dtype=np.uint64)
-        bits = np.left_shift(np.uint64(1), np.arange(len(sources), dtype=np.uint64))
+        word = _word(len(sources))
+        frontier = np.zeros(self.size, dtype=word)
+        bits = np.left_shift(word(1), np.arange(len(sources), dtype=word))
         np.bitwise_or.at(frontier, sources, bits)
         unseen = ~frontier
         while frontier.any():
             yield frontier
-            frontier = self._pull(frontier)
-            frontier &= unseen
-            unseen ^= frontier
-
-
-def _gather_or(words: np.ndarray, columns: list[np.ndarray]) -> np.ndarray:
-    # take(mode="clip") skips the bounds check of fancy indexing (every
-    # column holds valid ranks) and is about twice as fast on int32 columns
-    acc = np.take(words, columns[0], mode="clip")
-    for column in columns[1:]:
-        acc |= np.take(words, column, mode="clip")
-    return acc
+            # take(mode="clip") skips the bounds check of fancy indexing
+            # (every column holds valid ranks) and is about twice as fast
+            pulled = np.take(frontier, self.columns[0], mode="clip")
+            for column in self.columns[1:]:
+                pulled |= np.take(frontier, column, mode="clip")
+            pulled &= unseen
+            unseen ^= pulled
+            frontier = pulled
 
 
 def distance_fields(
@@ -303,12 +314,12 @@ def distance_fields(
     for lo in range(0, len(sources), SWEEP_WIDTH):
         batch = sources[lo : lo + SWEEP_WIDTH]
         block = np.full((len(batch), arcs.size), UNREACHABLE, dtype=np.uint8)
-        width_bytes = (len(batch) + 7) // 8
         for d, level in enumerate(arcs.sweep(np.array([rank(s) for s in batch]))):
             vertices = np.flatnonzero(level)
             # little-endian bytes, little bit order: column i is bit i
-            words = level[vertices].astype("<u8", copy=False).view(np.uint8)
-            bits = np.unpackbits(words.reshape(-1, 8)[:, :width_bytes], axis=1, bitorder="little")
+            nbytes = level.itemsize
+            words = level[vertices].astype(f"<u{nbytes}", copy=False).view(np.uint8)
+            bits = np.unpackbits(words.reshape(-1, nbytes), axis=1, bitorder="little")
             hit, row = np.nonzero(bits)
             block[row, vertices[hit]] = d
         for s, dist in zip(batch, block):
@@ -319,7 +330,7 @@ def _witness(frontier: np.ndarray) -> tuple[int, int]:
     """First source bit set in ``frontier`` and the lowest rank holding it."""
     reached = int(np.bitwise_or.reduce(frontier))
     bit = (reached & -reached).bit_length() - 1
-    target = int(np.flatnonzero(frontier & np.uint64(1 << bit))[0])
+    target = int(np.flatnonzero(frontier & frontier.dtype.type(1 << bit))[0])
     return bit, target
 
 
@@ -355,12 +366,13 @@ def diameter(
 
     ``mode="exhaustive"`` sweeps every source, 64 at a time in rank order;
     ``mode="orbit"`` sweeps the two sources of :func:`orbit_sources` at
-    once.  The default is exhaustive through order 7 and orbit beyond.
-    Measured on a 2-core Xeon: exhaustive order 7 in about 0.1 s per graph,
-    orbit mode for all three graphs at orders 8 and 9 in 0.5 s, exhaustive
-    order 8 in 6-10 s per graph.  The witness is the first source in rank
-    order of largest eccentricity, and the lowest-rank vertex at that
-    distance from it, which is what :meth:`DistanceField.farthest` picks.
+    once, in one byte per vertex.  The default is exhaustive through order 7
+    and orbit beyond.  Measured on a 2-core Xeon: exhaustive order 7 in
+    about 0.04 s per graph, orbit mode for all three graphs at orders 8 and
+    9 in about 0.2 s, exhaustive order 8 in 4-5 s per graph.  The witness
+    is the first source in rank order of largest eccentricity, and the
+    lowest-rank vertex at that distance from it, which is what
+    :meth:`DistanceField.farthest` picks.
     """
     if mode not in (None, "exhaustive", "orbit"):
         raise ValueError(f"unknown diameter mode {mode!r}")

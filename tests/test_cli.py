@@ -3,6 +3,9 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -313,3 +316,23 @@ def test_cli_fuzz_exits_cleanly(argv):
             code = exc.code
     assert code in (0, 1, 2), (argv, code)
     assert "Traceback" not in err.getvalue()
+
+
+def test_closed_stdout_exits_without_traceback():
+    # the reader is gone before the first write, as after ``| head -0``
+    src = os.path.dirname(os.path.dirname(oracle.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    argv = ["verify", "5", "--checks", "router-equivariance", "--json"]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "starroute.cli", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    proc.stdout.close()
+    try:
+        _, err = proc.communicate(timeout=120)
+    finally:
+        proc.kill()
+    assert "Traceback" not in err.decode()
+    assert proc.returncode in (0, 1, 2), err.decode()

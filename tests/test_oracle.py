@@ -5,11 +5,13 @@ import math
 import random
 from collections import deque
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from starroute.oracle import (
     MAX_RANK_ORDER,
+    _InArcs,
     UNREACHABLE,
     bfs,
     diameter,
@@ -21,7 +23,7 @@ from starroute.oracle import (
     unrank,
 )
 from starroute.perm import apply_generator, parity
-from starroute.topology import Scheme, neighbors, out_neighbors
+from starroute.topology import Scheme, in_neighbors, neighbors, out_neighbors
 
 from conftest import all_perms, perms_of
 
@@ -242,6 +244,47 @@ def test_distance_fields_match_naive_search(n, directed, scheme):
         expected = _naive_distances(field.source, directed, scheme)
         # rank order is lexicographic order
         assert field.dist.tolist() == [expected.get(t, UNREACHABLE) for t in nodes]
+
+
+# each word width, its fullest batch and one source past it (65 takes two sweeps)
+WIDTHS = {1: np.uint8, 2: np.uint8, 8: np.uint8, 9: np.uint16, 16: np.uint16,
+          17: np.uint32, 32: np.uint32, 33: np.uint64, 64: np.uint64}
+
+
+@pytest.mark.parametrize("directed,scheme", GRAPHS)
+def test_distance_fields_every_word_width(directed, scheme):
+    nodes = all_perms(5)
+    arcs = _InArcs.build(move_table(5), directed, scheme)
+    for width in [*WIDTHS, 65]:
+        sources = random.Random(width).sample(nodes, width)
+        fields = distance_fields(sources, directed=directed, scheme=scheme)
+        for source, field in zip(sources, fields, strict=True):
+            expected = _naive_distances(source, directed, scheme)
+            assert field.dist.tolist() == [expected.get(t, UNREACHABLE) for t in nodes]
+        if width in WIDTHS:
+            levels = list(arcs.sweep(np.arange(width)))
+            assert {level.dtype for level in levels} == {np.dtype(WIDTHS[width])}
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7])
+@pytest.mark.parametrize("directed,scheme", GRAPHS)
+def test_in_arc_columns_match_topology(n, directed, scheme):
+    table = move_table(n)
+    arcs = _InArcs.build(table, directed, scheme)
+    even_cols, odd_cols = table.out_columns(scheme)
+    padded = directed and len(even_cols) != len(odd_cols)
+    columns = np.stack(arcs.columns, axis=1)
+    nodes = all_perms(n)
+    index = {p: i for i, p in enumerate(nodes)}
+    pads = 0
+    for v, p in enumerate(nodes):
+        arcs_in = in_neighbors(p, scheme) if directed else neighbors(p)
+        row = columns[v].tolist()
+        assert [u for u in row if u != v] == [index[q] for _, q in arcs_in]
+        assert len(row) == len(arcs_in) + row.count(v)
+        pads += row.count(v)
+    # a vertex pads with its own rank only where the parities' out-degrees differ
+    assert (pads > 0) == padded
 
 
 def test_distance_fields_edge_inputs():
