@@ -15,12 +15,17 @@ left/right half (a value settled at position 1 is in neither).  A relative
 cycle is *alternating* when it has at least two elements and their current
 positions alternate between the halves all the way around; position 1 breaks
 alternation since it belongs to neither half.
+
+:func:`_counts` counts one pair in plain Python; :func:`_count_rows` gives
+the same counts, and the classic distance, for a block of pairs at once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
+
+import numpy as np
 
 from .perm import positions
 from .topology import boundary
@@ -163,7 +168,8 @@ def _counts(
     c: Sequence[int], tpos: Sequence[int], half: Sequence[int]
 ) -> tuple[int, int, int, int, int, int]:
     """Lean counterpart of :func:`classify` for hot loops, against a prebuilt
-    target position index and half table.
+    target position index and half table.  :func:`_count_rows` is its block
+    form, without the alternating count.
 
     Returns ``(ull, urr, ulr, url, alternating, nonsingleton)`` as plain ints.
     """
@@ -180,3 +186,61 @@ def _counts(
             nonsingleton += 1
             chi += _alternates(p, dest, half, seen)
     return tally[_ULL], tally[_URR], tally[_ULR], tally[_URL], chi, nonsingleton
+
+
+# rows per pass of _count_rows: bounds its temporaries (a few hundred kB)
+_ROW_BLOCK = 4096
+
+
+class RowCounts(NamedTuple):
+    """What :func:`_count_rows` gives per row, each an ``(m,)`` uint8 array."""
+
+    ull: np.ndarray
+    urr: np.ndarray
+    ulr: np.ndarray
+    url: np.ndarray
+    nonsingleton: np.ndarray
+    distance: np.ndarray  # routing.classic_distance
+
+
+def _count_rows(dest: np.ndarray, half: Sequence[int]) -> RowCounts:
+    """:func:`_counts` and the classic distance for every row of ``dest``.
+
+    ``dest`` is an ``(m, n)`` uint8 block, one row per (current, target)
+    pair: entry ``i`` is the target position (1-based) of the value at
+    position ``i + 1``, the ``dest`` that :func:`_counts` builds.  ``half``
+    is ``boundary(n).half``.  There is no alternating-cycle count.
+
+    The slot counts use the encoding of :func:`_counts`.  The cycle count
+    labels each position with the lowest position on its cycle by pointer
+    doubling, ``ceil(log2 n)`` gathers, and counts the moved positions that
+    are their own label.  The distance is mismatches plus non-singleton
+    cycles, minus 2 when position 1 is unsettled.  Rows are taken
+    ``_ROW_BLOCK`` at a time.
+    """
+    m, n = dest.shape
+    h = np.array(half, dtype=np.uint8)
+    here = 3 * h[1:]
+    pos = np.arange(1, n + 1, dtype=np.uint8)
+    steps = (n - 1).bit_length()  # ceil(log2 n)
+    out = np.empty((6, m), dtype=np.uint8)
+    for lo in range(0, m, _ROW_BLOCK):
+        rows = dest[lo : lo + _ROW_BLOCK]
+        r = len(rows)
+        part = out[:, lo : lo + r]
+        moved = rows != pos
+        slot = (here + h[rows]) * moved
+        for i, code in enumerate((_ULL, _URR, _ULR, _URL)):
+            part[i] = np.count_nonzero(slot == code, axis=1)
+        # flat index of each entry's target position in the block
+        ptr = rows.astype(np.intp)
+        ptr += np.arange(-1, r * n - 1, n)[:, None]
+        ptr = ptr.ravel()
+        label = np.tile(pos, r)
+        for step in range(steps):
+            np.minimum(label, label[ptr], out=label)
+            if step + 1 < steps:
+                ptr = ptr[ptr]
+        part[4] = np.count_nonzero((label.reshape(r, n) == pos) & moved, axis=1)
+        part[5] = np.count_nonzero(moved, axis=1) + part[4] - 2 * moved[:, 0]
+    return RowCounts(*out)

@@ -17,7 +17,18 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .oracle import MAX_TABLE_ORDER, UNREACHABLE, diameter, distance_fields, orbit_sources
+import numpy as np
+
+from .classify import _ROW_BLOCK, _count_rows
+from .oracle import (
+    MAX_TABLE_ORDER,
+    SWEEP_WIDTH,
+    UNREACHABLE,
+    diameter,
+    distance_fields,
+    move_table,
+    orbit_sources,
+)
 from .perm import Perm, apply_generator, compose, identity, inverse, parity, relative_cycles
 from .routetree import NodeTable, RouteTree
 from .routing import (
@@ -25,8 +36,6 @@ from .routing import (
     _phase_faults,
     _walk,
     check_phase_invariants,
-    classic_distance,
-    classic_distance_sets,
     oriented_step,
     validate_trace,
 )
@@ -109,19 +118,26 @@ def _route_violations(
 
     One :class:`routetree.RouteTree` per target gives every route into it.
     The hop, stretch and cap bounds are checked once per route, the phase
-    laws by :func:`routing._phase_faults` from its summary.  A route that
-    meets a cycle or would exceed the runaway limit is a ``route-validity``
-    violation, and no other check reads it.  A flagged pair's text comes
-    from its :class:`RouteTrace`, rebuilt from the tree and given to the
-    single-trace checks, so it reads exactly as for a routed trace.
+    laws by :func:`routing._phase_faults` from its summary.  The stretch
+    bound's classic distances come from one :func:`classify._count_rows`
+    call per tree, over all its nodes.  A route that meets a cycle or would
+    exceed the runaway limit is a ``route-validity`` violation, and no other
+    check reads it.  A flagged pair's text comes from its
+    :class:`RouteTrace`, rebuilt from the tree and given to the single-trace
+    checks, so it reads exactly as for a routed trace.
     """
     table = NodeTable(nodes)
+    # row v: the position index of node v, entry 0 unused
+    where = np.frombuffer(table.where, dtype=np.uint8).reshape(len(nodes), n + 1)
+    half = boundary(n).half
     cap = hop_cap(n)
     found: dict[str, list[Violation]] = {name: [] for name in ROUTE_CHECKS}
     extended = longest = 0
     for t in targets:
         tree = RouteTree(table, t)
         tpos = tree.tpos
+        # the rows of the reversed pairs (t, v): the distance is symmetric
+        distance = _count_rows(where[:, list(t)], half).distance.tolist()
         for v, summary, incoming, rise in tree.routes():
             s = nodes[v]
             if summary is None:
@@ -147,7 +163,7 @@ def _route_violations(
             cutoff = _bound_from_counts(summary.source)
             if length > cutoff:
                 found["hop-bound"].append(Violation(s, t, length, cutoff))
-            cutoff = 4 * classic_distance(s, t) + 4
+            cutoff = 4 * distance[v] + 4
             if length > cutoff:
                 found["stretch-bound"].append(Violation(s, t, length, cutoff))
             if length > cap:
@@ -167,17 +183,46 @@ def _distance_violations(
 ) -> _Sweep:
     """The population and the violations of every distance check by name.
     ``targets`` is every permutation in ``itertools.permutations`` order,
-    which is rank order, so target j's BFS distance is ``dist[j]``."""
+    which is rank order, so target j's BFS distance is ``dist[j]``.
+
+    This is the sweep path of the closed forms; ``routing.classic_distance``
+    and ``classic_distance_sets`` serve single pairs.  The pairs of each
+    :func:`oracle.distance_fields` batch, source by source and each
+    source's targets in rank order, go to :func:`classify._count_rows`
+    ``_ROW_BLOCK`` rows at a time.  ``distance-vs-bfs`` compares the
+    kernel's classic distance with BFS and ``set-formula`` compares the
+    half-partition sum ``ull + urr + ulr + url + nonsingleton`` with it, as
+    arrays; a :class:`Violation` is built only for a pair that differs.
+    """
     found: dict[str, list[Violation]] = {name: [] for name in DISTANCE_CHECKS}
-    for s, field in zip(sources, distance_fields(sources)):
-        for t, actual in zip(targets, field.dist.tolist()):
-            d = classic_distance(s, t)
-            if d != actual:
-                actual = None if actual == UNREACHABLE else actual
-                found["distance-vs-bfs"].append(Violation(s, t, d, actual))
-            via_sets = classic_distance_sets(s, t)
-            if via_sets != d:
-                found["set-formula"].append(Violation(s, t, via_sets, d))
+    half = boundary(n).half
+    size = len(targets)
+    # where[j, v - 1]: the position of value v in target j, row j of perms
+    perms = move_table(n).perms
+    where = np.empty_like(perms)
+    for lo in range(0, size, _ROW_BLOCK):
+        block = perms[lo : lo + _ROW_BLOCK]
+        np.put_along_axis(where[lo : lo + _ROW_BLOCK], block - 1, np.arange(1, n + 1), axis=1)
+    fields = distance_fields(sources)
+    for lo in range(0, len(sources), SWEEP_WIDTH):
+        batch = sources[lo : lo + SWEEP_WIDTH]
+        values = np.array(batch, dtype=np.intp) - 1
+        bfs = np.concatenate([field.dist for field in itertools.islice(fields, len(batch))])
+        for start in range(0, len(bfs), _ROW_BLOCK):
+            src, tgt = np.divmod(np.arange(start, min(start + _ROW_BLOCK, len(bfs))), size)
+            rows = _count_rows(where[tgt[:, None], values[src]], half)
+            d = rows.distance
+            actual = bfs[start : start + len(d)]
+            for i in np.flatnonzero(d != actual).tolist():
+                bound = None if actual[i] == UNREACHABLE else int(actual[i])
+                found["distance-vs-bfs"].append(
+                    Violation(batch[src[i]], targets[tgt[i]], int(d[i]), bound)
+                )
+            via_sets = rows.ull + rows.urr + rows.ulr + rows.url + rows.nonsingleton
+            for i in np.flatnonzero(via_sets != d).tolist():
+                found["set-formula"].append(
+                    Violation(batch[src[i]], targets[tgt[i]], int(via_sets[i]), int(d[i]))
+                )
     return len(sources) * len(targets), found, {}
 
 

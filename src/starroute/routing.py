@@ -141,6 +141,10 @@ def classic_distance(s: Sequence[int], t: Sequence[int]) -> int:
     values to the front, then each hop settles one value.  The cycle through
     position 1 needs no seeding hop, and its last hop settles two values at
     once, so it costs its length minus one.
+
+    This is the single-pair form, and the reference that
+    :func:`classify._count_rows` is tested against; ``verify``'s sweeps
+    take the same closed form for blocks of pairs from that kernel.
     """
     n = len(s)
     if n != len(t):
@@ -170,7 +174,8 @@ def classic_distance(s: Sequence[int], t: Sequence[int]) -> int:
 
 def classic_distance_sets(s: Sequence[int], t: Sequence[int]) -> int:
     """The same distance computed from the half-partition counts:
-    ``|ull| + |urr| + |crossed| + nonsingleton relative cycles``."""
+    ``|ull| + |urr| + |crossed| + nonsingleton relative cycles``.  Single
+    pairs only, as :func:`classic_distance`."""
     if len(s) != len(t):
         raise ValueError(f"order mismatch: {len(s)} vs {len(t)}")
     ull, urr, ulr, url, _, nonsingleton = _set_counts(s, positions(t), boundary(len(s)).half)

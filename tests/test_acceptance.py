@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import os
 import random
+from math import factorial
 from pathlib import Path
 
 import pytest
@@ -71,6 +72,26 @@ def test_criterion_2_distance_formulas_reduced_seven():
     _assert_clean(report, DISTANCE_CHECKS)
     pairs = report.check("distance-vs-bfs").population
     _audit(2, f"n=7 reduced: both closed forms equal BFS on {pairs} pairs")
+
+
+# beyond criterion 2's populations: the same canonical sources at n = 8, 9
+@pytest.mark.parametrize(
+    "n",
+    [
+        8,
+        pytest.param(
+            9,
+            marks=pytest.mark.skipif(
+                not os.environ.get("STARROUTE_LONG"),
+                reason="the order-9 distance sweep is an opt-in long run (STARROUTE_LONG=1)",
+            ),
+        ),
+    ],
+)
+def test_distance_formulas_reduced_eight_and_nine(n):
+    report = verify(n, checks=DISTANCE_CHECKS, sources="reduced")
+    _assert_clean(report, DISTANCE_CHECKS)
+    assert [c.population for c in report.checks] == [2 * factorial(n)] * 2
 
 
 BOUND_CHECKS = ["route-validity", "hop-bound", "stretch-bound", "diameter-bound"]

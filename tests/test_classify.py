@@ -1,12 +1,24 @@
 from __future__ import annotations
 
+import random
+
+import numpy as np
 import pytest
 from hypothesis import given
 
-from starroute.classify import classify, crossing_load, is_alternating
-from starroute.perm import relative_cycles
+from starroute.classify import (
+    _ROW_BLOCK,
+    _count_rows,
+    _counts,
+    classify,
+    crossing_load,
+    is_alternating,
+)
+from starroute.perm import positions, relative_cycles
+from starroute.routing import classic_distance, classic_distance_sets
+from starroute.topology import boundary
 
-from conftest import perm_pairs, perms_of
+from conftest import all_perms, perm_pairs, perms_of
 
 
 def test_crossed_pair_example():
@@ -97,3 +109,30 @@ def test_self_pair_is_fully_settled(p):
     assert sets.settled == frozenset(range(1, 7))
     assert not sets.unsettled and sets.crossed_count == 0
     assert sets.alternating_count == 0 and sets.nonsingleton_cycles == 0
+
+
+def _pairs(n: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Every ordered pair through order 5, 20 000 seeded pairs beyond."""
+    if n <= 5:
+        return [(c, t) for c in all_perms(n) for t in all_perms(n)]
+    rng = random.Random(n)
+    values = range(1, n + 1)
+    return [(tuple(rng.sample(values, n)), tuple(rng.sample(values, n))) for _ in range(20_000)]
+
+
+@pytest.mark.parametrize("n", range(3, 10))
+def test_count_rows_matches_the_scalar_counts(n):
+    half = boundary(n).half
+    pairs = _pairs(n)
+    targets = [positions(t) for _, t in pairs]
+    dest = np.array([[tpos[v] for v in c] for (c, _), tpos in zip(pairs, targets)], dtype=np.uint8)
+    assert n < 5 or len(pairs) > _ROW_BLOCK  # several blocks per call
+    got = np.stack(_count_rows(dest, half), axis=1).tolist()
+    expected = []
+    for (c, t), tpos in zip(pairs, targets):
+        ull, urr, ulr, url, _, nonsingleton = _counts(c, tpos, half)
+        expected.append([ull, urr, ulr, url, nonsingleton, classic_distance(c, t)])
+    assert got == expected
+    # the half-partition form of the distance, from the same rows
+    assert [sum(row[:5]) for row in got] == [classic_distance_sets(c, t) for c, t in pairs]
+

@@ -1,13 +1,17 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
 
-from starroute import routing
+from starroute import harness, routing
+from starroute.classify import _ROW_BLOCK
 from starroute.harness import (
     ALL_CHECKS,
+    DISTANCE_CHECKS,
     ROUTE_CHECKS,
+    Violation,
     diameter_table,
     format_table,
     hop_cap,
@@ -16,6 +20,7 @@ from starroute.harness import (
     witness,
 )
 from starroute.classify import crossing_load
+from starroute.oracle import SWEEP_WIDTH, UNREACHABLE
 from starroute.routing import (
     MoveKind,
     RoutingInvariantError,
@@ -310,6 +315,68 @@ def test_router_equivariance_flags_a_decision_the_relabeling_does_not_carry(monk
     monkeypatch.setattr(routing, "_oriented_pick", tampered_pick)
     result = verify(4, checks=["router-equivariance"]).check("router-equivariance")
     assert [(v.source, v.target) for v in result.violations] == [(node, target)]
+
+
+def test_stretch_bound_reads_the_classic_distance_of_every_pair(monkeypatch):
+    nodes = all_perms(5)
+    count_rows = harness._count_rows
+    read = []  # one list of distances per route tree, by node
+
+    def recording(dest, half):
+        rows = count_rows(dest, half)
+        read.append(rows.distance.tolist())
+        return rows
+
+    monkeypatch.setattr(harness, "_count_rows", recording)
+    assert verify(5, checks=["stretch-bound"]).ok
+    assert read == [[classic_distance(s, t) for s in nodes] for t in nodes]
+
+
+def test_distance_vs_bfs_reports_exactly_the_planted_bfs_entries(monkeypatch):
+    nodes = all_perms(4)
+    wrong, lost = (5, 7), (20, 13)  # (source, target) indices
+    fields = harness.distance_fields
+
+    def tampered(sources):
+        for i, field in enumerate(fields(sources)):
+            dist = field.dist.copy()
+            if i == wrong[0]:
+                dist[wrong[1]] += 1
+            if i == lost[0]:
+                dist[lost[1]] = UNREACHABLE
+            yield dataclasses.replace(field, dist=dist)
+
+    monkeypatch.setattr(harness, "distance_fields", tampered)
+    report = verify(4, checks=DISTANCE_CHECKS)
+    (s, t), (u, w) = [(nodes[i], nodes[j]) for i, j in (wrong, lost)]
+    assert report.check("distance-vs-bfs").violations == (
+        Violation(s, t, classic_distance(s, t), classic_distance(s, t) + 1),
+        Violation(u, w, classic_distance(u, w), None),
+    )
+    assert report.check("set-formula").ok
+
+
+def test_set_formula_reports_exactly_a_planted_kernel_row(monkeypatch):
+    # the second block of the first batch starts at pair _ROW_BLOCK
+    nodes = all_perms(5)
+    assert min(SWEEP_WIDTH, len(nodes)) * len(nodes) > _ROW_BLOCK
+    count_rows = harness._count_rows
+    calls = []
+
+    def tampered(dest, half):
+        rows = count_rows(dest, half)
+        if len(calls) == 1:
+            rows.ulr[0] += 1
+        calls.append(len(dest))
+        return rows
+
+    monkeypatch.setattr(harness, "_count_rows", tampered)
+    report = verify(5, checks=DISTANCE_CHECKS)
+    assert sum(calls) == len(nodes) ** 2 and max(calls) == _ROW_BLOCK
+    s, t = nodes[_ROW_BLOCK // len(nodes)], nodes[_ROW_BLOCK % len(nodes)]
+    d = classic_distance(s, t)
+    assert report.check("set-formula").violations == (Violation(s, t, d + 1, d),)
+    assert report.check("distance-vs-bfs").ok
 
 
 def test_verify_rejects_unknown_check():
