@@ -27,7 +27,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .perm import positions
+from .perm import check_pair, positions
 from .topology import boundary
 
 
@@ -48,10 +48,6 @@ class ClassifiedSets:
     @property
     def crossed(self) -> frozenset[int]:
         return self.ulr | self.url
-
-    @property
-    def crossed_count(self) -> int:
-        return len(self.ulr) + len(self.url)
 
     @property
     def unsettled(self) -> frozenset[int]:
@@ -113,8 +109,7 @@ def classify(c: Sequence[int], t: Sequence[int]) -> ClassifiedSets:
     >>> sorted(sets.settled), sorted(sets.ulr), sorted(sets.url)
     ([5], [4], [3])
     """
-    if len(c) != len(t):
-        raise ValueError(f"order mismatch: {len(c)} vs {len(t)}")
+    c, t = check_pair(c, t)
     n = len(c)
     b = boundary(n)
     half = b.half
@@ -145,23 +140,22 @@ def classify(c: Sequence[int], t: Sequence[int]) -> ClassifiedSets:
     )
 
 
-def _crossing_load(c: Sequence[int], tpos: Sequence[int], half: Sequence[int]) -> int:
-    """:func:`crossing_load` against a prebuilt target position index."""
+def crossing_load(c: Sequence[int], t: Sequence[int]) -> int:
+    """``|ull| + |urr|`` computed without building the full partition.
+
+    This is the quantity the oriented router burns down before its final
+    crossing move; it never increases along a well-formed route.  The route
+    sweep reads it from :func:`_counts`; this loop is the independent
+    reference the tests compare that with.
+    """
+    c, t = check_pair(c, t)
+    tpos, half = positions(t), boundary(len(c)).half
     load = 0
     for p, v in enumerate(c, 1):
         tp = tpos[v]
         if tp != p and half[p] and half[p] == half[tp]:
             load += 1
     return load
-
-
-def crossing_load(c: Sequence[int], t: Sequence[int]) -> int:
-    """``|ull| + |urr|`` computed without building the full partition.
-
-    This is the quantity the oriented router burns down before its final
-    crossing move; it never increases along a well-formed route.
-    """
-    return _crossing_load(c, positions(t), boundary(len(c)).half)
 
 
 def _counts(

@@ -29,16 +29,9 @@ from .oracle import (
     move_table,
     orbit_sources,
 )
-from .perm import Perm, apply_generator, compose, identity, inverse, parity, relative_cycles
+from .perm import Perm, _cycles, _relative_map, apply_generator, compose, identity, inverse, parity
 from .routetree import NodeTable, RouteTree
-from .routing import (
-    _bound_from_counts,
-    _phase_faults,
-    _walk,
-    check_phase_invariants,
-    oriented_step,
-    validate_trace,
-)
+from .routing import _bound_from_counts, _phase_faults, oriented_step, validate_trace
 from .topology import Scheme, boundary
 
 ROUTE_CHECKS: tuple[str, ...] = (
@@ -118,13 +111,18 @@ def _route_violations(
 
     One :class:`routetree.RouteTree` per target gives every route into it.
     The hop, stretch and cap bounds are checked once per route, the phase
-    laws by :func:`routing._phase_faults` from its summary.  The stretch
-    bound's classic distances come from one :func:`classify._count_rows`
-    call per tree, over all its nodes.  A route that meets a cycle or would
-    exceed the runaway limit is a ``route-validity`` violation, and no other
-    check reads it.  A flagged pair's text comes from its
-    :class:`RouteTrace`, rebuilt from the tree and given to the single-trace
-    checks, so it reads exactly as for a routed trace.
+    laws by :func:`routing._phase_faults` from its summary, and the load
+    law by the tree's first load rise.  The stretch bound's classic
+    distances come from one :func:`classify._count_rows` call per tree, over
+    all its nodes.  A route that meets a cycle or would exceed the runaway
+    limit is a ``route-validity`` violation, and no other check reads it.
+
+    Each law is evaluated once: a ``phase-structure`` text joins the faults
+    of that one evaluation, and a ``crossing-monotone`` text is the tree's
+    ``(hop, before, after)``.  Only a ``route-validity`` text is written
+    from the :class:`RouteTrace` rebuilt from the tree, by
+    :func:`routing.validate_trace`, so it reads exactly as for a routed
+    trace.
     """
     table = NodeTable(nodes)
     # row v: the position index of node v, entry 0 unused
@@ -135,7 +133,6 @@ def _route_violations(
     extended = longest = 0
     for t in targets:
         tree = RouteTree(table, t)
-        tpos = tree.tpos
         # the rows of the reversed pairs (t, v): the distance is symmetric
         distance = _count_rows(where[:, list(t)], half).distance.tolist()
         for v, summary, incoming, rise in tree.routes():
@@ -146,17 +143,16 @@ def _route_violations(
                     Violation(s, t, "; ".join(problems), "valid directed route")
                 )
                 continue
-            if incoming or rise:
-                problems, raised = _walk(tree.trace(v), tpos)
-                if problems:
-                    found["route-validity"].append(
-                        Violation(s, t, "; ".join(problems), "valid directed route")
-                    )
-                if raised:
-                    hop, prev, cur = raised
-                    found["crossing-monotone"].append(
-                        Violation(s, t, f"{prev} -> {cur} at hop {hop}", "non-increasing")
-                    )
+            if incoming:
+                problems = validate_trace(tree.trace(v))
+                found["route-validity"].append(
+                    Violation(s, t, "; ".join(problems), "valid directed route")
+                )
+            if rise:
+                hop, before, after = rise
+                found["crossing-monotone"].append(
+                    Violation(s, t, f"{before} -> {after} at hop {hop}", "non-increasing")
+                )
             length = summary.length
             if length > longest:
                 longest = length
@@ -169,10 +165,10 @@ def _route_violations(
             if length > cap:
                 found["diameter-bound"].append(Violation(s, t, length, cap))
             extended += summary.extended
-            if _phase_faults(summary):
-                report = check_phase_invariants(tree.trace(v))
+            faults = _phase_faults(summary)
+            if faults:
                 found["phase-structure"].append(
-                    Violation(s, t, "; ".join(report.violations), "phase invariants")
+                    Violation(s, t, "; ".join(faults), "phase invariants")
                 )
     extras = {"phase-structure": {"extended": extended}, "diameter-bound": {"longest": longest}}
     return len(nodes) * len(targets), found, extras
@@ -270,7 +266,9 @@ def _equivariance_violations(
 
 
 def _cycle_family(c: Perm, t: Perm) -> set[frozenset[int]]:
-    return {frozenset(cy) for cy in relative_cycles(c, t).cycles}
+    """The relative cycles of ``c`` toward ``t`` as sets; unchecked, as the
+    sampler draws only permutations."""
+    return {frozenset(cy) for cy in _cycles(_relative_map(c, t)).cycles}
 
 
 def _split_merge_problem(c: Perm, t: Perm, link: int) -> str | None:
@@ -449,8 +447,8 @@ def lower_bound_check(n: int, scheme: Scheme | str = Scheme.FUJITA) -> LowerBoun
     the measured distance reaches 2n even where only 2n-1 is required.
     At even n >= 8 both witness variants are measured and the farther wins.
     """
-    if not 5 <= n <= 9:
-        raise ValueError(f"lower_bound_check covers n in 5..9, got {n}")
+    if not 5 <= n <= MAX_TABLE_ORDER:
+        raise ValueError(f"lower_bound_check covers n in 5..{MAX_TABLE_ORDER}, got {n}")
     if isinstance(scheme, str):
         scheme = Scheme.parse(scheme)
     variants = ["default"]

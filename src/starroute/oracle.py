@@ -35,7 +35,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .perm import Perm
+from .perm import Perm, check_pair, check_perm
 from .topology import Scheme
 
 UNREACHABLE = 0xFF
@@ -50,6 +50,7 @@ def rank(p: Sequence[int]) -> int:
     >>> rank((1, 2, 3)), rank((3, 2, 1))
     (0, 5)
     """
+    p = check_perm(p)
     n = len(p)
     if n > MAX_RANK_ORDER:
         raise ValueError(f"rank arithmetic supported up to order {MAX_RANK_ORDER}")
@@ -180,17 +181,13 @@ class DistanceField:
     dist: np.ndarray  # (n!,) uint8, UNREACHABLE where no path exists
 
     def distance(self, target: Sequence[int]) -> int | None:
-        if len(target) != self.n:
-            raise ValueError(f"order mismatch: field is {self.n}, target {len(target)}")
+        check_pair(self.source, target)
         d = int(self.dist[rank(target)])
         return None if d == UNREACHABLE else d
 
     def eccentricity(self) -> int:
         reachable = self.dist[self.dist != UNREACHABLE]
         return int(reachable.max())
-
-    def unreachable_count(self) -> int:
-        return int((self.dist == UNREACHABLE).sum())
 
     def farthest(self) -> Perm:
         """Some vertex realising the eccentricity."""
@@ -214,8 +211,7 @@ def distance(
     scheme: Scheme = Scheme.FUJITA,
 ) -> int | None:
     """BFS distance between one pair (None if unreachable)."""
-    if len(s) != len(t):
-        raise ValueError(f"order mismatch: {len(s)} vs {len(t)}")
+    check_pair(s, t)
     return bfs(s, directed=directed, scheme=scheme).distance(t)
 
 

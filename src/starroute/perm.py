@@ -35,6 +35,22 @@ def check_perm(values: Iterable[int]) -> Perm:
     return p
 
 
+def check_pair(s: Iterable[int], t: Iterable[int]) -> tuple[Perm, Perm]:
+    """Validate ``s`` and ``t`` as permutations of one order, as
+    :func:`check_perm` does each; the checked input of every public
+    function that takes a (current, target) pair.
+
+    >>> check_pair((1, 2, 3), (1, 2, 3, 4))
+    Traceback (most recent call last):
+    ...
+    ValueError: order mismatch: 3 vs 4
+    """
+    s, t = tuple(s), tuple(t)
+    if len(s) != len(t):
+        raise ValueError(f"order mismatch: {len(s)} vs {len(t)}")
+    return check_perm(s), check_perm(t)
+
+
 def parse_perm(text: str) -> Perm:
     """Parse the text form of a permutation.
 
@@ -77,8 +93,7 @@ def compose(p: Sequence[int], q: Sequence[int]) -> Perm:
     >>> format_perm(compose(parse_perm("23145"), parse_perm("21345")))
     '32145'
     """
-    if len(p) != len(q):
-        raise ValueError(f"order mismatch: {len(p)} vs {len(q)}")
+    check_pair(p, q)
     return tuple(p[v - 1] for v in q)
 
 
@@ -132,20 +147,6 @@ class CycleDecomposition:
 
     cycles: tuple[tuple[int, ...], ...]
 
-    @property
-    def nonsingleton_count(self) -> int:
-        return sum(1 for c in self.cycles if len(c) > 1)
-
-    @property
-    def fixed_points(self) -> frozenset[int]:
-        return frozenset(c[0] for c in self.cycles if len(c) == 1)
-
-    def cycle_of(self, value: int) -> tuple[int, ...]:
-        for c in self.cycles:
-            if value in c:
-                return c
-        raise ValueError(f"value {value} not covered by this decomposition")
-
 
 def cycles(p: Sequence[int]) -> CycleDecomposition:
     """Disjoint cycle decomposition of the map ``i -> p(i)``.
@@ -153,6 +154,12 @@ def cycles(p: Sequence[int]) -> CycleDecomposition:
     >>> cycles((2, 3, 1, 4, 5)).cycles
     ((1, 2, 3), (4,), (5,))
     """
+    return _cycles(check_perm(p))
+
+
+def _cycles(p: Sequence[int]) -> CycleDecomposition:
+    """:func:`cycles` without the input check, for permutations known to be
+    well formed."""
     n = len(p)
     seen = [False] * (n + 1)
     out: list[tuple[int, ...]] = []
@@ -177,9 +184,13 @@ def relative_map(s: Sequence[int], t: Sequence[int]) -> Perm:
     value that *currently* occupies it (per ``s``); its fixed points are
     exactly the settled values, i.e. values at the same position in both.
     """
-    if len(s) != len(t):
-        raise ValueError(f"order mismatch: {len(s)} vs {len(t)}")
-    return compose(s, inverse(t))
+    return _relative_map(*check_pair(s, t))
+
+
+def _relative_map(s: Sequence[int], t: Sequence[int]) -> Perm:
+    """:func:`relative_map` without the input check, for pairs known to be
+    well formed."""
+    return tuple(s[v - 1] for v in inverse(t))
 
 
 def relative_cycles(s: Sequence[int], t: Sequence[int]) -> CycleDecomposition:
@@ -188,7 +199,7 @@ def relative_cycles(s: Sequence[int], t: Sequence[int]) -> CycleDecomposition:
     >>> relative_cycles(parse_perm("21345"), parse_perm("21435")).cycles
     ((1,), (2,), (3, 4), (5,))
     """
-    return cycles(relative_map(s, t))
+    return _cycles(relative_map(s, t))
 
 
 def apply_generator(p: Sequence[int], link: int) -> Perm:

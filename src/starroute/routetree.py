@@ -5,9 +5,9 @@ the target, so the routes into a target ``t`` form an in-tree with ``t`` at
 the root.  A :class:`RouteTree` makes one pick per node (its successor,
 link, move kind and decision case) and takes :func:`classify._counts` of
 every node once.  :meth:`RouteTree.routes` then gives every route's length,
-:class:`routing.PhaseSummary` and arc and load faults, each derived from
-its successor's, and :meth:`RouteTree.trace` rebuilds one route as a
-:class:`routing.RouteTrace` for the single-trace checks.
+:class:`routing.PhaseSummary`, incoming-arc flag and first load rise, each
+derived from its successor's, and :meth:`RouteTree.trace` rebuilds one
+route as a :class:`routing.RouteTrace` for :func:`routing.validate_trace`.
 
 The columns are ``bytearray``/``array`` rows indexed by node number (the
 counts column refers to one shared tuple per distinct value); no per-route
@@ -76,7 +76,7 @@ class RouteTree:
         size = len(nodes)
         half = boundary(n).half
         self.table, self.target = table, t
-        self.tpos = tpos = positions(t)
+        tpos = positions(t)
         self.root = root = index[t]
         self.links = links = bytearray(size)
         self.moves = moves = bytearray(size)
@@ -117,7 +117,9 @@ class RouteTree:
             self.target, Scheme.FUJITA, tuple(walk), tuple(links), tuple(moves), tuple(cases)
         )
 
-    def routes(self) -> Iterator[tuple[int, PhaseSummary | None, bool, int]]:
+    def routes(
+        self,
+    ) -> Iterator[tuple[int, PhaseSummary | None, bool, tuple[int, int, int] | None]]:
         """``(v, summary, incoming, rise)`` for the route from every node v
         but the target, each after its successor's.
 
@@ -126,8 +128,9 @@ class RouteTree:
         route meets a cycle or would exceed ``_runaway_limit(n)`` hops;
         ``incoming`` tells whether some hop leaves along an incoming arc and
         ``rise`` is the first hop at which the crossing load
-        (``ull + urr``) rises, 0 when it never does.  Arc direction and load
-        rise are read once per tree edge.
+        (``ull + urr``) rises, as ``(hop, before, after)`` with hops
+        numbered from 1, or None when it never does.  Arc direction and
+        load rise are read once per tree edge.
 
         A node's successor chain is walked to a node already finished (or
         to one on the walk itself: a cycle), then unwound, so each route's
@@ -152,7 +155,7 @@ class RouteTree:
         final_hop = array("b", [-1]) * size  # first final crossing, -1 without one
         prefinal_hop = array("b", [-1]) * size
         fallback = bytearray(size)  # the route is extended
-        rise = bytearray(size)
+        riser = array("i", [-1]) * size  # node whose hop first raises the load, or -1
         incoming = bytearray(size)
 
         path: list[int] = []
@@ -167,7 +170,7 @@ class RouteTree:
                 v = path.pop()
                 if not 0 <= d < limit:
                     depth[v] = d = _RUNAWAY
-                    yield v, None, False, 0
+                    yield v, None, False, None
                     continue
                 d += 1
                 depth[v] = d
@@ -191,7 +194,7 @@ class RouteTree:
                 hop = prefinal_hop[w]
                 prefinal_hop[v] = 0 if kind == _PRE_FINAL else hop + 1 if hop >= 0 else -1
                 fallback[v] = fallback[w] or fallback_at[cases[v]]
-                rise[v] = 1 if load[w] > load[v] else rise[w] + 1 if rise[w] else 0
+                riser[v] = v if load[w] > load[v] else riser[w]
                 incoming[v] = incoming[w] or links[v] not in out[odd[v]]
 
                 a, lead, end2, g = alpha[v], len1[v], after[v], gamma[v]
@@ -223,4 +226,6 @@ class RouteTree:
                     counts[g],
                     odd[a],
                 )
-                yield v, summary, bool(incoming[v]), rise[v]
+                u = riser[v]
+                rise = None if u < 0 else (d - depth[u] + 1, load[u], load[nxt[u]])
+                yield v, summary, bool(incoming[v]), rise

@@ -53,8 +53,8 @@ import enum
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
-from .classify import _alternates, _counts as _set_counts, _crossing_load
-from .perm import Perm, parity, positions
+from .classify import _alternates, _counts as _set_counts
+from .perm import Perm, check_pair, parity, positions
 from .topology import Scheme, boundary, out_links
 
 
@@ -125,9 +125,8 @@ def classic_step(c: Sequence[int], t: Sequence[int]) -> tuple[int, MoveKind]:
     Settles ``c(1)`` when it is unsettled; otherwise seeds with the lowest
     position holding an unsettled value.  Raises ValueError at the target.
     """
-    if len(c) != len(t):
-        raise ValueError(f"order mismatch: {len(c)} vs {len(t)}")
-    if tuple(c) == tuple(t):
+    c, t = check_pair(c, t)
+    if c == t:
         raise ValueError("already at the target; no step to take")
     return _classic_pick(list(c), t, positions(t))
 
@@ -146,9 +145,8 @@ def classic_distance(s: Sequence[int], t: Sequence[int]) -> int:
     :func:`classify._count_rows` is tested against; ``verify``'s sweeps
     take the same closed form for blocks of pairs from that kernel.
     """
+    s, t = check_pair(s, t)
     n = len(s)
-    if n != len(t):
-        raise ValueError(f"order mismatch: {n} vs {len(t)}")
     tpos = positions(t)
     mismatched = 0
     for i in range(n):
@@ -176,8 +174,7 @@ def classic_distance_sets(s: Sequence[int], t: Sequence[int]) -> int:
     """The same distance computed from the half-partition counts:
     ``|ull| + |urr| + |crossed| + nonsingleton relative cycles``.  Single
     pairs only, as :func:`classic_distance`."""
-    if len(s) != len(t):
-        raise ValueError(f"order mismatch: {len(s)} vs {len(t)}")
+    s, t = check_pair(s, t)
     ull, urr, ulr, url, _, nonsingleton = _set_counts(s, positions(t), boundary(len(s)).half)
     return ull + urr + ulr + url + nonsingleton
 
@@ -294,9 +291,8 @@ def oriented_step(c: Sequence[int], t: Sequence[int]) -> tuple[int, MoveKind, st
     The link always lies on an outgoing arc of ``c`` under the contiguous-half
     scheme.  Raises ValueError at the target.
     """
-    if len(c) != len(t):
-        raise ValueError(f"order mismatch: {len(c)} vs {len(t)}")
-    if tuple(c) == tuple(t):
+    c, t = check_pair(c, t)
+    if c == t:
         raise ValueError("already at the target; no step to take")
     return _oriented_pick(
         list(c), positions(c), parity(c), t, positions(t), boundary(len(c)).half
@@ -305,22 +301,20 @@ def oriented_step(c: Sequence[int], t: Sequence[int]) -> tuple[int, MoveKind, st
 
 def _route(s: Sequence[int], t: Sequence[int], scheme: Scheme | None) -> RouteTrace:
     """Shared route loop: oriented for ``Scheme.FUJITA``, classic for None."""
+    s, t = check_pair(s, t)
     n = len(s)
-    if n != len(t):
-        raise ValueError(f"order mismatch: {n} vs {len(t)}")
     half = boundary(n).half
     tpos = positions(t)
     c = list(s)
     cpos = positions(s)
     odd = parity(s)
     limit = _runaway_limit(n)
-    target = tuple(t)
-    node = tuple(s)
+    node = s
     nodes: list[Perm] = [node]
     links: list[int] = []
     moves: list[MoveKind] = []
     cases: list[str] = []
-    while node != target:
+    while node != t:
         if scheme is None:
             link, kind = _classic_pick(c, t, tpos)
             case = "classic"
@@ -338,7 +332,7 @@ def _route(s: Sequence[int], t: Sequence[int], scheme: Scheme | None) -> RouteTr
         nodes.append(node)
         if len(links) > limit:
             raise RoutingInvariantError(f"route exceeded {limit} hops without terminating")
-    return RouteTrace(target, scheme, tuple(nodes), tuple(links), tuple(moves), tuple(cases))
+    return RouteTrace(t, scheme, tuple(nodes), tuple(links), tuple(moves), tuple(cases))
 
 
 def _assign_phases(kinds: Sequence[MoveKind]) -> list[int]:
@@ -391,8 +385,7 @@ def oriented_route(s: Sequence[int], t: Sequence[int]) -> RouteTrace:
 def hop_bound(s: Sequence[int], t: Sequence[int]) -> int:
     """Upper bound on the oriented route length, from the partition counts:
     ``|crossed| + max(6, 4*max(|ull|, |urr|) + alternating + 4)``."""
-    if len(s) != len(t):
-        raise ValueError(f"order mismatch: {len(s)} vs {len(t)}")
+    s, t = check_pair(s, t)
     return _bound_from_counts(_set_counts(s, positions(t), boundary(len(s)).half))
 
 
@@ -422,39 +415,18 @@ def validate_trace(trace: RouteTrace) -> list[str]:
     node, carrying parity along (every hop flips it).  Faults are reported,
     never raised.
     """
-    return _walk(trace, None)[0]
-
-
-def _walk(
-    trace: RouteTrace, tpos: Sequence[int] | None
-) -> tuple[list[str], tuple[int, int, int] | None]:
-    """:func:`validate_trace`'s faults, and with a target position index
-    ``tpos`` the first hop at which the crossing load (``|ull| + |urr|``,
-    :func:`classify.crossing_load`) of the stored nodes rises, as
-    ``(hop, before, after)``; None when it never rises or without ``tpos``.
-
-    A hop moves one value into and one out of position ``link``, and
-    position 1 belongs to neither half, so the load changes only by the
-    contributions at ``link``.  At a hop whose stored node does not chain,
-    the load is recounted in full.
-    """
     nodes, links = trace.nodes, trace.links
     if not nodes:
-        return ["columns have unequal lengths"], None
+        return ["columns have unequal lengths"]
     faults: list[str] = []
-    m = len(links)
     if _ragged(trace):
         faults.append("columns have unequal lengths")
     n = len(nodes[0])
     out = None if trace.scheme is None else out_links(n, trace.scheme)
-    half = boundary(n).half if tpos is not None else ()
-    load = _crossing_load(nodes[0], tpos, half) if tpos is not None else 0
-    rise = None
     c = list(nodes[0])
     size = n  # order of the node the hop leaves
     odd = parity(c)
     for j, (link, there) in enumerate(zip(links, nodes[1:]), 1):
-        before = load
         chained = False
         if not 2 <= link <= size:
             faults.append(f"hop {j}: link must be within 2..{size}, got {link}")
@@ -462,12 +434,6 @@ def _walk(
             if out is not None and link not in out[odd]:
                 faults.append(f"hop {j}: link {link} is not an outgoing arc")
             i = link - 1
-            if tpos is not None:
-                # the value leaving position link, then the one arriving
-                tp = tpos[c[i]]
-                load -= tp != link and half[tp] == half[link]
-                tp = tpos[c[0]]
-                load += tp != link and half[tp] == half[link]
             c[0], c[i] = c[i], c[0]
             # one C-level tuple comparison; comparing position by position
             # in Python measured slower
@@ -480,15 +446,11 @@ def _walk(
             c = list(there)
             size = len(c)
             odd = parity(c)
-            if tpos is not None:
-                load = _crossing_load(c, tpos, half)
-        if load > before and rise is None:
-            rise = (j, before, load)
     if nodes[-1] != trace.target:
         faults.append("route does not terminate at the target")
-    if m > _runaway_limit(n):
+    if len(links) > _runaway_limit(n):
         faults.append("route exceeds the runaway limit")
-    return faults, rise
+    return faults
 
 
 @dataclass(frozen=True)

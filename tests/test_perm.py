@@ -3,8 +3,11 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, strategies as st
 
+from starroute.classify import classify, crossing_load
+from starroute.oracle import bfs, distance, rank
 from starroute.perm import (
     apply_generator,
+    check_pair,
     check_perm,
     compose,
     cycles,
@@ -15,6 +18,16 @@ from starroute.perm import (
     parse_perm,
     relative_cycles,
     relative_map,
+)
+
+from starroute.routing import (
+    classic_distance,
+    classic_distance_sets,
+    classic_route,
+    classic_step,
+    hop_bound,
+    oriented_route,
+    oriented_step,
 )
 
 from conftest import perm_pairs, perms_of
@@ -40,6 +53,56 @@ def test_check_perm_rejects_short_and_nonbijective():
         check_perm((1, 2))
     with pytest.raises(ValueError):
         check_perm((1, 2, 2, 4))
+
+
+def test_check_pair_checks_the_orders_then_each_permutation():
+    assert check_pair([2, 1, 3], (1, 2, 3)) == ((2, 1, 3), (1, 2, 3))
+    with pytest.raises(ValueError, match=r"^order mismatch: 3 vs 4$"):
+        check_pair((1, 2, 3), (1, 2, 3, 4))
+    with pytest.raises(ValueError, match="not a permutation"):
+        check_pair((1, 2, 3), (1, 1, 3))
+
+
+REPEATED, GOOD = (1, 1, 3), (1, 2, 3)
+PAIR_FUNCTIONS = (
+    compose,
+    relative_map,
+    relative_cycles,
+    classify,
+    crossing_load,
+    classic_step,
+    oriented_step,
+    classic_distance,
+    classic_distance_sets,
+    hop_bound,
+    classic_route,
+    oriented_route,
+    distance,
+)
+
+
+@pytest.mark.parametrize("fn", PAIR_FUNCTIONS, ids=lambda fn: fn.__name__)
+def test_pair_functions_reject_a_repeated_value(fn):
+    # unchecked, a repeated value sends the cycle walks round forever and the
+    # BFS lookup to the wrong vertex
+    for s, t in ((REPEATED, GOOD), (GOOD, REPEATED)):
+        with pytest.raises(ValueError, match="not a permutation"):
+            fn(s, t)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(cycles, id="cycles"),
+        pytest.param(rank, id="rank"),
+        pytest.param(bfs, id="bfs"),
+        pytest.param(lambda p: bfs(GOOD).distance(p), id="field-distance"),
+    ],
+)
+def test_single_perm_functions_reject_a_repeated_value(call):
+    for p in (REPEATED, (9, 9, 9)):
+        with pytest.raises(ValueError, match="not a permutation"):
+            call(p)
 
 
 @given(perms_of(6))
@@ -100,11 +163,9 @@ def test_cycles_cover_and_canonical_form(p):
 
 def test_cycles_fixed_points_and_lookup():
     dec = cycles((2, 1, 3, 5, 4))
-    assert dec.fixed_points == frozenset({3})
-    assert dec.nonsingleton_count == 2
-    assert dec.cycle_of(5) == (4, 5)
-    with pytest.raises(ValueError):
-        dec.cycle_of(9)
+    assert [c for c in dec.cycles if len(c) == 1] == [(3,)]
+    assert sum(len(c) > 1 for c in dec.cycles) == 2
+    assert next(c for c in dec.cycles if 5 in c) == (4, 5)
 
 
 @given(perm_pairs())
@@ -112,7 +173,8 @@ def test_relative_map_fixed_points_are_settled_values(pair):
     s, t = pair
     sigma = relative_map(s, t)
     settled = {t[i] for i in range(len(s)) if s[i] == t[i]}
-    assert relative_cycles(s, t).fixed_points == frozenset(settled)
+    fixed = {c[0] for c in relative_cycles(s, t).cycles if len(c) == 1}
+    assert fixed == settled
     assert frozenset(v for v in range(1, len(s) + 1) if sigma[v - 1] == v) == frozenset(settled)
 
 

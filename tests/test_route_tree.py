@@ -46,10 +46,12 @@ def _compare_tree(table: NodeTable, t: tuple[int, ...]) -> Counter:
         report = check_phase_invariants(trace)
         assert summary.lengths == report.phase_lengths
         assert summary.extended == report.extended
-        assert (not _phase_faults(summary)) == report.ok
+        # the sweep's phase-structure text is these faults, joined
+        assert _phase_faults(summary) == list(report.violations), (s, t)
         assert incoming == bool(validate_trace(trace))
         loads = [crossing_load(node, t) for node in trace.nodes]
-        assert bool(rise) == any(b > a for a, b in zip(loads, loads[1:]))
+        rises = [(j, a, b) for j, (a, b) in enumerate(zip(loads, loads[1:]), 1) if b > a]
+        assert rise == (rises[0] if rises else None), (s, t)
         # the three bounds: the same length against the same cutoffs
         length = summary.length
         assert length == trace.length
@@ -57,7 +59,7 @@ def _compare_tree(table: NodeTable, t: tuple[int, ...]) -> Counter:
         seen.update(
             routes=1,
             incoming=incoming,
-            rise=bool(rise),
+            rise=rise is not None,
             phase=not report.ok,
             inside=bool(summary.inside),
             hop=length > hop_bound(s, t),
@@ -75,6 +77,7 @@ def test_tree_matches_traces_on_every_order_five_pair():
 
 
 T5 = (1, 2, 3, 4, 5)
+RELINK = {(5, 4, 3, 1, 2): 4, (4, 5, 1, 3, 2): 5}
 
 
 @pytest.mark.parametrize(
@@ -94,6 +97,14 @@ T5 = (1, 2, 3, 4, 5)
             lambda node, decision: (4, *decision[1:]) if node == (4, 5, 3, 1, 2) else decision,
             {"incoming"},
             id="incoming-arc",
+        ),
+        # two inner nodes take their other outgoing link, where the crossing
+        # load rises 0 -> 1; the seventeen routes through the first pass the
+        # second later on and rise twice, the first rise being reported
+        pytest.param(
+            lambda node, decision: (RELINK[node], *decision[1:]) if node in RELINK else decision,
+            {"rise"},
+            id="load-rise",
         ),
     ],
 )
