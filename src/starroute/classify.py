@@ -163,7 +163,7 @@ def _counts(
 ) -> tuple[int, int, int, int, int, int]:
     """Lean counterpart of :func:`classify` for hot loops, against a prebuilt
     target position index and half table.  :func:`_count_rows` is its block
-    form, without the alternating count.
+    form.
 
     Returns ``(ull, urr, ulr, url, alternating, nonsingleton)`` as plain ints.
     """
@@ -195,6 +195,46 @@ class RowCounts(NamedTuple):
     url: np.ndarray
     nonsingleton: np.ndarray
     distance: np.ndarray  # routing.classic_distance
+    alternating: np.ndarray
+
+
+def _halves(x: np.ndarray, k: int) -> np.ndarray:
+    """The half of each position in ``x``, as ``boundary(n).half`` gives it
+    for the boundary ``k``: 0 for position 1, 1 up to k, 2 beyond."""
+    return (x > 1).view(np.uint8) + (x > k)
+
+
+def _cycle_cols(cols: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The cycles of a block of pairs in column layout: ``cols`` is the
+    ``(n, r)`` transpose of a block of ``dest`` rows, so entry ``[p - 1, i]``
+    is the target position of the value at position p of pair i.  Returns
+    each position's label, the lowest position on its cycle, and whether
+    its cycle alternates (as :func:`_alternates` decides), both ``(n, r)``.
+
+    Pointer doubling, ``ceil(log2 n)`` gathers per array: a position is
+    *bad* when it is position 1 or its value is destined for its own half
+    (a singleton is), and a cycle alternates when none of its positions is
+    bad.  ``k`` is the boundary of ``boundary(n)``.
+    """
+    n, r = cols.shape
+    pos = np.arange(1, n + 1, dtype=np.uint8)
+    # flat index of each entry's target position in the block
+    ptr = cols.astype(np.intp)
+    ptr -= 1
+    ptr *= r
+    ptr += np.arange(r)
+    ptr = ptr.ravel()
+    label = np.repeat(pos, r)
+    bad = _halves(cols, k) == _halves(pos, k)[:, None]
+    bad[0] = True
+    bad = bad.ravel()
+    steps = (n - 1).bit_length()
+    for step in range(steps):
+        np.minimum(label, label[ptr], out=label)
+        np.logical_or(bad, bad[ptr], out=bad)
+        if step + 1 < steps:
+            ptr = ptr[ptr]
+    return label.reshape(n, r), ~bad.reshape(n, r)
 
 
 def _count_rows(dest: np.ndarray, half: Sequence[int]) -> RowCounts:
@@ -203,38 +243,39 @@ def _count_rows(dest: np.ndarray, half: Sequence[int]) -> RowCounts:
     ``dest`` is an ``(m, n)`` uint8 block, one row per (current, target)
     pair: entry ``i`` is the target position (1-based) of the value at
     position ``i + 1``, the ``dest`` that :func:`_counts` builds.  ``half``
-    is ``boundary(n).half``.  There is no alternating-cycle count.
+    is ``boundary(n).half``.
 
-    The slot counts use the encoding of :func:`_counts`.  The cycle count
-    labels each position with the lowest position on its cycle by pointer
-    doubling, ``ceil(log2 n)`` gathers, and counts the moved positions that
-    are their own label.  The distance is mismatches plus non-singleton
-    cycles, minus 2 when position 1 is unsettled.  Rows are taken
-    ``_ROW_BLOCK`` at a time.
+    Rows are taken ``_ROW_BLOCK`` at a time, each block in column layout,
+    so that every count is a sum over the ``n`` rows of a mask.  The slot
+    counts read the halves of the left positions (2..k) and the right ones.
+    The cycle counts read the labels and alternation flags of
+    :func:`_cycle_cols`: a moved position that is its own label stands for
+    one non-singleton cycle, and for an alternating one when its cycle
+    alternates.  The distance is mismatches plus non-singleton cycles,
+    minus 2 when position 1 is unsettled.
     """
     m, n = dest.shape
-    h = np.array(half, dtype=np.uint8)
-    here = 3 * h[1:]
-    pos = np.arange(1, n + 1, dtype=np.uint8)
-    steps = (n - 1).bit_length()  # ceil(log2 n)
-    out = np.empty((6, m), dtype=np.uint8)
+    k = list(half).count(1) + 1
+    pos = np.arange(1, n + 1, dtype=np.uint8)[:, None]
+    left, right = slice(1, k), slice(k, n)
+    out = np.empty((7, m), dtype=np.uint8)
     for lo in range(0, m, _ROW_BLOCK):
-        rows = dest[lo : lo + _ROW_BLOCK]
-        r = len(rows)
-        part = out[:, lo : lo + r]
-        moved = rows != pos
-        slot = (here + h[rows]) * moved
-        for i, code in enumerate((_ULL, _URR, _ULR, _URL)):
-            part[i] = np.count_nonzero(slot == code, axis=1)
-        # flat index of each entry's target position in the block
-        ptr = rows.astype(np.intp)
-        ptr += np.arange(-1, r * n - 1, n)[:, None]
-        ptr = ptr.ravel()
-        label = np.tile(pos, r)
-        for step in range(steps):
-            np.minimum(label, label[ptr], out=label)
-            if step + 1 < steps:
-                ptr = ptr[ptr]
-        part[4] = np.count_nonzero((label.reshape(r, n) == pos) & moved, axis=1)
-        part[5] = np.count_nonzero(moved, axis=1) + part[4] - 2 * moved[:, 0]
+        cols = np.ascontiguousarray(dest[lo : lo + _ROW_BLOCK].T)
+        ull, urr, ulr, url, nonsingleton, distance, alternating = out[:, lo : lo + cols.shape[1]]
+        there = _halves(cols, k)  # the half each value is destined for
+        moved = cols != pos
+        label, alternates = _cycle_cols(cols, k)
+        leader = label == pos
+        for mask, total in (
+            ((there[left] == 1) & moved[left], ull),
+            ((there[right] == 2) & moved[right], urr),
+            (there[left] == 2, ulr),
+            (there[right] == 1, url),
+            (leader & moved, nonsingleton),
+            (moved, distance),
+            (leader & alternates, alternating),
+        ):
+            np.sum(mask, axis=0, dtype=np.uint8, out=total)
+        distance += nonsingleton
+        distance -= 2 * moved[0].view(np.uint8)
     return RowCounts(*out)

@@ -19,6 +19,7 @@ violations or standard output is closed before the output is written
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -193,13 +194,29 @@ def _report_json(report: VerificationReport) -> dict:
     }
 
 
-def _check_json(c: CheckResult, n: int) -> dict:
-    entry: dict = {"name": c.name, "population": c.population}
+def _histogram(counts: dict) -> str:
+    """A histogram as one compact string: ``label:count`` pairs, comma
+    separated, in the order of the keys."""
+    return ",".join(f"{label}:{count}" for label, count in counts.items())
+
+
+def _figures(c: CheckResult, n: int) -> dict:
+    """The figures a check reports beside its population, by key."""
+    figures: dict = {}
     if c.extended is not None:
-        entry["extended"] = c.extended
+        figures["extended"] = c.extended
+    if c.cases is not None:
+        figures["cases"] = _histogram(c.cases)
     if c.longest is not None:
-        entry["longest"] = c.longest
-        entry["hop_cap"] = hop_cap(n)
+        figures["longest"] = c.longest
+        figures["hop_cap"] = hop_cap(n)
+    if c.lengths is not None:
+        figures["lengths"] = _histogram(c.lengths)
+    return figures
+
+
+def _check_json(c: CheckResult, n: int) -> dict:
+    entry: dict = {"name": c.name, "population": c.population, **_figures(c, n)}
     entry["violations"] = len(c.violations)
     entry["elapsed"] = round(c.elapsed, 3)
     entry["examples"] = [
@@ -228,9 +245,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         return 0 if report.ok else 1
     for c in report.checks:
         status = "pass" if c.ok else f"FAIL ({len(c.violations)} violations)"
-        figures = "" if c.extended is None else f" extended={c.extended}"
-        if c.longest is not None:
-            figures += f" longest={c.longest} hop_cap={hop_cap(report.n)}"
+        figures = "".join(f" {key}={value}" for key, value in _figures(c, report.n).items())
         print(f"{c.name}: {status} population={c.population}{figures} elapsed={c.elapsed:.2f}s")
         for v in c.violations[:5]:
             print(
@@ -378,9 +393,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    # built once: a parser is a web of reference cycles, which a build per
+    # call would leave to the cyclic collector
+    return build_parser()
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         code = args.func(args)
         # a reader that went away raises here, not in the flush at exit

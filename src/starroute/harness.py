@@ -15,6 +15,7 @@ import random
 import time
 from collections import Counter
 from dataclasses import dataclass
+from math import factorial
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -29,9 +30,16 @@ from .oracle import (
     move_table,
     orbit_sources,
 )
-from .perm import Perm, _cycles, _relative_map, apply_generator, compose, identity, inverse, parity
-from .routetree import NodeTable, RouteTree
-from .routing import _bound_from_counts, _phase_faults, oriented_step, validate_trace
+from . import routing
+from .perm import Perm, _apply_generator, _cycles, _relative_map, compose, identity, inverse, parity
+from .routetree import _CASES, _NO_CASE, RouteTree
+from .routing import (
+    _bound_from_counts,
+    _fault_texts,
+    _phase_faults,
+    oriented_step,
+    validate_trace,
+)
 from .topology import Scheme, boundary
 
 ROUTE_CHECKS: tuple[str, ...] = (
@@ -74,6 +82,11 @@ class CheckResult:
     extended: int | None = None
     # diameter-bound only: the longest route, to set beside hop_cap(n)
     longest: int | None = None
+    # phase-structure only: how many (node, target) pairs each decision case
+    # of the first hop served, by case label
+    cases: dict[str, int] | None = None
+    # diameter-bound only: how many routes have each length, 1 to longest
+    lengths: dict[int, int] | None = None
 
     @property
     def ok(self) -> bool:
@@ -102,76 +115,83 @@ def hop_cap(n: int) -> int:
     return 2 * n + 2 if n % 2 else 2 * n + 4
 
 
-def _route_violations(
-    n: int, nodes: list[Perm], targets: list[Perm]
-) -> _Sweep:
-    """Every route check for every ordered pair (s, t) with s in ``nodes``
-    and t in ``targets``: the population, the violations by check name, and
-    the ``extended`` and ``longest`` figures.
+# rows of the route trees built at once: bounds the columns a group holds.
+# Larger groups run faster below order 7, where a target has few rows, but
+# perfbench's worker keeps every pass's report, so a faster route-sweep
+# reads a higher peak RSS there (ROADMAP items 1 and 5)
+_GROUP_ROWS = 512
 
-    One :class:`routetree.RouteTree` per target gives every route into it.
-    The hop, stretch and cap bounds are checked once per route, the phase
-    laws by :func:`routing._phase_faults` from its summary, and the load
-    law by the tree's first load rise.  The stretch bound's classic
-    distances come from one :func:`classify._count_rows` call per tree, over
-    all its nodes.  A route that meets a cycle or would exceed the runaway
-    limit is a ``route-validity`` violation, and no other check reads it.
+
+def _route_violations(n: int, targets: list[Perm]) -> _Sweep:
+    """Every route check for every ordered pair (s, t) with s any node of
+    order ``n`` and t in ``targets``: the population, the violations by
+    check name, and the figures of ``phase-structure`` and
+    ``diameter-bound``.
+
+    The targets are taken in groups of at most ``_GROUP_ROWS`` rows (one
+    target at least), one :class:`routetree.RouteTree` per group.  The hop,
+    stretch and cap bounds, the incoming-arc and load-rise flags and the
+    phase laws of :func:`routing._phase_faults` are masks over the rows;
+    the classic distances of the stretch bound are the tree's own, from
+    its one :func:`classify._count_rows` call.  A :class:`Violation` is
+    built only for a flagged row.  A route that meets a cycle or would
+    exceed the runaway limit is a ``route-validity`` violation, and no other
+    check reads it.
 
     Each law is evaluated once: a ``phase-structure`` text joins the faults
     of that one evaluation, and a ``crossing-monotone`` text is the tree's
-    ``(hop, before, after)``.  Only a ``route-validity`` text is written
-    from the :class:`RouteTrace` rebuilt from the tree, by
+    first load rise.  Only a ``route-validity`` text is written from the
+    :class:`RouteTrace` rebuilt from the tree, by
     :func:`routing.validate_trace`, so it reads exactly as for a routed
-    trace.
+    trace.  The figures are the count of extended routes, the decision
+    cases of every pair's first hop and the route lengths.
     """
-    table = NodeTable(nodes)
-    # row v: the position index of node v, entry 0 unused
-    where = np.frombuffer(table.where, dtype=np.uint8).reshape(len(nodes), n + 1)
-    half = boundary(n).half
     cap = hop_cap(n)
     found: dict[str, list[Violation]] = {name: [] for name in ROUTE_CHECKS}
-    extended = longest = 0
-    for t in targets:
-        tree = RouteTree(table, t)
-        # the rows of the reversed pairs (t, v): the distance is symmetric
-        distance = _count_rows(where[:, list(t)], half).distance.tolist()
-        for v, summary, incoming, rise in tree.routes():
-            s = nodes[v]
-            if summary is None:
-                problems = validate_trace(tree.trace(v))
-                found["route-validity"].append(
-                    Violation(s, t, "; ".join(problems), "valid directed route")
-                )
-                continue
-            if incoming:
-                problems = validate_trace(tree.trace(v))
-                found["route-validity"].append(
-                    Violation(s, t, "; ".join(problems), "valid directed route")
-                )
-            if rise:
-                hop, before, after = rise
-                found["crossing-monotone"].append(
-                    Violation(s, t, f"{before} -> {after} at hop {hop}", "non-increasing")
-                )
-            length = summary.length
-            if length > longest:
-                longest = length
-            cutoff = _bound_from_counts(summary.source)
-            if length > cutoff:
-                found["hop-bound"].append(Violation(s, t, length, cutoff))
-            cutoff = 4 * distance[v] + 4
-            if length > cutoff:
-                found["stretch-bound"].append(Violation(s, t, length, cutoff))
-            if length > cap:
-                found["diameter-bound"].append(Violation(s, t, length, cap))
-            extended += summary.extended
-            faults = _phase_faults(summary)
-            if faults:
-                found["phase-structure"].append(
-                    Violation(s, t, "; ".join(faults), "phase invariants")
-                )
-    extras = {"phase-structure": {"extended": extended}, "diameter-bound": {"longest": longest}}
-    return len(nodes) * len(targets), found, extras
+    extended = 0
+    cases = np.zeros(_NO_CASE + 1, dtype=np.int64)  # the last bin counts the targets
+    lengths = np.zeros(routing._runaway_limit(n) + 1, dtype=np.int64)
+    per = max(1, _GROUP_ROWS // factorial(n))
+    for lo in range(0, len(targets), per):
+        tree = RouteTree(n, targets[lo : lo + per])
+        summary = tree.summary()
+        length = summary.length
+        live = length > 0
+
+        def flag(name: str, row: int, observed: object, bound: object) -> None:
+            found[name].append(Violation(tree.node(row), tree.target(row), observed, bound))
+
+        for row in np.flatnonzero((length < 0) | tree.incoming).tolist():
+            problems = validate_trace(tree.trace(row))
+            flag("route-validity", row, "; ".join(problems), "valid directed route")
+        for row in np.flatnonzero(tree.rising).tolist():
+            hop, before, after = tree.first_rise(row)
+            flag("crossing-monotone", row, f"{before} -> {after} at hop {hop}", "non-increasing")
+        for name, cutoff in (
+            ("hop-bound", _bound_from_counts(summary.source)),
+            ("stretch-bound", 4 * tree.counts.distance.astype(np.int16) + 4),
+            ("diameter-bound", np.full(len(length), cap, dtype=np.int16)),
+        ):
+            for row in np.flatnonzero(length > cutoff).tolist():
+                flag(name, row, int(length[row]), int(cutoff[row]))
+        laws = _phase_faults(summary)
+        for row in np.flatnonzero(np.logical_or.reduce([broken for broken, _ in laws])).tolist():
+            flag("phase-structure", row, "; ".join(_fault_texts(laws, row)), "phase invariants")
+        extended += int(np.count_nonzero(summary.extended & live))
+        cases += np.bincount(tree.case, minlength=len(cases))
+        lengths += np.bincount(length[live], minlength=len(lengths))
+    longest = int(np.flatnonzero(lengths)[-1]) if lengths.any() else 0
+    extras = {
+        "phase-structure": {
+            "extended": extended,
+            "cases": dict(zip(_CASES, cases[:_NO_CASE].tolist())),
+        },
+        "diameter-bound": {
+            "longest": longest,
+            "lengths": dict(enumerate(lengths[1 : longest + 1].tolist(), 1)),
+        },
+    }
+    return factorial(n) * len(targets), found, extras
 
 
 def _distance_violations(
@@ -276,7 +296,7 @@ def _split_merge_problem(c: Perm, t: Perm, link: int) -> str | None:
     every other cycle untouched; returns a description of any departure."""
     u, v = c[0], c[link - 1]
     before = _cycle_family(c, t)
-    after = _cycle_family(apply_generator(c, link), t)
+    after = _cycle_family(_apply_generator(c, link), t)
     cyc_u = next(cy for cy in before if u in cy)
     cyc_v = next(cy for cy in before if v in cy)
     if cyc_u == cyc_v:
@@ -371,7 +391,7 @@ def verify(
 
     results: dict[str, CheckResult] = {}
     for family, sweep in (
-        (ROUTE_CHECKS, lambda: _route_violations(n, nodes, chosen)),
+        (ROUTE_CHECKS, lambda: _route_violations(n, chosen)),
         (DISTANCE_CHECKS, lambda: _distance_violations(n, chosen, nodes)),
         (("router-equivariance",), lambda: _equivariance_violations(n, nodes, seed, sample_size)),
         (("split-merge",), lambda: _split_merge_violations(n, nodes, seed, sample_size)),

@@ -105,6 +105,12 @@ def positions(p: Sequence[int]) -> list[int]:
     >>> positions((2, 3, 1))
     [0, 3, 1, 2]
     """
+    return _positions(check_perm(p))
+
+
+def _positions(p: Sequence[int]) -> list[int]:
+    """:func:`positions` without the input check, for permutations known to
+    be well formed."""
     pos = [0] * (len(p) + 1)
     for i, v in enumerate(p, 1):
         pos[v] = i
@@ -117,7 +123,12 @@ def inverse(p: Sequence[int]) -> Perm:
     >>> format_perm(inverse(parse_perm("23145")))
     '31245'
     """
-    return tuple(positions(p)[1:])
+    return _inverse(check_perm(p))
+
+
+def _inverse(p: Sequence[int]) -> Perm:
+    """:func:`inverse` without the input check."""
+    return tuple(_positions(p)[1:])
 
 
 def parity(p: Sequence[int]) -> int:
@@ -126,6 +137,11 @@ def parity(p: Sequence[int]) -> int:
     >>> parity((1, 2, 3, 4, 5)), parity((2, 1, 3, 4, 5))
     (0, 1)
     """
+    return _parity(check_perm(p))
+
+
+def _parity(p: Sequence[int]) -> int:
+    """:func:`parity` without the input check."""
     inversions = 0
     right: list[int] = []  # the values to the right of the current one, sorted
     for v in reversed(p):
@@ -190,7 +206,7 @@ def relative_map(s: Sequence[int], t: Sequence[int]) -> Perm:
 def _relative_map(s: Sequence[int], t: Sequence[int]) -> Perm:
     """:func:`relative_map` without the input check, for pairs known to be
     well formed."""
-    return tuple(s[v - 1] for v in inverse(t))
+    return tuple(s[v - 1] for v in _inverse(t))
 
 
 def relative_cycles(s: Sequence[int], t: Sequence[int]) -> CycleDecomposition:
@@ -211,9 +227,16 @@ def apply_generator(p: Sequence[int], link: int) -> Perm:
     >>> format_perm(apply_generator((1, 2, 3, 4, 5), 5))
     '52341'
     """
+    p = check_perm(p)
     n = len(p)
     if not 2 <= link <= n:
         raise ValueError(f"link must be within 2..{n}, got {link}")
+    return _apply_generator(p, link)
+
+
+def _apply_generator(p: Sequence[int], link: int) -> Perm:
+    """:func:`apply_generator` without the checks, for a permutation known
+    to be well formed and a link known to be within 2..n."""
     q = list(p)
     q[0], q[link - 1] = q[link - 1], q[0]
     return tuple(q)

@@ -1,231 +1,328 @@
-"""Route trees: every oriented route into one target, one pick per node.
+"""Route trees: every oriented route into a group of targets, as row columns.
 
 The oriented router is memoryless: a pick reads only the current node and
 the target, so the routes into a target ``t`` form an in-tree with ``t`` at
-the root.  A :class:`RouteTree` makes one pick per node (its successor,
-link, move kind and decision case) and takes :func:`classify._counts` of
-every node once.  :meth:`RouteTree.routes` then gives every route's length,
-:class:`routing.PhaseSummary`, incoming-arc flag and first load rise, each
-derived from its successor's, and :meth:`RouteTree.trace` rebuilds one
-route as a :class:`routing.RouteTrace` for :func:`routing.validate_trace`.
+the root.  A :class:`RouteTree` holds the trees into a group of targets as
+rows, one per (node, target) pair.  Nodes are numbered by rank in
+``oracle.move_table(n).perms``, and row ``j * n! + v`` is the route from
+node v into target j.  Each column is a numpy array over the rows:
 
-The columns are ``bytearray``/``array`` rows indexed by node number (the
-counts column refers to one shared tuple per distinct value); no per-route
-record is kept.
+- the counts of :func:`classify._count_rows` and the decision of
+  :func:`_pick_rows`, the row kernel of :func:`routing._oriented_pick`
+  (link, move kind and case).  The successor is a gather,
+  ``moves[v, link - 2]``;
+- a route DP, filled level by level outward from the roots for up to
+  ``routing._runaway_limit(n)`` levels: each route's length, settling
+  prefix, alpha and gamma rows, Phase Two counts, fallback, incoming-arc and
+  load-rise flags, each from its successor's.  A row that no level reaches
+  meets a cycle or would exceed the limit.
+
+:meth:`RouteTree.summary` gives the columns :func:`routing._phase_faults`
+evaluates.  :meth:`RouteTree.trace` rebuilds one route as a
+:class:`routing.RouteTrace` for :func:`routing.validate_trace`, and
+:meth:`RouteTree.first_rise` walks one route to its first load rise; both
+serve flagged rows only.
 """
 
 from __future__ import annotations
 
-from array import array
-from typing import Iterator, Sequence
+from typing import Sequence
 
-# the pick and the runaway limit are read through the module, so that a
-# test that replaces them in routing reaches the trees too
+import numpy as np
+
+# the runaway limit is read through the module
 from . import routing
-from .classify import _counts
-from .perm import Perm, parity, positions
-from .routing import (
-    CROSSING_KINDS,
-    MoveKind,
-    PhaseSummary,
-    RouteTrace,
-    RoutingInvariantError,
-    _extended,
-)
+from .classify import _ROW_BLOCK, _count_rows, _cycle_cols, _halves
+from .oracle import move_table
+from .perm import Perm, _positions
+from .routing import CROSSING_KINDS, MoveKind, PhaseSummary, RouteTrace, RoutingInvariantError
 from .topology import Scheme, boundary, out_links
 
-# move kinds and decision cases as one-byte codes in the tree columns
+# move kinds and decision cases as one-byte codes in the row columns
 _KINDS = tuple(MoveKind)
-_SETTLING = _KINDS.index(MoveKind.SETTLING)
-_FINAL = _KINDS.index(MoveKind.FINAL_CROSSING)
-_PRE_FINAL = _KINDS.index(MoveKind.PRE_FINAL_CROSSING)
-_AT_TARGET = len(_KINDS)  # the target's entry: no hop leaves it
-_CROSSES = bytes(kind in CROSSING_KINDS for kind in _KINDS) + b"\0"
+_SETTLING, _SEEDING, _CROSSING, _FINAL, _PRE_FINAL = range(len(_KINDS))
+_AT_TARGET = len(_KINDS)  # a row already at its target: no hop leaves it
 _CASES = ("1", "2.1", "2.2", "2.3", "2.4", "2.5", "3.1", "3.2", "4")
-_CASE_CODE = {case: code for code, case in enumerate(_CASES)}
-_FALLBACK = bytes(_extended((case,)) for case in _CASES)
-_UNSEEN, _ON_PATH, _RUNAWAY = -1, -2, -3  # depth entries of unfinished nodes
+_NO_CASE = len(_CASES)  # the case code of a row already at its target
+# the move kind of each case code: a 2.x hop seeds instead when c(1) = t(1),
+# and a 3.2 hop that does not bring t(1) forward is pre-final
+_CASE_MOVE = np.array(
+    [_SETTLING] + [_CROSSING] * 5 + [_FINAL, _FINAL, _SEEDING, _AT_TARGET], dtype=np.uint8
+)
+_NO_PICK = 255  # the case code of a row whose pick set came out empty
+# per move kind code: the hop crosses; the target's entry crosses nothing
+_CROSSES = np.array([kind in CROSSING_KINDS for kind in _KINDS] + [False])
+# per case code: a 2.4/2.5 fallback hop
+_FALLBACK = np.array([case in ("2.4", "2.5") for case in _CASES] + [False])
 
 
-class NodeTable:
-    """The nodes of one order that route trees are built over, numbered in
-    the order given, with each node's parity and position index.  Shared by
-    the trees of every target.
+def _lowest(mask: np.ndarray) -> np.ndarray:
+    """The lowest position whose row of ``mask`` is set, per column: row j
+    stands for position j + 2, as in the pick sets over positions 2..n.
+    n + 2 where no row is set."""
+    rows = len(mask)
+    weight = np.arange(rows, 0, -1, dtype=np.uint8)[:, None]  # position 2 weighs most
+    return rows + 2 - (mask * weight).max(axis=0)
 
-    The nodes must hold every node that a route into any of the targets
-    visits; a sweep passes all n! of them.
+
+def _pick_rows(
+    dest: np.ndarray, odd: np.ndarray, half: Sequence[int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`routing._oriented_pick` for every row of ``dest``: the link
+    and the decision case, as code ``j`` of ``_CASES[j]``, each an ``(m,)``
+    uint8 array.  A row already at its target gets link 0 and ``_NO_CASE``.
+
+    ``dest`` is an ``(m, n)`` uint8 block, one row per (current, target)
+    pair, as :func:`classify._count_rows` takes it; ``odd`` is the parity of
+    each current node.  Rows are taken ``_ROW_BLOCK`` at a time, each block
+    in column layout.  Each pick set of the decision tree is an
+    ``(n - 1, r)`` mask over positions 2..n, and its lowest position a
+    weighted maximum.  Case 2.1 reads the cycle labels of
+    :func:`classify._cycle_cols` (position 1's cycle is label 1), case 3.1
+    its alternation flags, and case 2.2 walks the inverse of ``dest``
+    backwards from position 1, at most n gathers.  Raises
+    :class:`RoutingInvariantError` where the scalar pick would.
     """
+    m, n = dest.shape
+    k = list(half).count(1) + 1
+    pos = np.arange(1, n + 1, dtype=np.uint8)
+    here = _halves(pos[1:], k)[:, None]  # the half of each of positions 2..n
+    link = np.empty(m, dtype=np.uint8)
+    case = np.empty(m, dtype=np.uint8)
+    for lo in range(0, m, _ROW_BLOCK):
+        cols = np.ascontiguousarray(dest[lo : lo + _ROW_BLOCK].T)
+        r = cols.shape[1]
+        home = odd[lo : lo + r].astype(np.uint8) + 1  # the half this node's links reach
+        first = cols[0]
+        label, alternates = _cycle_cols(cols, k)
+        rest = cols[1:]
+        there = _halves(rest, k)  # the half each value is destined for
+        moved = rest != pos[1:, None]
+        mine = here == home
+        same = moved & (there == here)  # the burn-down values, |ull| + |urr|
+        a_set = same & mine
+        outside = a_set & (label[1:] != 1)
+        sh_set = ~moved & mine
+        c_set = moved & (there != here) & (there != 0) & mine
+        alt_set = c_set & alternates[1:]
+        t1 = np.sum((cols == 1) * pos[:, None], axis=0, dtype=np.uint8)  # where t(1) is
+        t1_mine = _halves(t1, k) == home
+        a_any, sh_any, c_any = a_set.any(axis=0), sh_set.any(axis=0), c_set.any(axis=0)
 
-    def __init__(self, nodes: Sequence[Perm]):
-        self.nodes = nodes
-        self.n = n = len(nodes[0])
-        self.index = {p: v for v, p in enumerate(nodes)}
-        self.odd = bytearray(parity(p) for p in nodes)
-        # position index of node v: entries v*(n+1) .. v*(n+1)+n
-        self.where = where = bytearray()
-        for p in nodes:
-            where += bytes(positions(p))
+        code = np.select(
+            [_halves(first, k) == home, same.any(axis=0), first != 1, moved.any(axis=0)],
+            [
+                0,
+                np.select(
+                    [outside.any(axis=0), a_any, sh_any, c_any, t1_mine], [1, 2, 3, 4, 5], _NO_PICK
+                ),
+                np.select([c_any, t1_mine | sh_any], [6, 7], _NO_PICK),
+                np.where(c_any, 8, _NO_PICK),
+            ],
+            _NO_CASE,
+        ).astype(np.uint8)
+        if (code == _NO_PICK).any():
+            raise RoutingInvariantError("a pick set the decision tree needs was empty")
+
+        lowest_sh = _lowest(sh_set)
+        lowest_c = _lowest(c_set)
+        choice = np.zeros((_NO_CASE + 1, r), dtype=np.uint8)
+        choice[0] = first
+        choice[1] = _lowest(outside)
+        choice[3] = lowest_sh
+        choice[4] = choice[8] = lowest_c
+        choice[5] = t1
+        choice[6] = np.where(alt_set.any(axis=0), _lowest(alt_set), lowest_c)
+        choice[7] = np.where(t1_mine, t1, lowest_sh)
+        walk = np.flatnonzero(code == 2)
+        if len(walk):
+            # the predecessor of position p on its relative cycle: inv[p - 1]
+            inv = np.empty((n, len(walk)), dtype=np.uint8)
+            np.put_along_axis(inv, cols[:, walk].astype(np.intp) - 1, pos[:, None], axis=0)
+            target = np.zeros((n + 1, len(walk)), dtype=bool)  # position 1 never
+            target[2:] = a_set[:, walk]
+            at = np.arange(len(walk))
+            p = inv[0]
+            found = np.zeros(len(walk), dtype=np.uint8)
+            for _ in range(n):
+                hit = target[p, at] & (found == 0)
+                found[hit] = p[hit]
+                p = inv[p - 1, at]
+            if not found.all():
+                raise RoutingInvariantError("backward cycle walk found no same-half value")
+            choice[2, walk] = found
+        link[lo : lo + r] = choice[code, np.arange(r)]
+        case[lo : lo + r] = code
+    return link, case
+
+
+def _move_rows(dest: np.ndarray, link: np.ndarray, case: np.ndarray) -> np.ndarray:
+    """The move kind code (``_KINDS``) of each row's picked hop, read off
+    its case as :func:`routing._oriented_pick` names it."""
+    move = _CASE_MOVE[case]
+    burn = (case >= 1) & (case <= 5)
+    move[burn & (dest[:, 0] == 1)] = _SEEDING
+    last = np.flatnonzero(case == 7)
+    move[last[dest[last, link[last].astype(np.intp) - 1] != 1]] = _PRE_FINAL
+    return move
 
 
 class RouteTree:
-    """Every oriented route into ``t`` over the nodes of ``table``."""
+    """Every oriented route into each of ``targets``, over all n! nodes."""
 
-    def __init__(self, table: NodeTable, t: Perm):
-        n, nodes, index = table.n, table.nodes, table.index
-        where, odd = table.where, table.odd
-        size = len(nodes)
-        half = boundary(n).half
-        self.table, self.target = table, t
-        tpos = positions(t)
-        self.root = root = index[t]
-        self.links = links = bytearray(size)
-        self.moves = moves = bytearray(size)
-        self.cases = cases = bytearray(size)
-        self.nxt = nxt = array("i", [-1]) * size
-        # classify._counts of each node; equal tuples are stored once
-        self.counts = counts = [()] * size
-        shared: dict[tuple[int, ...], tuple[int, ...]] = {}
-        for v, c in enumerate(nodes):
-            cnt = _counts(c, tpos, half)
-            counts[v] = shared.setdefault(cnt, cnt)
-            if v == root:
-                continue
-            cpos = where[v * (n + 1) : (v + 1) * (n + 1)]
-            link, kind, case = routing._oriented_pick(c, cpos, odd[v], t, tpos, half)
-            if not 2 <= link <= n:
-                raise RoutingInvariantError(f"pick at {c} toward {t} gave link {link}")
-            links[v] = link
-            moves[v] = _KINDS.index(kind)
-            cases[v] = _CASE_CODE[case]
-            swapped = list(c)
-            swapped[0], swapped[link - 1] = swapped[link - 1], swapped[0]
-            nxt[v] = index[tuple(swapped)]
-        moves[root] = _AT_TARGET
+    def __init__(self, n: int, targets: Sequence[Perm]):
+        table = move_table(n)
+        self.n, self.targets = n, list(targets)
+        self.size = size = len(table.perms)
+        tpos = np.array([_positions(t) for t in self.targets], dtype=np.uint8)
+        dest = tpos[:, table.perms].reshape(-1, n)
+        rows = len(dest)
+        self.odd = odd = np.tile(table.odd.view(np.uint8), len(self.targets))
+        self.counts = counts = _count_rows(dest, boundary(n).half)
+        self.link, self.move, self.case = link, move, case = self._decide(dest, odd)
+        del dest
+        root = case == _NO_CASE
+        if not (root | ((link >= 2) & (link <= n))).all():
+            raise RoutingInvariantError(f"a pick of order {n} gave a link outside 2..{n}")
 
-    def trace(self, v: int) -> RouteTrace:
-        """The route from node ``v``, cut after ``_runaway_limit(n) + 1``
-        hops as :func:`routing.oriented_route` would be."""
-        nodes, limit = self.table.nodes, routing._runaway_limit(self.table.n)
-        walk, links, moves, cases = [nodes[v]], [], [], []
-        while v != self.root and len(links) <= limit:
-            links.append(self.links[v])
-            moves.append(_KINDS[self.moves[v]])
-            cases.append(_CASES[self.cases[v]])
-            v = self.nxt[v]
-            walk.append(nodes[v])
-        return RouteTrace(
-            self.target, Scheme.FUJITA, tuple(walk), tuple(links), tuple(moves), tuple(cases)
+        # successor row, within the block of the row's target; the roots point
+        # past the end, where depth holds no level
+        base = np.repeat(np.arange(0, rows, size, dtype=np.int32), size)
+        hop = np.maximum(link.astype(np.int32) - 2, 0) * size
+        hop += np.arange(rows, dtype=np.int32)
+        hop -= base
+        self.nxt = nxt = table.moves.ravel(order="F")[hop] + base
+        nxt[root] = rows
+        del base, hop
+
+        # route length; -1 where no level reaches the row
+        self.depth = depth = np.full(rows + 1, -1, dtype=np.int16)
+        depth[rows] = -2
+        depth[:rows][root] = 0
+        self.len1 = len1 = np.zeros(rows, dtype=np.uint8)  # settling-prefix length
+        self.alpha = alpha = np.arange(rows, dtype=np.int32)  # row after the prefix
+        # hops through the last crossing (0 without one), and the row after it
+        self.after = after = np.zeros(rows, dtype=np.uint8)
+        self.gamma = gamma = np.zeros(rows, dtype=np.int32)
+        self.waiting = waiting = np.zeros(rows, dtype=np.uint8)  # non-crossing hops before it
+        self.finals = finals = np.zeros(rows, dtype=np.uint8)
+        self.prefinals = prefinals = np.zeros(rows, dtype=np.uint8)
+        self.final_hop = final_hop = np.full(rows, -1, dtype=np.int8)  # first final crossing
+        self.prefinal_hop = prefinal_hop = np.full(rows, -1, dtype=np.int8)
+        self.fallback = fallback = np.zeros(rows, dtype=bool)  # the route is extended
+        self.rising = rising = np.zeros(rows, dtype=bool)  # some hop raises the load
+        self.incoming = incoming = np.zeros(rows, dtype=bool)  # some hop is on an incoming arc
+        self.load = load = counts.ull + counts.urr
+        out = np.zeros((2, n + 1), dtype=bool)  # out[odd, link]: an outgoing arc
+        for parity, links in enumerate(out_links(n, Scheme.FUJITA)):
+            out[parity, list(links)] = True
+
+        for d in range(1, routing._runaway_limit(n) + 1):
+            level = np.flatnonzero(depth[nxt] == d - 1)
+            if not len(level):
+                break
+            depth[level] = d
+            w = nxt[level]
+            kind = move[level]
+            settles = kind == _SETTLING
+            crosses = _CROSSES[kind]
+            len1[level] = np.where(settles, len1[w] + 1, 0)
+            alpha[level] = np.where(settles, alpha[w], level)
+            later = after[w]
+            crossed = later > 0
+            after[level] = np.where(crossed, later + 1, crosses)
+            gamma[level] = np.where(crossed, gamma[w], w)
+            waiting[level] = np.where(crossed, waiting[w] + ~crosses, 0)
+            for count, first, code in (
+                (finals, final_hop, _FINAL),
+                (prefinals, prefinal_hop, _PRE_FINAL),
+            ):
+                here = kind == code
+                count[level] = count[w] + here
+                seen = first[w]
+                first[level] = np.where(here, 0, np.where(seen >= 0, seen + 1, -1))
+            fallback[level] = fallback[w] | _FALLBACK[case[level]]
+            rising[level] = rising[w] | (load[w] > load[level])
+            incoming[level] = incoming[w] | ~out[odd[level], link[level]]
+
+    def _decide(
+        self, dest: np.ndarray, odd: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every row's decision: link, move kind code and case code.  One
+        call per tree, so that the decisions can be replaced as a whole."""
+        link, case = _pick_rows(dest, odd, boundary(self.n).half)
+        return link, _move_rows(dest, link, case), case
+
+    def node(self, row: int) -> Perm:
+        """The node that route ``row`` starts from."""
+        return tuple(move_table(self.n).perms[row % self.size].tolist())
+
+    def target(self, row: int) -> Perm:
+        return self.targets[row // self.size]
+
+    def summary(self) -> PhaseSummary:
+        """The phase summary of every row's route.  The roots have length 0
+        and the rows that no level reached length -1, so neither breaks a
+        law."""
+        c = self.counts
+        cols = (c.ull, c.urr, c.ulr, c.url, c.alternating, c.nonsingleton)
+        crossed = self.after > 0
+        alpha = self.alpha
+        gamma = np.where(crossed, self.gamma, alpha)
+        # the non-crossing hops before the last crossing are the prefix, possibly
+        # the hop from alpha (the one Phase Two allows) and those inside Phase Two
+        inside = self.waiting.astype(np.int16) - self.len1 - ~_CROSSES[self.move[alpha]]
+        return PhaseSummary(
+            self.depth[:-1],
+            self.len1,
+            np.where(crossed, self.after, self.len1),
+            self.fallback,
+            self.finals,
+            self.final_hop,
+            self.prefinals,
+            self.prefinal_hop,
+            np.where(crossed & ~self.fallback, inside, 0),
+            cols,
+            tuple(col[alpha] for col in cols),
+            tuple(col[gamma] for col in cols),
+            self.odd[alpha],
+            self.inside_hops,
         )
 
-    def routes(
-        self,
-    ) -> Iterator[tuple[int, PhaseSummary | None, bool, tuple[int, int, int] | None]]:
-        """``(v, summary, incoming, rise)`` for the route from every node v
-        but the target, each after its successor's.
+    def inside_hops(self, row: int) -> list[tuple[int, MoveKind]]:
+        """``(hop, kind)`` of each non-crossing hop strictly inside Phase Two
+        of route ``row``, walked from alpha."""
+        x = self.nxt[self.alpha[row]]
+        hops = []
+        for j in range(self.len1[row] + 1, self.after[row]):
+            if not _CROSSES[self.move[x]]:
+                hops.append((j, _KINDS[self.move[x]]))
+            x = self.nxt[x]
+        return hops
 
-        ``summary`` is the route's :class:`PhaseSummary` (its ``length`` is
-        the route length, its ``source`` the counts of v), or None when the
-        route meets a cycle or would exceed ``_runaway_limit(n)`` hops;
-        ``incoming`` tells whether some hop leaves along an incoming arc and
-        ``rise`` is the first hop at which the crossing load
-        (``ull + urr``) rises, as ``(hop, before, after)`` with hops
-        numbered from 1, or None when it never does.  Arc direction and
-        load rise are read once per tree edge.
+    def first_rise(self, row: int) -> tuple[int, int, int]:
+        """The first hop of a rising route at which the crossing load
+        (``ull + urr``) rises, as ``(hop, before, after)`` with hops numbered
+        from 1."""
+        load, hop = self.load, 1
+        while True:
+            w = self.nxt[row]
+            if load[w] > load[row]:
+                return hop, int(load[row]), int(load[w])
+            row, hop = w, hop + 1
 
-        A node's successor chain is walked to a node already finished (or
-        to one on the walk itself: a cycle), then unwound, so each route's
-        values come from its successor's.
-        """
-        table = self.table
-        size, odd, limit = len(table.nodes), table.odd, routing._runaway_limit(table.n)
-        out = out_links(table.n, Scheme.FUJITA)
-        links, moves, cases, nxt, counts = self.links, self.moves, self.cases, self.nxt, self.counts
-        crosses_at, fallback_at = _CROSSES, _FALLBACK
-        load = bytes(cnt[0] + cnt[1] for cnt in counts)  # ull + urr
-
-        depth = array("i", [_UNSEEN]) * size  # route length once finished
-        depth[self.root] = 0
-        len1 = bytearray(size)  # settling-prefix length
-        alpha = array("i", range(size))  # node after the settling prefix
-        gamma = array("i", [-1]) * size  # node after the last crossing, -1 without one
-        after = bytearray(size)  # hops through the last crossing, 0 without one
-        waiting = bytearray(size)  # non-crossing hops before the last crossing
-        finals = bytearray(size)
-        prefinals = bytearray(size)
-        final_hop = array("b", [-1]) * size  # first final crossing, -1 without one
-        prefinal_hop = array("b", [-1]) * size
-        fallback = bytearray(size)  # the route is extended
-        riser = array("i", [-1]) * size  # node whose hop first raises the load, or -1
-        incoming = bytearray(size)
-
-        path: list[int] = []
-        for start in range(size):
-            v = start
-            while depth[v] == _UNSEEN:
-                depth[v] = _ON_PATH
-                path.append(v)
-                v = nxt[v]
-            d = depth[v]  # the successor's: a length, or a cycle or runaway mark
-            while path:
-                v = path.pop()
-                if not 0 <= d < limit:
-                    depth[v] = d = _RUNAWAY
-                    yield v, None, False, None
-                    continue
-                d += 1
-                depth[v] = d
-                w = nxt[v]
-                kind = moves[v]
-                crosses = crosses_at[kind]
-                if kind == _SETTLING:
-                    len1[v] = len1[w] + 1
-                    alpha[v] = alpha[w]
-                if after[w]:
-                    after[v] = after[w] + 1
-                    gamma[v] = gamma[w]
-                    waiting[v] = waiting[w] + (not crosses)
-                elif crosses:
-                    after[v] = 1
-                    gamma[v] = w
-                finals[v] = finals[w] + (kind == _FINAL)
-                prefinals[v] = prefinals[w] + (kind == _PRE_FINAL)
-                hop = final_hop[w]
-                final_hop[v] = 0 if kind == _FINAL else hop + 1 if hop >= 0 else -1
-                hop = prefinal_hop[w]
-                prefinal_hop[v] = 0 if kind == _PRE_FINAL else hop + 1 if hop >= 0 else -1
-                fallback[v] = fallback[w] or fallback_at[cases[v]]
-                riser[v] = v if load[w] > load[v] else riser[w]
-                incoming[v] = incoming[w] or links[v] not in out[odd[v]]
-
-                a, lead, end2, g = alpha[v], len1[v], after[v], gamma[v]
-                extended = fallback[v]
-                inside: list[tuple[int, MoveKind]] = []
-                if not end2:  # no crossing: Phase Two is empty
-                    end2, g = lead, a
-                # the non-crossing hops before the last crossing are the
-                # prefix, possibly hop `lead` (the one Phase Two allows) and
-                # those inside Phase Two, which are then listed from the tree
-                elif not extended and waiting[v] > lead + (not crosses_at[moves[a]]):
-                    x = nxt[a]
-                    for j in range(lead + 1, end2):
-                        if not crosses_at[moves[x]]:
-                            inside.append((j, _KINDS[moves[x]]))
-                        x = nxt[x]
-                summary = PhaseSummary(
-                    d,
-                    lead,
-                    end2,
-                    bool(extended),
-                    finals[v],
-                    final_hop[v],
-                    prefinals[v],
-                    prefinal_hop[v],
-                    tuple(inside),
-                    counts[v],
-                    counts[a],
-                    counts[g],
-                    odd[a],
-                )
-                u = riser[v]
-                rise = None if u < 0 else (d - depth[u] + 1, load[u], load[nxt[u]])
-                yield v, summary, bool(incoming[v]), rise
+    def trace(self, row: int) -> RouteTrace:
+        """The route of ``row``, cut after ``_runaway_limit(n) + 1`` hops as
+        :func:`routing.oriented_route` would be."""
+        limit = routing._runaway_limit(self.n)
+        target = self.target(row)
+        walk, links, moves, cases = [self.node(row)], [], [], []
+        while self.move[row] != _AT_TARGET and len(links) <= limit:
+            links.append(int(self.link[row]))
+            moves.append(_KINDS[self.move[row]])
+            cases.append(_CASES[self.case[row]])
+            row = self.nxt[row]
+            walk.append(self.node(row))
+        return RouteTrace(
+            target, Scheme.FUJITA, tuple(walk), tuple(links), tuple(moves), tuple(cases)
+        )

@@ -51,10 +51,12 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
+
+import numpy as np
 
 from .classify import _alternates, _counts as _set_counts
-from .perm import Perm, check_pair, parity, positions
+from .perm import Perm, _parity, _positions, check_pair
 from .topology import Scheme, boundary, out_links
 
 
@@ -128,7 +130,7 @@ def classic_step(c: Sequence[int], t: Sequence[int]) -> tuple[int, MoveKind]:
     c, t = check_pair(c, t)
     if c == t:
         raise ValueError("already at the target; no step to take")
-    return _classic_pick(list(c), t, positions(t))
+    return _classic_pick(list(c), t, _positions(t))
 
 
 def classic_distance(s: Sequence[int], t: Sequence[int]) -> int:
@@ -147,7 +149,7 @@ def classic_distance(s: Sequence[int], t: Sequence[int]) -> int:
     """
     s, t = check_pair(s, t)
     n = len(s)
-    tpos = positions(t)
+    tpos = _positions(t)
     mismatched = 0
     for i in range(n):
         if s[i] != t[i]:
@@ -175,7 +177,7 @@ def classic_distance_sets(s: Sequence[int], t: Sequence[int]) -> int:
     ``|ull| + |urr| + |crossed| + nonsingleton relative cycles``.  Single
     pairs only, as :func:`classic_distance`."""
     s, t = check_pair(s, t)
-    ull, urr, ulr, url, _, nonsingleton = _set_counts(s, positions(t), boundary(len(s)).half)
+    ull, urr, ulr, url, _, nonsingleton = _set_counts(s, _positions(t), boundary(len(s)).half)
     return ull + urr + ulr + url + nonsingleton
 
 
@@ -295,7 +297,7 @@ def oriented_step(c: Sequence[int], t: Sequence[int]) -> tuple[int, MoveKind, st
     if c == t:
         raise ValueError("already at the target; no step to take")
     return _oriented_pick(
-        list(c), positions(c), parity(c), t, positions(t), boundary(len(c)).half
+        list(c), _positions(c), _parity(c), t, _positions(t), boundary(len(c)).half
     )
 
 
@@ -304,10 +306,10 @@ def _route(s: Sequence[int], t: Sequence[int], scheme: Scheme | None) -> RouteTr
     s, t = check_pair(s, t)
     n = len(s)
     half = boundary(n).half
-    tpos = positions(t)
+    tpos = _positions(t)
     c = list(s)
-    cpos = positions(s)
-    odd = parity(s)
+    cpos = _positions(s)
+    odd = _parity(s)
     limit = _runaway_limit(n)
     node = s
     nodes: list[Perm] = [node]
@@ -386,13 +388,14 @@ def hop_bound(s: Sequence[int], t: Sequence[int]) -> int:
     """Upper bound on the oriented route length, from the partition counts:
     ``|crossed| + max(6, 4*max(|ull|, |urr|) + alternating + 4)``."""
     s, t = check_pair(s, t)
-    return _bound_from_counts(_set_counts(s, positions(t), boundary(len(s)).half))
+    return int(_bound_from_counts(_set_counts(s, _positions(t), boundary(len(s)).half)))
 
 
-def _bound_from_counts(counts: tuple[int, ...]) -> int:
-    """:func:`hop_bound` from the source's :func:`classify._counts`."""
+def _bound_from_counts(counts: Sequence) -> np.ndarray:
+    """:func:`hop_bound` from the source's :func:`classify._counts`, for one
+    pair or, as columns, for many."""
     ull, urr, ulr, url, chi, _ = counts
-    return ulr + url + max(6, 4 * max(ull, urr) + chi + 4)
+    return ulr + url + np.maximum(6, 4 * np.maximum(ull, urr) + chi + 4)
 
 
 # ---------------------------------------------------------------------------
@@ -425,7 +428,7 @@ def validate_trace(trace: RouteTrace) -> list[str]:
     out = None if trace.scheme is None else out_links(n, trace.scheme)
     c = list(nodes[0])
     size = n  # order of the node the hop leaves
-    odd = parity(c)
+    odd = _parity(c)
     for j, (link, there) in enumerate(zip(links, nodes[1:]), 1):
         chained = False
         if not 2 <= link <= size:
@@ -445,7 +448,7 @@ def validate_trace(trace: RouteTrace) -> list[str]:
         else:
             c = list(there)
             size = len(c)
-            odd = parity(c)
+            odd = _parity(c)
     if nodes[-1] != trace.target:
         faults.append("route does not terminate at the target")
     if len(links) > _runaway_limit(n):
@@ -462,34 +465,44 @@ class PhaseReport:
 
 
 class PhaseSummary(NamedTuple):
-    """What the phase laws read of one route.  Hops are numbered from 0.
+    """What the phase laws read of a set of routes, one entry per route in
+    every column.  Hops are numbered from 0.
 
-    A trace gives it through :func:`_phase_summary`; a route tree
-    (:meth:`routetree.RouteTree.routes`) builds it from per-node values.
-    Either way :func:`_phase_faults` evaluates it, so each law is written
-    once.
+    A trace gives a one-route summary through :func:`_phase_summary`; route
+    trees (:meth:`routetree.RouteTree.summary`) give one route per (node,
+    target) row.  Either way :func:`_phase_faults` evaluates it, so each law
+    is written once.  The counts are :func:`classify._counts` tuples of
+    columns, ``(ull, urr, ulr, url, alternating, nonsingleton)``.
     """
 
-    length: int
-    len1: int  # settling-prefix length: alpha is the node after hop len1 - 1
-    end2: int  # one past Phase Two: gamma is the node after hop end2 - 1
-    extended: bool  # a 2.4/2.5 fallback hop interrupted the burn-down
-    finals: int  # number of final crossings
-    final_hop: int  # hop of the first final crossing, -1 without one
-    prefinals: int
-    prefinal_hop: int  # hop of the first pre-final crossing, -1 without one
-    # (hop, kind) of each non-crossing hop strictly inside Phase Two; the law
-    # that reads it is skipped on extended routes, so they list none
-    inside: tuple[tuple[int, MoveKind], ...]
-    source: Sequence[int]  # classify._counts of s, alpha and gamma
-    alpha: Sequence[int]
-    gamma: Sequence[int]
-    alpha_odd: int  # parity of alpha
+    length: np.ndarray  # a length below 1 (a target, or no route) breaks no law
+    len1: np.ndarray  # settling-prefix length: alpha is the node after hop len1 - 1
+    end2: np.ndarray  # one past Phase Two: gamma is the node after hop end2 - 1
+    extended: np.ndarray  # a 2.4/2.5 fallback hop interrupted the burn-down
+    finals: np.ndarray  # number of final crossings
+    final_hop: np.ndarray  # hop of the first final crossing, -1 without one
+    prefinals: np.ndarray
+    prefinal_hop: np.ndarray  # hop of the first pre-final crossing, -1 without one
+    # non-crossing hops strictly inside Phase Two; the law that reads them is
+    # skipped on extended routes, so they count none
+    inside: np.ndarray
+    source: tuple[np.ndarray, ...]  # the counts of s, alpha and gamma
+    alpha: tuple[np.ndarray, ...]
+    gamma: tuple[np.ndarray, ...]
+    alpha_odd: np.ndarray  # parity of alpha
+    # (hop, kind) of each of the ``inside`` hops of route i; read only for a
+    # route that has some
+    inside_hops: Callable[[int], Sequence[tuple[int, MoveKind]]]
 
     @property
-    def lengths(self) -> tuple[int, int, int]:
+    def lengths(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Phase One, Two and Three lengths."""
         return self.len1, self.end2 - self.len1, self.length - self.end2
+
+
+# one phase law's findings: the mask of the routes that break it, and the
+# text of route i's fault
+Law = tuple[np.ndarray, Callable[[int], str]]
 
 
 def check_phase_invariants(trace: RouteTrace) -> PhaseReport:
@@ -536,8 +549,9 @@ def check_phase_invariants(trace: RouteTrace) -> PhaseReport:
             False, ("columns have unequal lengths",), lengths, _extended(trace.cases)
         )
     summary = _phase_summary(trace)
-    faults = _phase_faults(summary)
-    return PhaseReport(not faults, tuple(faults), summary.lengths, summary.extended)
+    faults = _fault_texts(_phase_faults(summary), 0)
+    len1, len2, len3 = (int(phase[0]) for phase in summary.lengths)
+    return PhaseReport(not faults, tuple(faults), (len1, len2, len3), bool(summary.extended[0]))
 
 
 def _extended(cases: Sequence[str]) -> bool:
@@ -545,91 +559,133 @@ def _extended(cases: Sequence[str]) -> bool:
 
 
 def _phase_summary(trace: RouteTrace) -> PhaseSummary:
-    """The summary of a well-formed trace."""
+    """The one-route summary of a well-formed trace."""
     moves, nodes, t = trace.moves, trace.nodes, trace.target
-    tpos, half = positions(t), boundary(len(t)).half
+    tpos, half = _positions(t), boundary(len(t)).half
     len1, end2, finals, prefinals, others = _scan_moves(moves)
     extended = _extended(trace.cases)
     s_counts = _set_counts(nodes[0], tpos, half)
     a_counts = _set_counts(nodes[len1], tpos, half) if len1 else s_counts
     g_counts = _set_counts(nodes[end2], tpos, half) if end2 > len1 else a_counts
     inside = () if extended else tuple((j, moves[j]) for j in others if len1 < j < end2)
+    # every one-entry column is a row of one (k, 1) array
+    rows = np.array(
+        [
+            len(moves),
+            len1,
+            end2,
+            len(finals),
+            finals[0] if finals else -1,
+            len(prefinals),
+            prefinals[0] if prefinals else -1,
+            len(inside),
+            _parity(nodes[0]) ^ (len1 & 1),
+            *s_counts,
+            *a_counts,
+            *g_counts,
+        ],
+        dtype=np.int16,
+    )[:, None]
     return PhaseSummary(
-        len(moves),
-        len1,
-        end2,
-        extended,
-        len(finals),
-        finals[0] if finals else -1,
-        len(prefinals),
-        prefinals[0] if prefinals else -1,
-        inside,
-        s_counts,
-        a_counts,
-        g_counts,
-        parity(nodes[0]) ^ (len1 & 1),
+        *rows[:3],
+        np.array([extended]),
+        *rows[3:8],
+        tuple(rows[9:15]),
+        tuple(rows[15:21]),
+        tuple(rows[21:27]),
+        rows[8],
+        lambda i: inside,
     )
 
 
-def _phase_faults(summary: PhaseSummary) -> list[str]:
-    """The phase laws of :func:`check_phase_invariants`, read off a route's
-    summary; an empty list when they all hold."""
+def _fault_texts(laws: Sequence[Law], i: int) -> list[str]:
+    """The faults of route ``i``: one text per law it breaks, in law order."""
+    return [text(i) for broken, text in laws if broken[i]]
+
+
+def _phase_faults(summary: PhaseSummary) -> list[Law]:
+    """The phase laws of :func:`check_phase_invariants`, evaluated over the
+    columns of ``summary``: for each law, in the order of that docstring,
+    the mask of the routes that break it and the text of a route's fault.
+    A route of no hops breaks none.
+    """
     (
         m, len1, end2, extended, finals, final_hop, prefinals, prefinal_hop, inside,
-        s_counts, a_counts, g_counts, alpha_odd,
+        s_counts, a_counts, g_counts, alpha_odd, inside_hops,
     ) = summary
-    if not m:
-        return []
+    live = m > 0
     len2, len3 = end2 - len1, m - end2
-    faults: list[str] = []
+    laws: list[Law] = []
+
+    def law(broken: np.ndarray, text: Callable[[int], str]) -> None:
+        laws.append((broken & live, text))
 
     _, _, s_ulr, s_url, s_chi, _ = s_counts
     a_ull, a_urr, a_ulr, a_url, a_chi, _ = a_counts
     g_ull, g_urr, g_ulr, g_url, g_chi, g_cyc = g_counts
-    s_x, a_x, g_x = s_ulr + s_url, a_ulr + a_url, g_ulr + g_url
+    # signed, so that no difference below wraps
+    s_x, a_x, g_x = (
+        ulr.astype(np.int16) + url for ulr, url in ((s_ulr, s_url), (a_ulr, a_url), (g_ulr, g_url))
+    )
 
-    drop = len1 - 1 if len1 else 0
-    if a_x != s_x - drop:
-        faults.append(
-            f"settling prefix of {len1} changed crossed count {s_x} -> {a_x}, expected {s_x - drop}"
-        )
-    if a_chi > s_chi:
-        faults.append(f"alternating count grew over the settling prefix: {s_chi} -> {a_chi}")
+    expected = s_x - np.maximum(len1.astype(np.int16) - 1, 0)
+    law(
+        a_x != expected,
+        lambda i: f"settling prefix of {len1[i]} changed crossed count {s_x[i]} -> {a_x[i]}, "
+        f"expected {expected[i]}",
+    )
+    law(
+        a_chi > s_chi,
+        lambda i: f"alternating count grew over the settling prefix: {s_chi[i]} -> {a_chi[i]}",
+    )
 
-    if extended:
-        pass  # the burn-down chain was interrupted; (b) does not apply
-    elif a_ull == 0 and a_urr == 0 and (a_url if alpha_odd else a_ulr) == 0:
-        if g_chi > 1:
-            faults.append(f"chi(gamma) = {g_chi} > 1 with no burn-down at alpha")
-        if len2 > 2:
-            faults.append(f"Phase Two has {len2} hops, expected <= 2")
-        if g_x > a_x + 2:
-            faults.append(f"crossed count {a_x} -> {g_x} over Phase Two, expected <= +2")
-    else:
-        most = max(a_ull, a_urr)
-        if g_chi > a_chi + 1:
-            faults.append(f"chi grew {a_chi} -> {g_chi} over Phase Two, expected <= +1")
-        if len2 > 2 * most + 1:
-            faults.append(f"Phase Two has {len2} hops, expected <= {2 * most + 1}")
-        if g_x > a_x + 2 * most:
-            faults.append(f"crossed count {a_x} -> {g_x} over Phase Two, expected <= +{2 * most}")
+    # law (b); it does not apply where the burn-down chain was interrupted
+    quiet = ~extended & (a_ull == 0) & (a_urr == 0) & (np.where(alpha_odd, a_url, a_ulr) == 0)
+    law(quiet & (g_chi > 1), lambda i: f"chi(gamma) = {g_chi[i]} > 1 with no burn-down at alpha")
+    law(quiet & (len2 > 2), lambda i: f"Phase Two has {len2[i]} hops, expected <= 2")
+    law(
+        quiet & (g_x > a_x + 2),
+        lambda i: f"crossed count {a_x[i]} -> {g_x[i]} over Phase Two, expected <= +2",
+    )
+    burning = ~extended & ~quiet
+    most = np.maximum(a_ull, a_urr).astype(np.int16)
+    law(
+        burning & (g_chi > a_chi.astype(np.int16) + 1),
+        lambda i: f"chi grew {a_chi[i]} -> {g_chi[i]} over Phase Two, expected <= +1",
+    )
+    law(
+        burning & (len2 > 2 * most + 1),
+        lambda i: f"Phase Two has {len2[i]} hops, expected <= {2 * most[i] + 1}",
+    )
+    law(
+        burning & (g_x > a_x + 2 * most),
+        lambda i: f"crossed count {a_x[i]} -> {g_x[i]} over Phase Two, expected <= +{2 * most[i]}",
+    )
 
-    if g_ull or g_urr:
-        faults.append(f"gamma still has burn-down {g_ull}+{g_urr}")
-    if len3 != g_x + g_cyc:
-        faults.append(f"Phase Three has {len3} hops, expected {g_x} + {g_cyc}")
+    law((g_ull > 0) | (g_urr > 0), lambda i: f"gamma still has burn-down {g_ull[i]}+{g_urr[i]}")
+    law(
+        len3 != g_x + g_cyc,
+        lambda i: f"Phase Three has {len3[i]} hops, expected {g_x[i]} + {g_cyc[i]}",
+    )
 
-    for j, kind in inside:
-        faults.append(f"hop {j + 1} inside Phase Two is {kind.value}")
-    if end2 > len1:  # some crossing occurs
-        if finals != 1:
-            faults.append(f"expected exactly one final crossing, found {finals}")
-        elif final_hop != end2 - 1:
-            faults.append("final crossing is not the last hop of Phase Two")
-    if prefinals > 1:
-        faults.append(f"{prefinals} pre-final crossings")
-    elif prefinals and (finals != 1 or prefinal_hop + 1 != final_hop):
-        faults.append("pre-final crossing is not directly before the final crossing")
-
-    return faults
-
+    law(
+        inside > 0,
+        lambda i: "; ".join(
+            f"hop {j + 1} inside Phase Two is {kind.value}" for j, kind in inside_hops(i)
+        ),
+    )
+    crossing = end2 > len1  # some crossing occurs
+    law(
+        crossing & (finals != 1),
+        lambda i: f"expected exactly one final crossing, found {finals[i]}",
+    )
+    law(
+        crossing & (finals == 1) & (final_hop != end2 - 1),
+        lambda i: "final crossing is not the last hop of Phase Two",
+    )
+    law(prefinals > 1, lambda i: f"{prefinals[i]} pre-final crossings")
+    law(
+        (prefinals == 1) & ((finals != 1) | (prefinal_hop + 1 != final_hop)),
+        lambda i: "pre-final crossing is not directly before the final crossing",
+    )
+    return laws

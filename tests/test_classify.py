@@ -130,8 +130,8 @@ def test_count_rows_matches_the_scalar_counts(n):
     got = np.stack(_count_rows(dest, half), axis=1).tolist()
     expected = []
     for (c, t), tpos in zip(pairs, targets):
-        ull, urr, ulr, url, _, nonsingleton = _counts(c, tpos, half)
-        expected.append([ull, urr, ulr, url, nonsingleton, classic_distance(c, t)])
+        ull, urr, ulr, url, chi, nonsingleton = _counts(c, tpos, half)
+        expected.append([ull, urr, ulr, url, nonsingleton, classic_distance(c, t), chi])
     assert got == expected
     # the half-partition form of the distance, from the same rows
     assert [sum(row[:5]) for row in got] == [classic_distance_sets(c, t) for c, t in pairs]

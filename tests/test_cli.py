@@ -148,26 +148,36 @@ def test_verify_reports_extended_count(capsys):
     code, out, _ = run(capsys, "verify", "4", "--checks", "phase-structure,route-validity")
     assert code == 0
     lines = out.splitlines()
-    assert lines[0].startswith("phase-structure: pass population=576 extended=72 elapsed=")
+    # the decision-case histogram: each of the 552 pairs' first hop, by case
+    cases = "1:216,2.1:48,2.2:24,2.3:36,2.4:24,2.5:24,3.1:48,3.2:84,4:48"
+    assert lines[0].startswith(
+        f"phase-structure: pass population=576 extended=72 cases={cases} elapsed="
+    )
     assert lines[1].startswith("route-validity: pass population=576 elapsed=")
     code, out, _ = run(
         capsys, "verify", "4", "--checks", "phase-structure,route-validity", "--json"
     )
     phase, validity = json.loads(out)["checks"]
-    assert (phase["name"], phase["extended"]) == ("phase-structure", 72)
-    assert "extended" not in validity
+    assert (phase["name"], phase["extended"], phase["cases"]) == ("phase-structure", 72, cases)
+    assert sum(int(pair.split(":")[1]) for pair in cases.split(",")) == 24 * 23
+    assert "extended" not in validity and "cases" not in validity
 
 
 def test_verify_reports_longest_route_beside_the_cap(capsys):
     code, out, _ = run(capsys, "verify", "4", "--checks", "diameter-bound,hop-bound")
     assert code == 0
     lines = out.splitlines()
-    assert lines[0].startswith("diameter-bound: pass population=576 longest=9 hop_cap=12 elapsed=")
+    # the route-length histogram, lengths 1 to the longest
+    lengths = "1:36,2:48,3:72,4:96,5:108,6:96,7:60,8:24,9:12"
+    assert lines[0].startswith(
+        f"diameter-bound: pass population=576 longest=9 hop_cap=12 lengths={lengths} elapsed="
+    )
     assert lines[1].startswith("hop-bound: pass population=576 elapsed=")
     code, out, _ = run(capsys, "verify", "4", "--checks", "diameter-bound,hop-bound", "--json")
     cap, bound = json.loads(out)["checks"]
-    assert (cap["longest"], cap["hop_cap"]) == (9, 12)
-    assert "longest" not in bound and "hop_cap" not in bound
+    assert (cap["longest"], cap["hop_cap"], cap["lengths"]) == (9, 12, lengths)
+    assert sum(int(pair.split(":")[1]) for pair in lengths.split(",")) == 24 * 23
+    assert "longest" not in bound and "hop_cap" not in bound and "lengths" not in bound
 
 
 def test_table_csv(capsys):

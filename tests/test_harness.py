@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from starroute import harness, routing
+from starroute import harness, routetree, routing
 from starroute.classify import _ROW_BLOCK
 from starroute.harness import (
     ALL_CHECKS,
@@ -31,7 +31,7 @@ from starroute.routing import (
     validate_trace,
 )
 
-from conftest import all_perms
+from conftest import all_perms, tamper_picks
 
 
 def test_hop_cap_values():
@@ -235,14 +235,11 @@ def test_route_checks_report_exactly_the_pairs_through_a_tampered_pick(
 ):
     # the pairs whose route uses a tampered tree entry, by the untouched router
     users = {(s, T4) for s in all_perms(4) if s != T4 and set(entries) & set(_routed_nodes(s, T4))}
-    pick = routing._oriented_pick
-
-    def tampered_pick(c, cpos, odd, t, tpos, half):
-        decision = pick(c, cpos, odd, t, tpos, half)
-        change = entries.get(tuple(c)) if tuple(t) == T4 else None
-        return change(*decision) if change else decision
-
-    monkeypatch.setattr(routing, "_oriented_pick", tampered_pick)
+    tamper_picks(
+        monkeypatch,
+        T4,
+        lambda node, decision: entries[node](*decision) if node in entries else decision,
+    )
     report = verify(4, checks=ROUTE_CHECKS)
     flagged = set()
     for result in report.checks:
@@ -319,17 +316,17 @@ def test_router_equivariance_flags_a_decision_the_relabeling_does_not_carry(monk
 
 def test_stretch_bound_reads_the_classic_distance_of_every_pair(monkeypatch):
     nodes = all_perms(5)
-    count_rows = harness._count_rows
-    read = []  # one list of distances per route tree, by node
+    count_rows = routetree._count_rows
+    read = []  # the distances of each route tree's rows: by target, then by node
 
     def recording(dest, half):
         rows = count_rows(dest, half)
-        read.append(rows.distance.tolist())
+        read.extend(rows.distance.tolist())
         return rows
 
-    monkeypatch.setattr(harness, "_count_rows", recording)
+    monkeypatch.setattr(routetree, "_count_rows", recording)
     assert verify(5, checks=["stretch-bound"]).ok
-    assert read == [[classic_distance(s, t) for s in nodes] for t in nodes]
+    assert read == [classic_distance(s, t) for t in nodes for s in nodes]
 
 
 def test_distance_vs_bfs_reports_exactly_the_planted_bfs_entries(monkeypatch):

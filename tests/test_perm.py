@@ -16,9 +16,11 @@ from starroute.perm import (
     inverse,
     parity,
     parse_perm,
+    positions,
     relative_cycles,
     relative_map,
 )
+from starroute.perm import _parity
 
 from starroute.routing import (
     classic_distance,
@@ -97,6 +99,11 @@ def test_pair_functions_reject_a_repeated_value(fn):
         pytest.param(rank, id="rank"),
         pytest.param(bfs, id="bfs"),
         pytest.param(lambda p: bfs(GOOD).distance(p), id="field-distance"),
+        # these four used to answer: inverse((1, 1, 3)) gave (2, 0, 3)
+        pytest.param(inverse, id="inverse"),
+        pytest.param(parity, id="parity"),
+        pytest.param(positions, id="positions"),
+        pytest.param(lambda p: apply_generator(p, 2), id="apply-generator"),
     ],
 )
 def test_single_perm_functions_reject_a_repeated_value(call):
@@ -139,12 +146,13 @@ def test_parity_anchor_values():
 
 @given(st.lists(st.integers(0, 9), max_size=9))
 def test_parity_is_the_inversion_count_parity(values):
-    # the pairwise count is the reference; any sequence, ties included, so
-    # a malformed node in a tampered trace still gets a parity
+    # the pairwise count is the reference; the unchecked form takes any
+    # sequence, ties included, so a malformed node in a tampered trace still
+    # gets a parity from validate_trace
     inversions = sum(
         values[j] < values[i] for i in range(len(values)) for j in range(i + 1, len(values))
     )
-    assert parity(values) == inversions & 1
+    assert _parity(values) == inversions & 1
 
 
 @given(perms_of(7))

@@ -1,9 +1,9 @@
-"""The route-tree sweep against the single-trace checks, route by route.
+"""The route-tree rows against the single-trace checks, route by route.
 
 Every order-5 pair, the routes into one order-5 target under tampered
 picks (where the laws and arcs fail), and at n = 6..9 the routes from
-seeded sources into seeded targets: there the tree is built over the nodes
-those routes visit, and every one of them is compared as a source.
+seeded sources into seeded targets: there the tree holds every node, and
+each node those routes visit is compared as a source.
 """
 from __future__ import annotations
 
@@ -12,13 +12,14 @@ from collections import Counter
 
 import pytest
 
-from starroute import routing
 from starroute.classify import crossing_load
 from starroute.harness import hop_cap
-from starroute.routetree import NodeTable, RouteTree
+from starroute.oracle import rank
+from starroute.routetree import RouteTree
 from starroute.routing import (
     MoveKind,
     _bound_from_counts,
+    _fault_texts,
     _phase_faults,
     _phase_summary,
     check_phase_invariants,
@@ -28,51 +29,67 @@ from starroute.routing import (
     validate_trace,
 )
 
-from conftest import all_perms
+from conftest import all_perms, tamper_picks
 
 
-def _compare_tree(table: NodeTable, t: tuple[int, ...]) -> Counter:
-    """Compare every route of the tree into ``t`` with its routed trace and
-    the single-trace checks; returns how many routes were compared and how
-    many of them fail each check."""
-    n = len(t)
-    tree = RouteTree(table, t)
+def _route(summary, i: int) -> tuple:
+    """Route ``i`` of a summary as plain values, its inside hops listed."""
+    *columns, source, alpha, gamma, alpha_odd, inside_hops = summary
+    return (
+        *(int(column[i]) for column in columns),
+        *(tuple(int(count[i]) for count in counts) for counts in (source, alpha, gamma)),
+        int(alpha_odd[i]),
+        tuple(inside_hops(i)) if summary.inside[i] else (),
+    )
+
+
+def _compare_tree(n: int, t: tuple[int, ...], sources=None) -> Counter:
+    """Compare the route into ``t`` from every node (or from each of
+    ``sources``) with its routed trace and the single-trace checks; returns
+    how many routes were compared and how many of them fail each check."""
+    tree = RouteTree(n, [t])
+    summary = tree.summary()
+    laws = _phase_faults(summary)
+    cutoffs = _bound_from_counts(summary.source)
+    rows = range(tree.size) if sources is None else [rank(s) for s in sources]
     seen: Counter = Counter()
-    for v, summary, incoming, rise in tree.routes():
-        s = table.nodes[v]
+    for row in rows:
+        s = tree.node(row)
+        if s == t:
+            continue
         trace = oriented_route(s, t)
-        assert tree.trace(v) == trace, (s, t)
-        assert summary == _phase_summary(trace), (s, t)
+        assert tree.trace(row) == trace, (s, t)
+        assert _route(summary, row) == _route(_phase_summary(trace), 0), (s, t)
         report = check_phase_invariants(trace)
-        assert summary.lengths == report.phase_lengths
-        assert summary.extended == report.extended
+        assert tuple(int(phase[row]) for phase in summary.lengths) == report.phase_lengths
+        assert bool(summary.extended[row]) == report.extended
         # the sweep's phase-structure text is these faults, joined
-        assert _phase_faults(summary) == list(report.violations), (s, t)
+        assert _fault_texts(laws, row) == list(report.violations), (s, t)
+        incoming = bool(tree.incoming[row])
         assert incoming == bool(validate_trace(trace))
         loads = [crossing_load(node, t) for node in trace.nodes]
         rises = [(j, a, b) for j, (a, b) in enumerate(zip(loads, loads[1:]), 1) if b > a]
+        rise = tree.first_rise(row) if tree.rising[row] else None
         assert rise == (rises[0] if rises else None), (s, t)
         # the three bounds: the same length against the same cutoffs
-        length = summary.length
+        length, cutoff, distance = int(summary.length[row]), hop_bound(s, t), classic_distance(s, t)
         assert length == trace.length
-        assert _bound_from_counts(summary.source) == hop_bound(s, t)
+        assert (cutoffs[row], tree.counts.distance[row]) == (cutoff, distance)
         seen.update(
             routes=1,
             incoming=incoming,
             rise=rise is not None,
             phase=not report.ok,
-            inside=bool(summary.inside),
-            hop=length > hop_bound(s, t),
-            stretch=length > 4 * classic_distance(s, t) + 4,
+            inside=bool(summary.inside[row]),
+            hop=length > cutoff,
+            stretch=length > 4 * distance + 4,
             cap=length > hop_cap(n),
         )
     return seen
 
 
 def test_tree_matches_traces_on_every_order_five_pair():
-    nodes = all_perms(5)
-    table = NodeTable(nodes)
-    seen = sum((_compare_tree(table, t) for t in nodes), Counter())
+    seen = sum((_compare_tree(5, t) for t in all_perms(5)), Counter())
     assert seen == Counter(routes=120 * 119)
 
 
@@ -109,14 +126,8 @@ RELINK = {(5, 4, 3, 1, 2): 4, (4, 5, 1, 3, 2): 5}
     ],
 )
 def test_tree_matches_traces_under_a_tampered_pick(monkeypatch, change, failing):
-    pick = routing._oriented_pick
-
-    def tampered_pick(c, cpos, odd, t, tpos, half):
-        decision = pick(c, cpos, odd, t, tpos, half)
-        return change(tuple(c), decision) if tuple(t) == T5 else decision
-
-    monkeypatch.setattr(routing, "_oriented_pick", tampered_pick)
-    seen = _compare_tree(NodeTable(all_perms(5)), T5)
+    tamper_picks(monkeypatch, T5, change)
+    seen = _compare_tree(5, T5)
     assert seen["routes"] == 119
     assert all(seen[name] > 1 for name in failing), seen
 
@@ -135,6 +146,5 @@ def test_tree_matches_traces_on_seeded_pairs(n):
         visited = {t}
         for _ in range(40):
             visited.update(oriented_route(draw(), t).nodes)
-        nodes = sorted(visited)
-        seen = _compare_tree(NodeTable(nodes), t)
-        assert seen == Counter(routes=len(nodes) - 1)
+        seen = _compare_tree(n, t, sorted(visited))
+        assert seen == Counter(routes=len(visited) - 1)
