@@ -237,13 +237,13 @@ def _cycle_cols(cols: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     return label.reshape(n, r), ~bad.reshape(n, r)
 
 
-def _count_rows(dest: np.ndarray, half: Sequence[int]) -> RowCounts:
+def _count_rows(dest: np.ndarray, k: int) -> RowCounts:
     """:func:`_counts` and the classic distance for every row of ``dest``.
 
     ``dest`` is an ``(m, n)`` uint8 block, one row per (current, target)
     pair: entry ``i`` is the target position (1-based) of the value at
-    position ``i + 1``, the ``dest`` that :func:`_counts` builds.  ``half``
-    is ``boundary(n).half``.
+    position ``i + 1``, the ``dest`` that :func:`_counts` builds.  ``k`` is
+    the boundary of ``boundary(n)``.
 
     Rows are taken ``_ROW_BLOCK`` at a time, each block in column layout,
     so that every count is a sum over the ``n`` rows of a mask.  The slot
@@ -255,7 +255,6 @@ def _count_rows(dest: np.ndarray, half: Sequence[int]) -> RowCounts:
     minus 2 when position 1 is unsettled.
     """
     m, n = dest.shape
-    k = list(half).count(1) + 1
     pos = np.arange(1, n + 1, dtype=np.uint8)[:, None]
     left, right = slice(1, k), slice(k, n)
     out = np.empty((7, m), dtype=np.uint8)

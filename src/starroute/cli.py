@@ -48,14 +48,25 @@ def _scheme_arg(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--scheme",
         choices=[s.value for s in Scheme],
-        default=Scheme.FUJITA.value,
-        help="orientation scheme (default: %(default)s)",
+        default=None,
+        help=f"orientation scheme (default: {Scheme.FUJITA.value})",
     )
+
+
+def _scheme(args: argparse.Namespace, needs: str | None = None) -> Scheme:
+    """The ``--scheme`` of ``args``, fujita when it is not given.  Given
+    without the flag ``needs``, which makes the orientation count, it is a
+    usage error rather than an option silently ignored."""
+    if args.scheme is None:
+        return Scheme.FUJITA
+    if needs is not None and not getattr(args, needs):
+        raise ValueError(f"--scheme needs --{needs}")
+    return Scheme.parse(args.scheme)
 
 
 def _cmd_neighbors(args: argparse.Namespace) -> int:
     p = parse_perm(args.perm)
-    scheme = Scheme.parse(args.scheme)
+    scheme = _scheme(args)
     rows = [
         (link, format_perm(q), arc_direction(p, link, scheme).value)
         for link, q in neighbors(p)
@@ -152,15 +163,15 @@ def _cmd_route(args: argparse.Namespace) -> int:
 
 
 def _cmd_distance(args: argparse.Namespace) -> int:
+    scheme = _scheme(args, "directed")
     s, t = parse_perm(args.source), parse_perm(args.target)
-    print(distance(s, t, directed=args.directed, scheme=Scheme.parse(args.scheme)))
+    print(distance(s, t, directed=args.directed, scheme=scheme))
     return 0
 
 
 def _cmd_diameter(args: argparse.Namespace) -> int:
-    result = diameter(
-        args.n, directed=args.directed, scheme=Scheme.parse(args.scheme), mode=args.mode
-    )
+    scheme = _scheme(args, "directed")
+    result = diameter(args.n, directed=args.directed, scheme=scheme, mode=args.mode)
     if args.json:
         print(
             json.dumps(
@@ -281,8 +292,9 @@ def _cmd_table(args: argparse.Namespace) -> int:
 
 
 def _cmd_witness(args: argparse.Namespace) -> int:
+    scheme = _scheme(args, "bound")
     if args.bound:
-        report = lower_bound_check(args.n, scheme=Scheme.parse(args.scheme))
+        report = lower_bound_check(args.n, scheme=scheme)
         if args.json:
             print(
                 json.dumps(

@@ -23,8 +23,8 @@ import numpy as np
 from .classify import _ROW_BLOCK, _count_rows
 from .oracle import (
     MAX_TABLE_ORDER,
-    SWEEP_WIDTH,
     UNREACHABLE,
+    _distance_blocks,
     diameter,
     distance_fields,
     move_table,
@@ -203,7 +203,7 @@ def _distance_violations(
 
     This is the sweep path of the closed forms; ``routing.classic_distance``
     and ``classic_distance_sets`` serve single pairs.  The pairs of each
-    :func:`oracle.distance_fields` batch, source by source and each
+    :func:`oracle._distance_blocks` block, source by source and each
     source's targets in rank order, go to :func:`classify._count_rows`
     ``_ROW_BLOCK`` rows at a time.  ``distance-vs-bfs`` compares the
     kernel's classic distance with BFS and ``set-formula`` compares the
@@ -211,7 +211,7 @@ def _distance_violations(
     arrays; a :class:`Violation` is built only for a pair that differs.
     """
     found: dict[str, list[Violation]] = {name: [] for name in DISTANCE_CHECKS}
-    half = boundary(n).half
+    k = boundary(n).k
     size = len(targets)
     # where[j, v - 1]: the position of value v in target j, row j of perms
     perms = move_table(n).perms
@@ -219,14 +219,12 @@ def _distance_violations(
     for lo in range(0, size, _ROW_BLOCK):
         block = perms[lo : lo + _ROW_BLOCK]
         np.put_along_axis(where[lo : lo + _ROW_BLOCK], block - 1, np.arange(1, n + 1), axis=1)
-    fields = distance_fields(sources)
-    for lo in range(0, len(sources), SWEEP_WIDTH):
-        batch = sources[lo : lo + SWEEP_WIDTH]
+    for batch, block in _distance_blocks(sources):
         values = np.array(batch, dtype=np.intp) - 1
-        bfs = np.concatenate([field.dist for field in itertools.islice(fields, len(batch))])
+        bfs = block.ravel()
         for start in range(0, len(bfs), _ROW_BLOCK):
             src, tgt = np.divmod(np.arange(start, min(start + _ROW_BLOCK, len(bfs))), size)
-            rows = _count_rows(where[tgt[:, None], values[src]], half)
+            rows = _count_rows(where[tgt[:, None], values[src]], k)
             d = rows.distance
             actual = bfs[start : start + len(d)]
             for i in np.flatnonzero(d != actual).tolist():

@@ -9,28 +9,24 @@ Akiba, Iwata & Yoshida (SIGMOD 2013).  It follows up to 64 sources at once,
 one bit each in a word per vertex, and the word is the narrowest unsigned
 type with a bit per source: uint8 up to 8 sources, so the two-source orbit
 sweep and the one-source :func:`bfs` move one byte per vertex, and uint64
-for a full batch of 64.  Each level pulls the frontier along in-arcs.  The
-generators are involutions, so the in-arcs of a vertex are move-table
-entries, and one table of full-length rank columns serves the undirected
-and both directed graphs (:class:`_InArcs`).  :func:`diameter` keeps only
-the level count and the last frontier of each sweep;
-:func:`distance_fields` writes each level into one byte per vertex and
-source, and :func:`bfs` is its one-source case.  On a 2-core Xeon,
-exhaustive order 7 takes about 0.08 s for the undirected and the directed
-graph together, orbit mode for all three graphs at orders 8 and 9 about
-0.2 s, a one-source directed order-9 field about 0.1 s, and all 720
-order-6 distance fields about 0.04 s.
+for a full batch of 64.  Each level pulls the frontier along in-arcs.  An
+orientation is a send set, the links even vertices send on (None
+undirected), and :class:`_InArcs` turns it into rank columns of move-table
+entries.  :func:`diameter` keeps only the level count and the last frontier
+of each sweep; :func:`distance_fields` writes each level into one byte per
+vertex and source.  On a 2-core Xeon a one-source directed order-9 field
+takes about 0.1 s and all 720 order-6 distance fields about 0.04 s.
 
 Everything here is deliberately independent of the routing formulas it is
-used to check: vertex parity comes from Lehmer digit sums and the per-scheme
-outgoing-link columns are re-derived from the orientation rules.
+used to check: vertex parity comes from Lehmer digit sums and each scheme's
+send set is re-derived from the orientation rules (:func:`_sends`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import zip_longest
-from math import ceil, factorial
+from math import factorial
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -105,21 +101,9 @@ def _lehmer(columns: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
 @dataclass(frozen=True)
 class MoveTable:
     n: int
-    k: int
     perms: np.ndarray  # (n!, n) uint8, row r = unrank(r)
     moves: np.ndarray  # (n!, n-1) int32, column j = generator j+2, column-major
     odd: np.ndarray  # (n!,) bool, True at odd vertices
-
-    def out_columns(self, scheme: Scheme) -> tuple[list[int], list[int]]:
-        """Outgoing move-table columns for (even, odd) vertices."""
-        links = range(2, self.n + 1)
-        if scheme is Scheme.FUJITA:
-            even = [l - 2 for l in links if l <= self.k]
-            odd = [l - 2 for l in links if l > self.k]
-        else:
-            even = [l - 2 for l in links if l % 2 == 0]
-            odd = [l - 2 for l in links if l % 2 == 1]
-        return even, odd
 
 
 _tables: dict[int, MoveTable] = {}
@@ -159,7 +143,6 @@ def move_table(n: int) -> MoveTable:
             moves[:, link - 2], neighbour_odd = _lehmer(columns)
         table = MoveTable(
             n=n,
-            k=ceil((n - 1) / 2) + 1,
             perms=perms,
             moves=moves,
             # every generator is a transposition: a vertex has the
@@ -227,36 +210,42 @@ def _word(width: int) -> type[np.unsignedinteger]:
     raise ValueError(f"a sweep follows at most {SWEEP_WIDTH} sources, got {width}")
 
 
+def _sends(n: int, directed: bool, scheme: Scheme) -> frozenset[int] | None:
+    """The links even vertices send on, None undirected: Fujita's left half
+    2..k, k = ceil((n-1)/2) + 1 = n//2 + 1, or Day-Tripathi's even links."""
+    links = range(2, n + 1)
+    return (frozenset(links[: n // 2] if scheme is Scheme.FUJITA else links[::2])
+            if directed else None)
+
+
 @dataclass(frozen=True)
 class _InArcs:
     """In-arcs of every vertex, as full-length rank columns, for bit-parallel BFS.
 
-    Every generator is an involution, so the vertex that enters ``v`` over
-    link ``j`` is ``moves[v, j]``.  Undirected, every move-table column is an
-    in-arc column.  Directed, each generator also flips parity: an odd
-    vertex is entered from even vertices over their outgoing columns and an
-    even vertex from odd vertices over theirs, so column j holds, for each
-    vertex, its j-th in-arc under its own parity.  Where the two parities
-    have different numbers of outgoing columns, the shorter side is padded
-    with the vertex's own rank: pulling a vertex's own frontier adds only
-    bits already cleared from its ``unseen`` word.
+    The vertex that enters ``v`` over link ``j`` is ``moves[v, j - 2]``.
+    Even vertices send on the send set L and odd ones on the other links, and
+    every generator flips parity, so an even vertex is entered over the links
+    outside L and an odd one over L.  Column i holds each vertex's i-th
+    in-arc under its own parity; undirected (L None) it is the move-table
+    column itself, a view.  Where the parities' in-degrees differ, the
+    shorter side is padded with the vertex's own rank, whose frontier bits
+    are already cleared from its ``unseen`` word.  So a directed level takes
+    ceil((n-1)/2) gathers, not the n-1 of a per-vertex link mask.
     """
 
     size: int
     columns: list[np.ndarray]
 
     @classmethod
-    def build(cls, table: MoveTable, directed: bool, scheme: Scheme) -> _InArcs:
+    def build(cls, table: MoveTable, sends: frozenset[int] | None) -> _InArcs:
         size = len(table.odd)
-        if not directed:
-            return cls(size, [table.moves[:, j] for j in range(table.n - 1)])
+        by_link = {link: table.moves[:, link - 2] for link in range(2, table.n + 1)}
+        even_in = [col for link, col in by_link.items() if sends is None or link not in sends]
+        odd_in = [col for link, col in by_link.items() if sends is None or link in sends]
         own = np.arange(size, dtype=table.moves.dtype)
-        from_even, from_odd = (
-            [table.moves[:, j] for j in cols] for cols in table.out_columns(scheme)
-        )
         columns = [
-            np.where(table.odd, even, odd)
-            for even, odd in zip_longest(from_even, from_odd, fillvalue=own)
+            even if even is odd else np.where(table.odd, odd, even)
+            for even, odd in zip_longest(even_in, odd_in, fillvalue=own)
         ]
         return cls(size, columns)
 
@@ -288,25 +277,22 @@ class _InArcs:
             frontier = pulled
 
 
-def distance_fields(
+def _distance_blocks(
     sources: Sequence[Sequence[int]],
     directed: bool = False,
     scheme: Scheme = Scheme.FUJITA,
-) -> Iterator[DistanceField]:
-    """Breadth-first distance fields from each of ``sources``, in order.
-
-    Undirected by default; with ``directed=True`` only outgoing arcs of
-    ``scheme`` are followed.  Sources are swept 64 at a time: level d of a
-    sweep writes d into row i of a (width, n!) byte block wherever bit i is
-    set, and each field's ``dist`` is one row of that block.
-    """
+) -> Iterator[tuple[list[Perm], np.ndarray]]:
+    """Breadth-first distances from ``sources``, 64 sources per sweep: each
+    batch of sources, in order, with its (width, n!) byte block, row i the
+    distances from ``batch[i]`` in rank order.  Level d of a sweep writes d
+    into row i wherever bit i is set."""
     sources = [tuple(s) for s in sources]
     if not sources:
         return
     n = len(sources[0])
     if any(len(s) != n for s in sources):
         raise ValueError(f"order mismatch among sources: {sorted({len(s) for s in sources})}")
-    arcs = _InArcs.build(move_table(n), directed, scheme)
+    arcs = _InArcs.build(move_table(n), _sends(n, directed, scheme))
     for lo in range(0, len(sources), SWEEP_WIDTH):
         batch = sources[lo : lo + SWEEP_WIDTH]
         block = np.full((len(batch), arcs.size), UNREACHABLE, dtype=np.uint8)
@@ -318,8 +304,23 @@ def distance_fields(
             bits = np.unpackbits(words.reshape(-1, nbytes), axis=1, bitorder="little")
             hit, row = np.nonzero(bits)
             block[row, vertices[hit]] = d
+        yield batch, block
+
+
+def distance_fields(
+    sources: Sequence[Sequence[int]],
+    directed: bool = False,
+    scheme: Scheme = Scheme.FUJITA,
+) -> Iterator[DistanceField]:
+    """Breadth-first distance fields from each of ``sources``, in order.
+
+    Undirected by default; with ``directed=True`` only outgoing arcs of
+    ``scheme`` are followed.  Each field's ``dist`` is one row of a block
+    of :func:`_distance_blocks`.
+    """
+    for batch, block in _distance_blocks(sources, directed, scheme):
         for s, dist in zip(batch, block):
-            yield DistanceField(n, s, directed, scheme if directed else None, dist)
+            yield DistanceField(len(s), s, directed, scheme if directed else None, dist)
 
 
 def _witness(frontier: np.ndarray) -> tuple[int, int]:
@@ -345,8 +346,8 @@ def orbit_sources(n: int) -> tuple[Perm, Perm]:
     """One even and one odd source: the identity and (2, 1, 3, ..., n).
 
     Left translation by any even permutation is a label-preserving
-    automorphism of both orientations, so these two realise every
-    eccentricity.
+    automorphism of every parity-link orientation, so these two realise
+    every eccentricity.
     """
     ident = tuple(range(1, n + 1))
     return ident, (2, 1) + ident[2:]
@@ -374,14 +375,11 @@ def diameter(
         raise ValueError(f"unknown diameter mode {mode!r}")
     if mode is None:
         mode = "exhaustive" if n <= 7 else "orbit"
-    arcs = _InArcs.build(move_table(n), directed, scheme)
+    arcs = _InArcs.build(move_table(n), _sends(n, directed, scheme))
     if mode == "orbit":
         batches = [np.array([rank(s) for s in orbit_sources(n)])]
     else:
-        batches = [
-            np.arange(lo, min(lo + SWEEP_WIDTH, arcs.size))
-            for lo in range(0, arcs.size, SWEEP_WIDTH)
-        ]
+        batches = np.split(np.arange(arcs.size), range(SWEEP_WIDTH, arcs.size, SWEEP_WIDTH))
     best = -1
     witness: tuple[Perm, Perm] | None = None
     for sources in batches:

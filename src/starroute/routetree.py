@@ -65,26 +65,23 @@ def _lowest(mask: np.ndarray) -> np.ndarray:
     return rows + 2 - (mask * weight).max(axis=0)
 
 
-def _pick_rows(
-    dest: np.ndarray, odd: np.ndarray, half: Sequence[int]
-) -> tuple[np.ndarray, np.ndarray]:
+def _pick_rows(dest: np.ndarray, odd: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """:func:`routing._oriented_pick` for every row of ``dest``: the link
     and the decision case, as code ``j`` of ``_CASES[j]``, each an ``(m,)``
     uint8 array.  A row already at its target gets link 0 and ``_NO_CASE``.
 
     ``dest`` is an ``(m, n)`` uint8 block, one row per (current, target)
-    pair, as :func:`classify._count_rows` takes it; ``odd`` is the parity of
-    each current node.  Rows are taken ``_ROW_BLOCK`` at a time, each block
-    in column layout.  Each pick set of the decision tree is an
-    ``(n - 1, r)`` mask over positions 2..n, and its lowest position a
-    weighted maximum.  Case 2.1 reads the cycle labels of
+    pair, as :func:`classify._count_rows` takes it with the boundary ``k``;
+    ``odd`` is the parity of each current node.  Rows are taken
+    ``_ROW_BLOCK`` at a time, each block in column layout.  Each pick set of
+    the decision tree is an ``(n - 1, r)`` mask over positions 2..n, and its
+    lowest position a weighted maximum.  Case 2.1 reads the cycle labels of
     :func:`classify._cycle_cols` (position 1's cycle is label 1), case 3.1
     its alternation flags, and case 2.2 walks the inverse of ``dest``
     backwards from position 1, at most n gathers.  Raises
     :class:`RoutingInvariantError` where the scalar pick would.
     """
     m, n = dest.shape
-    k = list(half).count(1) + 1
     pos = np.arange(1, n + 1, dtype=np.uint8)
     here = _halves(pos[1:], k)[:, None]  # the half of each of positions 2..n
     link = np.empty(m, dtype=np.uint8)
@@ -178,7 +175,7 @@ class RouteTree:
         dest = tpos[:, table.perms].reshape(-1, n)
         rows = len(dest)
         self.odd = odd = np.tile(table.odd.view(np.uint8), len(self.targets))
-        self.counts = counts = _count_rows(dest, boundary(n).half)
+        self.counts = counts = _count_rows(dest, boundary(n).k)
         self.link, self.move, self.case = link, move, case = self._decide(dest, odd)
         del dest
         root = case == _NO_CASE
@@ -250,7 +247,7 @@ class RouteTree:
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Every row's decision: link, move kind code and case code.  One
         call per tree, so that the decisions can be replaced as a whole."""
-        link, case = _pick_rows(dest, odd, boundary(self.n).half)
+        link, case = _pick_rows(dest, odd, boundary(self.n).k)
         return link, _move_rows(dest, link, case), case
 
     def node(self, row: int) -> Perm:

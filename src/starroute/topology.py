@@ -5,15 +5,20 @@ edge labelled ``i`` between ``u`` and ``apply_generator(u, i)`` for each
 ``i`` in 2..n.  Positions 2..k with ``k = ceil((n-1)/2) + 1`` form the *left
 half*, positions k+1..n the *right half*; position 1 belongs to neither.
 
-Each edge carries one direction:
+Each edge carries one direction.  Both schemes are *parity-link*
+orientations: even vertices send on a link set L, the *send set*, and odd
+vertices send on the other links.  Every generator flips parity, so each
+edge is directed from one parity class to the other.
 
-- ``Scheme.FUJITA``: an even vertex's outgoing links are exactly the left
-  half (2..k); odd vertices reverse this.
-- ``Scheme.DAY_TRIPATHI``: an even vertex's outgoing links are the
-  even-numbered ones; odd vertices own the odd-numbered links.
+- ``Scheme.FUJITA``: L is the left half, 2..k.
+- ``Scheme.DAY_TRIPATHI``: L is the even links.
 
-Every generator flips parity, so both orientations direct each edge from one
-parity class to the other.
+The two schemes are one graph.  For a permutation s of positions 2..n, the
+map v -> v∘s takes the edge at v labelled i to the edge at v∘s labelled
+s^-1(i).  An even s keeps parity, so it maps the orientation of L onto that
+of s^-1(L); an odd s maps it onto that of the complement.  So the graph
+depends only on |L|, up to |L| <-> n-1-|L|, and both send sets have
+ceil((n-1)/2) links.
 """
 
 from __future__ import annotations
@@ -84,18 +89,20 @@ def neighbors(u: Sequence[int]) -> list[tuple[int, Perm]]:
 @lru_cache(maxsize=None)
 def out_links(n: int, scheme: Scheme = Scheme.FUJITA) -> tuple[frozenset[int], frozenset[int]]:
     """Outgoing links of an order-``n`` vertex, indexed by its parity:
-    ``out_links(n, scheme)[odd]``.
+    ``out_links(n, scheme)[odd]``.  The even vertices' links are the
+    scheme's send set and the odd vertices' links its complement.
 
     >>> [sorted(links) for links in out_links(5)]
     [[2, 3], [4, 5]]
     """
-    links = range(2, n + 1)
+    links = frozenset(range(2, n + 1))
     if scheme is Scheme.FUJITA:
-        half = boundary(n).half
-        return frozenset(l for l in links if half[l] == 1), frozenset(l for l in links if half[l] == 2)
-    if scheme is Scheme.DAY_TRIPATHI:
-        return frozenset(l for l in links if l % 2 == 0), frozenset(l for l in links if l % 2 == 1)
-    raise ValueError(f"unknown scheme: {scheme!r}")  # pragma: no cover - enum is closed
+        sends = frozenset(boundary(n).left_positions)
+    elif scheme is Scheme.DAY_TRIPATHI:
+        sends = frozenset(l for l in links if l % 2 == 0)
+    else:  # pragma: no cover - enum is closed
+        raise ValueError(f"unknown scheme: {scheme!r}")
+    return sends, links - sends
 
 
 def arc_direction(u: Sequence[int], link: int, scheme: Scheme = Scheme.FUJITA) -> Direction:

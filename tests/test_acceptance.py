@@ -207,7 +207,7 @@ def test_criterion_6_orbit_mode_validity():
 )
 def test_criterion_6_order_eight_exhaustive():
     assert _orbit_equals_exhaustive(8) == [10, 16, 16]
-    _audit(6, "orbit = exhaustive at n=8: undirected 10, contiguous-half 16, parity-link 16")
+    _audit(6, "orbit = exhaustive at n=8: undirected 10, contiguous-half 16, even-link 16")
 
 
 def test_criterion_7_split_merge_law():
@@ -230,7 +230,7 @@ def _split_merge_population(n: int) -> int:
 def test_criterion_8_second_scheme_cross_check():
     value = diameter(6, directed=True, scheme=Scheme.DAY_TRIPATHI, mode="orbit").value
     assert value == 11
-    _audit(8, "parity-link scheme diameter at n=6 is 11 = 2n-1")
+    _audit(8, "even-link (day-tripathi) scheme diameter at n=6 is 11 = 2n-1")
 
 
 @pytest.mark.skipif(

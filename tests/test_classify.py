@@ -127,7 +127,7 @@ def test_count_rows_matches_the_scalar_counts(n):
     targets = [positions(t) for _, t in pairs]
     dest = np.array([[tpos[v] for v in c] for (c, _), tpos in zip(pairs, targets)], dtype=np.uint8)
     assert n < 5 or len(pairs) > _ROW_BLOCK  # several blocks per call
-    got = np.stack(_count_rows(dest, half), axis=1).tolist()
+    got = np.stack(_count_rows(dest, boundary(n).k), axis=1).tolist()
     expected = []
     for (c, t), tpos in zip(pairs, targets):
         ull, urr, ulr, url, chi, nonsingleton = _counts(c, tpos, half)

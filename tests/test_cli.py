@@ -135,6 +135,25 @@ def test_diameter_json_documents_order_seven(capsys, argv, scheme, value, target
     assert out == json.dumps(expected) + "\n"
 
 
+@pytest.mark.parametrize("argv,needs", [
+    (("diameter", "6", "--scheme", "day-tripathi"), "--directed"),
+    (("distance", "21345", "12345", "--scheme", "fujita"), "--directed"),
+    (("witness", "6", "--scheme", "day-tripathi"), "--bound"),
+])
+def test_scheme_without_the_flag_it_needs_exits_two(capsys, argv, needs):
+    # an orientation that the command would not use is an error, not a no-op
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: --scheme needs {needs}\n"
+
+
+def test_scheme_selects_the_directed_graph(capsys):
+    code, out, _ = run(capsys, "diameter", "6", "--directed", "--scheme", "day-tripathi")
+    assert code == 0 and " scheme=day-tripathi directed=true diameter=11 " in out
+    code, out, _ = run(capsys, "distance", "21345", "12345", "--directed", "--scheme", "fujita")
+    assert code == 0 and out == "5\n"
+
+
 def test_verify_pass_output_and_exit(capsys):
     code, out, _ = run(capsys, "verify", "4", "--checks", "route-validity,split-merge")
     assert code == 0

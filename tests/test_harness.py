@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import json
 
 import pytest
@@ -319,8 +318,8 @@ def test_stretch_bound_reads_the_classic_distance_of_every_pair(monkeypatch):
     count_rows = routetree._count_rows
     read = []  # the distances of each route tree's rows: by target, then by node
 
-    def recording(dest, half):
-        rows = count_rows(dest, half)
+    def recording(dest, k):
+        rows = count_rows(dest, k)
         read.extend(rows.distance.tolist())
         return rows
 
@@ -332,18 +331,15 @@ def test_stretch_bound_reads_the_classic_distance_of_every_pair(monkeypatch):
 def test_distance_vs_bfs_reports_exactly_the_planted_bfs_entries(monkeypatch):
     nodes = all_perms(4)
     wrong, lost = (5, 7), (20, 13)  # (source, target) indices
-    fields = harness.distance_fields
+    blocks = harness._distance_blocks
 
     def tampered(sources):
-        for i, field in enumerate(fields(sources)):
-            dist = field.dist.copy()
-            if i == wrong[0]:
-                dist[wrong[1]] += 1
-            if i == lost[0]:
-                dist[lost[1]] = UNREACHABLE
-            yield dataclasses.replace(field, dist=dist)
+        ((batch, block),) = blocks(sources)  # the 24 order-4 sources sweep at once
+        block[wrong] += 1
+        block[lost] = UNREACHABLE
+        yield batch, block
 
-    monkeypatch.setattr(harness, "distance_fields", tampered)
+    monkeypatch.setattr(harness, "_distance_blocks", tampered)
     report = verify(4, checks=DISTANCE_CHECKS)
     (s, t), (u, w) = [(nodes[i], nodes[j]) for i, j in (wrong, lost)]
     assert report.check("distance-vs-bfs").violations == (
@@ -360,8 +356,8 @@ def test_set_formula_reports_exactly_a_planted_kernel_row(monkeypatch):
     count_rows = harness._count_rows
     calls = []
 
-    def tampered(dest, half):
-        rows = count_rows(dest, half)
+    def tampered(dest, k):
+        rows = count_rows(dest, k)
         if len(calls) == 1:
             rows.ulr[0] += 1
         calls.append(len(dest))

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import random
 from collections import deque
@@ -12,6 +13,8 @@ from hypothesis import given, settings, strategies as st
 from starroute.oracle import (
     MAX_RANK_ORDER,
     _InArcs,
+    _lehmer,
+    _sends,
     UNREACHABLE,
     bfs,
     diameter,
@@ -23,7 +26,7 @@ from starroute.oracle import (
     unrank,
 )
 from starroute.perm import apply_generator, parity
-from starroute.topology import Scheme, in_neighbors, neighbors, out_neighbors
+from starroute.topology import Scheme, in_neighbors, neighbors, out_links, out_neighbors
 
 from conftest import all_perms, perms_of
 
@@ -254,7 +257,7 @@ WIDTHS = {1: np.uint8, 2: np.uint8, 8: np.uint8, 9: np.uint16, 16: np.uint16,
 @pytest.mark.parametrize("directed,scheme", GRAPHS)
 def test_distance_fields_every_word_width(directed, scheme):
     nodes = all_perms(5)
-    arcs = _InArcs.build(move_table(5), directed, scheme)
+    arcs = _InArcs.build(move_table(5), _sends(5, directed, scheme))
     for width in [*WIDTHS, 65]:
         sources = random.Random(width).sample(nodes, width)
         fields = distance_fields(sources, directed=directed, scheme=scheme)
@@ -270,9 +273,8 @@ def test_distance_fields_every_word_width(directed, scheme):
 @pytest.mark.parametrize("directed,scheme", GRAPHS)
 def test_in_arc_columns_match_topology(n, directed, scheme):
     table = move_table(n)
-    arcs = _InArcs.build(table, directed, scheme)
-    even_cols, odd_cols = table.out_columns(scheme)
-    padded = directed and len(even_cols) != len(odd_cols)
+    sends = _sends(n, directed, scheme)
+    arcs = _InArcs.build(table, sends)
     columns = np.stack(arcs.columns, axis=1)
     nodes = all_perms(n)
     index = {p: i for i, p in enumerate(nodes)}
@@ -283,8 +285,82 @@ def test_in_arc_columns_match_topology(n, directed, scheme):
         assert [u for u in row if u != v] == [index[q] for _, q in arcs_in]
         assert len(row) == len(arcs_in) + row.count(v)
         pads += row.count(v)
-    # a vertex pads with its own rank only where the parities' out-degrees differ
-    assert (pads > 0) == padded
+    # a vertex pads with its own rank only where the parities' in-degrees differ
+    assert (pads > 0) == (directed and 2 * len(sends) != n - 1)
+    # undirected, the columns are the move table's own, so no n!-long copy is made
+    shared = [np.shares_memory(column, table.moves) for column in arcs.columns]
+    assert shared == [not directed] * len(arcs.columns)
+
+
+def _outgoing(n, scheme):
+    """out[odd, link]: whether a vertex of that parity sends on the link."""
+    out = np.zeros((2, n + 1), dtype=bool)
+    for odd, links in enumerate(out_links(n, scheme)):
+        out[odd, sorted(links)] = True
+    return out
+
+
+def _even_relabelling(n):
+    """The first even s in lexicographic order, fixing position 1, with
+    s^-1(Fujita's send set) = Day-Tripathi's."""
+    fujita, day_tripathi = (out_links(n, scheme)[0] for scheme in Scheme)
+    for rest in itertools.permutations(range(2, n + 1)):
+        s = (1, *rest)
+        if parity(s) == 0 and {s[link - 1] for link in day_tripathi} == fujita:
+            return s
+    raise AssertionError(f"no even relabelling at order {n}")
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+def test_fujita_and_day_tripathi_are_one_graph(n):
+    s = _even_relabelling(n)
+    if n == 5:
+        assert s == (1, 2, 5, 3, 4)
+    table = move_table(n)
+    # row v of relabelled is v∘s: (v∘s)(p) = v(s(p))
+    relabelled = table.perms[:, [p - 1 for p in s]]
+    image, image_odd = _lehmer(list(relabelled.T))
+    assert sorted(image.tolist()) == list(range(len(image)))
+    assert (image_odd == table.odd).all()  # s is even
+    fujita, day_tripathi = _outgoing(n, Scheme.FUJITA), _outgoing(n, Scheme.DAY_TRIPATHI)
+    assert (fujita != day_tripathi).any()  # the identity relabelling does not do it
+    odd = table.odd.view(np.uint8)
+    for link in range(2, n + 1):
+        image_link = s.index(link) + 1  # s^-1(link)
+        # the edge at v over link is the edge at v∘s over s^-1(link) ...
+        ends = relabelled[table.moves[:, link - 2]]
+        assert (ends == table.perms[table.moves[image, image_link - 2]]).all()
+        # ... and both schemes direct it the same way
+        assert (fujita[odd, link] == day_tripathi[odd, image_link]).all()
+
+
+def _send_set_diameter(n, sends, mode):
+    """The diameter of the parity-link orientation whose even vertices send
+    on ``sends``, from every source or from the two orbit sources."""
+    arcs = _InArcs.build(move_table(n), sends)
+    if mode == "orbit":
+        batches = [np.array([rank(s) for s in orbit_sources(n)])]
+    else:
+        batches = np.split(np.arange(arcs.size), range(64, arcs.size, 64))
+    return max(sum(1 for _ in arcs.sweep(sources)) - 1 for sources in batches)
+
+
+# diameters by send-set size 1..n-2
+SEND_SET_DIAMETERS = {4: [9, 9], 5: [11, 10, 11], 6: [13, 11, 11, 13], 7: [17, 14, 14, 14, 17]}
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7])
+def test_send_set_size_decides_the_diameter(n):
+    by_size = {}
+    for size in range(1, n - 1):
+        for sends in itertools.combinations(range(2, n + 1), size):
+            value = _send_set_diameter(n, frozenset(sends), "orbit")
+            if n <= 6:
+                assert _send_set_diameter(n, frozenset(sends), "exhaustive") == value
+            by_size.setdefault(size, set()).add(value)
+    assert [by_size[size] for size in sorted(by_size)] == [{d} for d in SEND_SET_DIAMETERS[n]]
+    # both named schemes send on ceil((n-1)/2) = n//2 links
+    assert {diameter(n, True, scheme).value for scheme in Scheme} == by_size[n // 2]
 
 
 def test_distance_fields_edge_inputs():

@@ -48,9 +48,9 @@ def test_row_kernels_match_the_scalar_pick_and_counts(n):
     half = boundary(n).half
     pairs = _pairs(n)
     dest, odd = _rows(n, pairs)
-    link, case = _pick_rows(dest, odd, half)
+    link, case = _pick_rows(dest, odd, boundary(n).k)
     move = _move_rows(dest, link, case)
-    alternating = _count_rows(dest, half).alternating
+    alternating = _count_rows(dest, boundary(n).k).alternating
     # the scalar forms, each node's position index and parity taken once
     nodes = all_perms(n) if n <= 6 else {p for pair in pairs for p in pair}
     index = {p: (positions(p), parity(p)) for p in nodes}
