@@ -237,6 +237,34 @@ def _cycle_cols(cols: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     return label.reshape(n, r), ~bad.reshape(n, r)
 
 
+def _count_block(block: np.ndarray, k: int, out: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The :class:`RowCounts` of up to ``_ROW_BLOCK`` rows of ``dest``, into
+    the ``(7, r)`` ``out``.  Returns what the pick kernel reads too, each
+    ``(n, r)``: the block in column layout, the half each value is destined
+    for, the moved mask and the labels and alternation flags of :func:`_cycle_cols`."""
+    cols = np.ascontiguousarray(block.T)
+    n = len(cols)
+    pos = np.arange(1, n + 1, dtype=np.uint8)[:, None]
+    left, right = slice(1, k), slice(k, n)
+    ull, urr, ulr, url, nonsingleton, distance, alternating = out
+    there, moved = _halves(cols, k), cols != pos
+    label, alternates = _cycle_cols(cols, k)
+    leader = label == pos
+    for mask, total in (
+        ((there[left] == 1) & moved[left], ull),
+        ((there[right] == 2) & moved[right], urr),
+        (there[left] == 2, ulr),
+        (there[right] == 1, url),
+        (leader & moved, nonsingleton),
+        (moved, distance),
+        (leader & alternates, alternating),
+    ):
+        np.sum(mask, axis=0, dtype=np.uint8, out=total)
+    distance += nonsingleton
+    distance -= 2 * moved[0].view(np.uint8)
+    return cols, there, moved, label, alternates
+
+
 def _count_rows(dest: np.ndarray, k: int) -> RowCounts:
     """:func:`_counts` and the classic distance for every row of ``dest``.
 
@@ -245,36 +273,16 @@ def _count_rows(dest: np.ndarray, k: int) -> RowCounts:
     position ``i + 1``, the ``dest`` that :func:`_counts` builds.  ``k`` is
     the boundary of ``boundary(n)``.
 
-    Rows are taken ``_ROW_BLOCK`` at a time, each block in column layout,
-    so that every count is a sum over the ``n`` rows of a mask.  The slot
-    counts read the halves of the left positions (2..k) and the right ones.
-    The cycle counts read the labels and alternation flags of
-    :func:`_cycle_cols`: a moved position that is its own label stands for
-    one non-singleton cycle, and for an alternating one when its cycle
-    alternates.  The distance is mismatches plus non-singleton cycles,
-    minus 2 when position 1 is unsettled.
+    Rows are taken ``_ROW_BLOCK`` at a time by :func:`_count_block`, each
+    block in column layout, so that every count is a sum over the ``n``
+    rows of a mask.  The slot counts read the halves of the left positions
+    (2..k) and the right ones.  The cycle counts read the labels and
+    alternation flags of :func:`_cycle_cols`: a moved position that is its
+    own label stands for one non-singleton cycle, and for an alternating
+    one when its cycle alternates.  The distance is mismatches plus
+    non-singleton cycles, minus 2 when position 1 is unsettled.
     """
-    m, n = dest.shape
-    pos = np.arange(1, n + 1, dtype=np.uint8)[:, None]
-    left, right = slice(1, k), slice(k, n)
-    out = np.empty((7, m), dtype=np.uint8)
-    for lo in range(0, m, _ROW_BLOCK):
-        cols = np.ascontiguousarray(dest[lo : lo + _ROW_BLOCK].T)
-        ull, urr, ulr, url, nonsingleton, distance, alternating = out[:, lo : lo + cols.shape[1]]
-        there = _halves(cols, k)  # the half each value is destined for
-        moved = cols != pos
-        label, alternates = _cycle_cols(cols, k)
-        leader = label == pos
-        for mask, total in (
-            ((there[left] == 1) & moved[left], ull),
-            ((there[right] == 2) & moved[right], urr),
-            (there[left] == 2, ulr),
-            (there[right] == 1, url),
-            (leader & moved, nonsingleton),
-            (moved, distance),
-            (leader & alternates, alternating),
-        ):
-            np.sum(mask, axis=0, dtype=np.uint8, out=total)
-        distance += nonsingleton
-        distance -= 2 * moved[0].view(np.uint8)
+    out = np.empty((7, len(dest)), dtype=np.uint8)
+    for lo in range(0, len(dest), _ROW_BLOCK):
+        _count_block(dest[lo : lo + _ROW_BLOCK], k, out[:, lo : lo + _ROW_BLOCK])
     return RowCounts(*out)

@@ -294,6 +294,9 @@ def _cmd_table(args: argparse.Namespace) -> int:
 def _cmd_witness(args: argparse.Namespace) -> int:
     scheme = _scheme(args, "bound")
     if args.bound:
+        # the bound measures the farther variant itself
+        if args.variant is not None:
+            raise ValueError("--variant does not apply with --bound")
         report = lower_bound_check(args.n, scheme=scheme)
         if args.json:
             print(
@@ -317,9 +320,10 @@ def _cmd_witness(args: argparse.Namespace) -> int:
                 f"supports_2n={str(report.supports_2n).lower()}"
             )
         return 0 if report.ok else 1
-    w = witness(args.n, args.variant)
+    variant = args.variant or "default"
+    w = witness(args.n, variant)
     if args.json:
-        print(json.dumps({"n": args.n, "variant": args.variant, "witness": format_perm(w)}))
+        print(json.dumps({"n": args.n, "variant": variant, "witness": format_perm(w)}))
     else:
         print(format_perm(w))
     return 0
@@ -396,7 +400,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("witness", help="lower-bound witness permutation")
     p.add_argument("n", type=int)
-    p.add_argument("--variant", choices=["default", "even-refined"], default="default")
+    p.add_argument(
+        "--variant",
+        choices=["default", "even-refined"],
+        default=None,
+        help="witness form (default: default); --bound picks the farther one itself",
+    )
     p.add_argument("--bound", action="store_true", help="also measure its directed distance")
     _scheme_arg(p)
     p.add_argument("--json", action="store_true")

@@ -40,7 +40,7 @@ from .routing import (
     oriented_step,
     validate_trace,
 )
-from .topology import Scheme, boundary
+from .topology import Scheme, boundary, relabelling
 
 ROUTE_CHECKS: tuple[str, ...] = (
     "route-validity",
@@ -133,7 +133,7 @@ def _route_violations(n: int, targets: list[Perm]) -> _Sweep:
     stretch and cap bounds, the incoming-arc and load-rise flags and the
     phase laws of :func:`routing._phase_faults` are masks over the rows;
     the classic distances of the stretch bound are the tree's own, from
-    its one :func:`classify._count_rows` call.  A :class:`Violation` is
+    its one :func:`routetree._pick_rows` pass.  A :class:`Violation` is
     built only for a flagged row.  A route that meets a cycle or would
     exceed the runaway limit is a ``route-validity`` violation, and no other
     check reads it.
@@ -180,6 +180,7 @@ def _route_violations(n: int, targets: list[Perm]) -> _Sweep:
         extended += int(np.count_nonzero(summary.extended & live))
         cases += np.bincount(tree.case, minlength=len(cases))
         lengths += np.bincount(length[live], minlength=len(lengths))
+        del tree, summary, laws  # before the next group's columns are built
     longest = int(np.flatnonzero(lengths)[-1]) if lengths.any() else 0
     extras = {
         "phase-structure": {
@@ -464,6 +465,10 @@ def lower_bound_check(n: int, scheme: Scheme | str = Scheme.FUJITA) -> LowerBoun
     2n-1 at n in {5,6} and 2n from n=7 on.  ``supports_2n`` records whether
     the measured distance reaches 2n even where only 2n-1 is required.
     At even n >= 8 both witness variants are measured and the farther wins.
+    The witness is taken as s^-1∘w∘s, with s the scheme's
+    :func:`topology.relabelling`: under the scheme it lies as far from the
+    identity as w does under Fujita's (w itself there), and the report
+    names the permutation measured.
     """
     if not 5 <= n <= MAX_TABLE_ORDER:
         raise ValueError(f"lower_bound_check covers n in 5..{MAX_TABLE_ORDER}, got {n}")
@@ -472,7 +477,8 @@ def lower_bound_check(n: int, scheme: Scheme | str = Scheme.FUJITA) -> LowerBoun
     variants = ["default"]
     if n % 2 == 0 and n >= 8:
         variants.append("even-refined")
-    witnesses = [witness(n, variant) for variant in variants]
+    s = relabelling(n, scheme)
+    witnesses = [compose(inverse(s), compose(witness(n, variant), s)) for variant in variants]
     fields = distance_fields(witnesses, directed=True, scheme=scheme)
     distances = [field.distance(identity(n)) for field in fields]
     # the farther variant wins; a tie keeps the default

@@ -7,21 +7,21 @@ rows, one per (node, target) pair.  Nodes are numbered by rank in
 ``oracle.move_table(n).perms``, and row ``j * n! + v`` is the route from
 node v into target j.  Each column is a numpy array over the rows:
 
-- the counts of :func:`classify._count_rows` and the decision of
-  :func:`_pick_rows`, the row kernel of :func:`routing._oriented_pick`
-  (link, move kind and case).  The successor is a gather,
-  ``moves[v, link - 2]``;
-- a route DP, filled level by level outward from the roots for up to
-  ``routing._runaway_limit(n)`` levels: each route's length, settling
-  prefix, alpha and gamma rows, Phase Two counts, fallback, incoming-arc and
-  load-rise flags, each from its successor's.  A row that no level reaches
-  meets a cycle or would exceed the limit.
+- the counts and the decision of :func:`_pick_rows`, one pass over the
+  blocks for :func:`classify._count_rows` and the row kernel of
+  :func:`routing._oriented_pick` (link, move kind and case).  The
+  successor is a gather, ``moves[v, link - 2]``;
+- a route DP as path sums, over up to ``routing._runaway_limit(n)`` levels
+  outward from the roots: each route's ``sums`` of per-hop indicators
+  (``_HOPS``), its ``near`` pointers to the first rows of the route where a
+  mark holds, and ``gamma``, the row after its last crossing.  A row that
+  no level reaches meets a cycle or would exceed the limit.
 
-:meth:`RouteTree.summary` gives the columns :func:`routing._phase_faults`
-evaluates.  :meth:`RouteTree.trace` rebuilds one route as a
-:class:`routing.RouteTrace` for :func:`routing.validate_trace`, and
-:meth:`RouteTree.first_rise` walks one route to its first load rise; both
-serve flagged rows only.
+:meth:`RouteTree.summary` derives the columns :func:`routing._phase_faults`
+evaluates from those and the depths.  :meth:`RouteTree.trace` rebuilds one
+route as a :class:`routing.RouteTrace` for :func:`routing.validate_trace`,
+and :meth:`RouteTree.first_rise` walks one route to its first load rise;
+both serve flagged rows only.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ import numpy as np
 
 # the runaway limit is read through the module
 from . import routing
-from .classify import _ROW_BLOCK, _count_rows, _cycle_cols, _halves
+from .classify import _ROW_BLOCK, RowCounts, _count_block, _halves
 from .oracle import move_table
 from .perm import Perm, _positions
 from .routing import CROSSING_KINDS, MoveKind, PhaseSummary, RouteTrace, RoutingInvariantError
@@ -52,8 +52,13 @@ _CASE_MOVE = np.array(
 _NO_PICK = 255  # the case code of a row whose pick set came out empty
 # per move kind code: the hop crosses; the target's entry crosses nothing
 _CROSSES = np.array([kind in CROSSING_KINDS for kind in _KINDS] + [False])
-# per case code: a 2.4/2.5 fallback hop
-_FALLBACK = np.array([case in ("2.4", "2.5") for case in _CASES] + [False])
+# the columns of RouteTree.sums, the indicators of one hop summed along a route
+_HOPS = ("crossing", "final", "pre-final", "fallback", "rise", "incoming")
+# per move kind code: its first three indicators, and the marks that the
+# near pointers stop at (final, pre-final, not settling)
+_CODE = np.arange(len(_CROSSES))
+_BY_MOVE = np.column_stack((_CROSSES, _CODE == _FINAL, _CODE == _PRE_FINAL, _CODE != _SETTLING))
+_FALLBACK = np.array([case in ("2.4", "2.5") for case in _CASES] + [False])  # per case code
 
 
 def _lowest(mask: np.ndarray) -> np.ndarray:
@@ -65,36 +70,39 @@ def _lowest(mask: np.ndarray) -> np.ndarray:
     return rows + 2 - (mask * weight).max(axis=0)
 
 
-def _pick_rows(dest: np.ndarray, odd: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`routing._oriented_pick` for every row of ``dest``: the link
-    and the decision case, as code ``j`` of ``_CASES[j]``, each an ``(m,)``
-    uint8 array.  A row already at its target gets link 0 and ``_NO_CASE``.
+def _pick_rows(
+    dest: np.ndarray, odd: np.ndarray, k: int
+) -> tuple[RowCounts, np.ndarray, np.ndarray]:
+    """:func:`classify._count_rows` and :func:`routing._oriented_pick` for
+    every row of ``dest``, in one pass: the counts, and the link and the
+    decision case (code ``j`` of ``_CASES[j]``), each an ``(m,)`` uint8
+    array.  A row already at its target gets link 0 and ``_NO_CASE``.
 
     ``dest`` is an ``(m, n)`` uint8 block, one row per (current, target)
     pair, as :func:`classify._count_rows` takes it with the boundary ``k``;
-    ``odd`` is the parity of each current node.  Rows are taken
-    ``_ROW_BLOCK`` at a time, each block in column layout.  Each pick set of
-    the decision tree is an ``(n - 1, r)`` mask over positions 2..n, and its
-    lowest position a weighted maximum.  Case 2.1 reads the cycle labels of
-    :func:`classify._cycle_cols` (position 1's cycle is label 1), case 3.1
-    its alternation flags, and case 2.2 walks the inverse of ``dest``
-    backwards from position 1, at most n gathers.  Raises
-    :class:`RoutingInvariantError` where the scalar pick would.
+    ``odd`` is the parity of each current node.  Each block's picks read
+    the column layout, halves and cycles of its counts
+    (:func:`classify._count_block`).  A pick set is an ``(n - 1, r)`` mask
+    over positions 2..n, its lowest position a weighted maximum.  Case 2.1
+    reads the cycle labels (position 1's is 1), case 3.1 the alternation
+    flags, and case 2.2 walks the inverse of ``dest`` backwards from
+    position 1, at most n gathers.  Raises :class:`RoutingInvariantError`
+    where the scalar pick would.
     """
     m, n = dest.shape
     pos = np.arange(1, n + 1, dtype=np.uint8)
     here = _halves(pos[1:], k)[:, None]  # the half of each of positions 2..n
+    counts = np.empty((7, m), dtype=np.uint8)
     link = np.empty(m, dtype=np.uint8)
     case = np.empty(m, dtype=np.uint8)
     for lo in range(0, m, _ROW_BLOCK):
-        cols = np.ascontiguousarray(dest[lo : lo + _ROW_BLOCK].T)
+        cols, there, moved, label, alternates = _count_block(
+            dest[lo : lo + _ROW_BLOCK], k, counts[:, lo : lo + _ROW_BLOCK]
+        )
         r = cols.shape[1]
         home = odd[lo : lo + r].astype(np.uint8) + 1  # the half this node's links reach
         first = cols[0]
-        label, alternates = _cycle_cols(cols, k)
-        rest = cols[1:]
-        there = _halves(rest, k)  # the half each value is destined for
-        moved = rest != pos[1:, None]
+        there, moved = there[1:], moved[1:]  # of positions 2..n
         mine = here == home
         same = moved & (there == here)  # the burn-down values, |ull| + |urr|
         a_set = same & mine
@@ -150,7 +158,7 @@ def _pick_rows(dest: np.ndarray, odd: np.ndarray, k: int) -> tuple[np.ndarray, n
             choice[2, walk] = found
         link[lo : lo + r] = choice[code, np.arange(r)]
         case[lo : lo + r] = code
-    return link, case
+    return RowCounts(*counts), link, case
 
 
 def _move_rows(dest: np.ndarray, link: np.ndarray, case: np.ndarray) -> np.ndarray:
@@ -175,8 +183,8 @@ class RouteTree:
         dest = tpos[:, table.perms].reshape(-1, n)
         rows = len(dest)
         self.odd = odd = np.tile(table.odd.view(np.uint8), len(self.targets))
-        self.counts = counts = _count_rows(dest, boundary(n).k)
-        self.link, self.move, self.case = link, move, case = self._decide(dest, odd)
+        counts, link, move, case = self._decide(dest, odd)
+        self.counts, self.link, self.move, self.case = counts, link, move, case
         del dest
         root = case == _NO_CASE
         if not (root | ((link >= 2) & (link <= n))).all():
@@ -192,63 +200,49 @@ class RouteTree:
         nxt[root] = rows
         del base, hop
 
+        # each row's own hop indicators; the load past the end is a root's, 0
+        self.load = load = np.zeros(rows + 1, dtype=np.uint8)
+        np.add(counts.ull, counts.urr, out=load[:rows])
+        out = np.zeros((2, n + 1), dtype=bool)  # out[odd, link]: an outgoing arc
+        out[:, 0] = True  # a root's link 0 is no arc
+        for parity, links in enumerate(out_links(n, Scheme.FUJITA)):
+            out[parity, list(links)] = True
+        self.sums = sums = np.empty((rows, len(_HOPS)), dtype=np.uint8)
+        sums[:, :3] = _BY_MOVE[move, :3]
+        sums[:, 3] = _FALLBACK[case]
+        sums[:, 4] = load[nxt] > load[:rows]
+        sums[:, 5] = ~out[odd, link]
+
         # route length; -1 where no level reaches the row
         self.depth = depth = np.full(rows + 1, -1, dtype=np.int16)
         depth[rows] = -2
         depth[:rows][root] = 0
-        self.len1 = len1 = np.zeros(rows, dtype=np.uint8)  # settling-prefix length
-        self.alpha = alpha = np.arange(rows, dtype=np.int32)  # row after the prefix
-        # hops through the last crossing (0 without one), and the row after it
-        self.after = after = np.zeros(rows, dtype=np.uint8)
-        self.gamma = gamma = np.zeros(rows, dtype=np.int32)
-        self.waiting = waiting = np.zeros(rows, dtype=np.uint8)  # non-crossing hops before it
-        self.finals = finals = np.zeros(rows, dtype=np.uint8)
-        self.prefinals = prefinals = np.zeros(rows, dtype=np.uint8)
-        self.final_hop = final_hop = np.full(rows, -1, dtype=np.int8)  # first final crossing
-        self.prefinal_hop = prefinal_hop = np.full(rows, -1, dtype=np.int8)
-        self.fallback = fallback = np.zeros(rows, dtype=bool)  # the route is extended
-        self.rising = rising = np.zeros(rows, dtype=bool)  # some hop raises the load
-        self.incoming = incoming = np.zeros(rows, dtype=bool)  # some hop is on an incoming arc
-        self.load = load = counts.ull + counts.urr
-        out = np.zeros((2, n + 1), dtype=bool)  # out[odd, link]: an outgoing arc
-        for parity, links in enumerate(out_links(n, Scheme.FUJITA)):
-            out[parity, list(links)] = True
-
+        # the first row of the route making a final crossing, a pre-final one
+        # and one that does not settle (alpha); the row after the last
+        # crossing (the row itself without one)
+        self.near = near = np.empty((rows, 3), dtype=np.int32)
+        self.gamma = gamma = np.arange(rows, dtype=np.int32)
+        near[:] = gamma[:, None]
         for d in range(1, routing._runaway_limit(n) + 1):
             level = np.flatnonzero(depth[nxt] == d - 1)
             if not len(level):
                 break
             depth[level] = d
             w = nxt[level]
-            kind = move[level]
-            settles = kind == _SETTLING
-            crosses = _CROSSES[kind]
-            len1[level] = np.where(settles, len1[w] + 1, 0)
-            alpha[level] = np.where(settles, alpha[w], level)
-            later = after[w]
-            crossed = later > 0
-            after[level] = np.where(crossed, later + 1, crosses)
-            gamma[level] = np.where(crossed, gamma[w], w)
-            waiting[level] = np.where(crossed, waiting[w] + ~crosses, 0)
-            for count, first, code in (
-                (finals, final_hop, _FINAL),
-                (prefinals, prefinal_hop, _PRE_FINAL),
-            ):
-                here = kind == code
-                count[level] = count[w] + here
-                seen = first[w]
-                first[level] = np.where(here, 0, np.where(seen >= 0, seen + 1, -1))
-            fallback[level] = fallback[w] | _FALLBACK[case[level]]
-            rising[level] = rising[w] | (load[w] > load[level])
-            incoming[level] = incoming[w] | ~out[odd[level], link[level]]
+            sums[level] += sums[w]
+            near[level] = np.where(_BY_MOVE[move[level], 1:], level[:, None], near[w])
+            gamma[level] = np.where(sums[level, 0] > 0, gamma[w], level)
+        sums[depth[:rows] < 0] = 0
+        self.rising, self.incoming = sums[:, 4] > 0, sums[:, 5] > 0
 
     def _decide(
         self, dest: np.ndarray, odd: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Every row's decision: link, move kind code and case code.  One
-        call per tree, so that the decisions can be replaced as a whole."""
-        link, case = _pick_rows(dest, odd, boundary(self.n).k)
-        return link, _move_rows(dest, link, case), case
+    ) -> tuple[RowCounts, np.ndarray, np.ndarray, np.ndarray]:
+        """Every row's counts and decision: link, move kind code and case
+        code.  One call per tree, so that the decisions can be replaced as a
+        whole."""
+        counts, link, case = _pick_rows(dest, odd, boundary(self.n).k)
+        return counts, link, _move_rows(dest, link, case), case
 
     def node(self, row: int) -> Perm:
         """The node that route ``row`` starts from."""
@@ -258,42 +252,39 @@ class RouteTree:
         return self.targets[row // self.size]
 
     def summary(self) -> PhaseSummary:
-        """The phase summary of every row's route.  The roots have length 0
-        and the rows that no level reached length -1, so neither breaks a
-        law."""
+        """The phase summary of every row's route, from its sums and the
+        depths of the rows it points to.  The roots have length 0 and the
+        rows that no level reached length -1, so neither breaks a law."""
         c = self.counts
         cols = (c.ull, c.urr, c.ulr, c.url, c.alternating, c.nonsingleton)
-        crossed = self.after > 0
-        alpha = self.alpha
+        depth, length = self.depth, self.depth[:-1]
+        crossings, finals, prefinals, fallbacks = self.sums[:, :4].T
+        crossed, extended = crossings > 0, fallbacks > 0
+        first_final, first_prefinal, alpha = self.near.T
+        len1 = length - depth[alpha]
+        end2 = np.where(crossed, length - depth[self.gamma], len1)
         gamma = np.where(crossed, self.gamma, alpha)
         # the non-crossing hops before the last crossing are the prefix, possibly
         # the hop from alpha (the one Phase Two allows) and those inside Phase Two
-        inside = self.waiting.astype(np.int16) - self.len1 - ~_CROSSES[self.move[alpha]]
+        inside = end2 - crossings - len1 - ~_CROSSES[self.move[alpha]]
         return PhaseSummary(
-            self.depth[:-1],
-            self.len1,
-            np.where(crossed, self.after, self.len1),
-            self.fallback,
-            self.finals,
-            self.final_hop,
-            self.prefinals,
-            self.prefinal_hop,
-            np.where(crossed & ~self.fallback, inside, 0),
-            cols,
-            tuple(col[alpha] for col in cols),
-            tuple(col[gamma] for col in cols),
-            self.odd[alpha],
-            self.inside_hops,
+            length, len1, end2, extended,
+            finals, np.where(finals > 0, length - depth[first_final], -1),
+            prefinals, np.where(prefinals > 0, length - depth[first_prefinal], -1),
+            np.where(crossed & ~extended, inside, 0),
+            cols, tuple(col[alpha] for col in cols), tuple(col[gamma] for col in cols),
+            self.odd[alpha], self.inside_hops,
         )
 
     def inside_hops(self, row: int) -> list[tuple[int, MoveKind]]:
         """``(hop, kind)`` of each non-crossing hop strictly inside Phase Two
-        of route ``row``, walked from alpha."""
-        x = self.nxt[self.alpha[row]]
+        of route ``row``, walked from alpha to gamma."""
+        depth, end = self.depth, self.depth[self.gamma[row]]
+        x = self.nxt[self.near[row, 2]]
         hops = []
-        for j in range(self.len1[row] + 1, self.after[row]):
+        while depth[x] > end:
             if not _CROSSES[self.move[x]]:
-                hops.append((j, _KINDS[self.move[x]]))
+                hops.append((int(depth[row] - depth[x]), _KINDS[self.move[x]]))
             x = self.nxt[x]
         return hops
 

@@ -105,6 +105,29 @@ def out_links(n: int, scheme: Scheme = Scheme.FUJITA) -> tuple[frozenset[int], f
     return sends, links - sends
 
 
+@lru_cache(maxsize=None)
+def relabelling(n: int, scheme: Scheme = Scheme.FUJITA) -> Perm:
+    """An even permutation s of positions 2..n (fixing 1) with
+    s^-1(L) = the send set of ``scheme``, L being Fujita's: v -> v∘s maps
+    Fujita's orientation onto the scheme's, so a distance measured under
+    Fujita's between u and v is the scheme's between u∘s and v∘s.  The
+    identity for Fujita's scheme.
+
+    >>> relabelling(5, Scheme.DAY_TRIPATHI)
+    (1, 3, 4, 2, 5)
+    """
+    fujita, sends = (out_links(n, s)[0] for s in (Scheme.FUJITA, scheme))
+    rest = frozenset(range(2, n + 1))
+    s = [1] * (n + 1)
+    for links, images in ((sends, fujita), (rest - sends, rest - fujita)):
+        for link, image in zip(sorted(links), sorted(images)):
+            s[link] = image
+    if parity(s[1:]):  # swap two images inside L, which has two links from n = 4 on
+        a, b = sorted(sends)[:2]
+        s[a], s[b] = s[b], s[a]
+    return tuple(s[1:])
+
+
 def arc_direction(u: Sequence[int], link: int, scheme: Scheme = Scheme.FUJITA) -> Direction:
     """Direction of the edge at ``u`` labelled ``link`` under ``scheme``."""
     n = len(u)

@@ -37,7 +37,7 @@ def tamper_picks(monkeypatch, target, change) -> None:
     decide = RouteTree._decide
 
     def tampered_decide(tree, dest, odd):
-        link, move, case = decide(tree, dest, odd)
+        counts, link, move, case = decide(tree, dest, odd)
         for j, t in enumerate(tree.targets):
             if t != target:
                 continue
@@ -49,7 +49,7 @@ def tamper_picks(monkeypatch, target, change) -> None:
                 link[row] = new_link
                 move[row] = routetree._KINDS.index(kind)
                 case[row] = routetree._CASES.index(label)
-        return link, move, case
+        return counts, link, move, case
 
     monkeypatch.setattr(routing, "_oriented_pick", tampered_pick)
     monkeypatch.setattr(RouteTree, "_decide", tampered_decide)

@@ -227,12 +227,33 @@ def test_table_comma_list(capsys):
 def test_witness_plain_and_bound(capsys):
     code, out, _ = run(capsys, "witness", "6")
     assert code == 0 and out == "134265\n"
+    code, out, _ = run(capsys, "witness", "8", "--variant", "even-refined", "--json")
+    assert code == 0
+    assert json.loads(out) == {"n": 8, "variant": "even-refined", "witness": "13254786"}
     code, out, _ = run(capsys, "witness", "5", "--bound")
     assert code == 0
     assert out == (
         "n=5 witness=13254 variant=default distance=10 required=9 "
         "ok=true supports_2n=true\n"
     )
+    # the other scheme measures the relabelled witness, as far out
+    code, out, _ = run(capsys, "witness", "7", "--bound", "--scheme", "day-tripathi")
+    assert code == 0
+    assert out == (
+        "n=7 witness=1652743 variant=default distance=14 required=14 "
+        "ok=true supports_2n=true\n"
+    )
+
+
+@pytest.mark.parametrize("argv", [
+    ("witness", "5", "--variant", "even-refined", "--bound"),
+    ("witness", "8", "--variant", "default", "--bound"),
+])
+def test_variant_with_bound_exits_two(capsys, argv):
+    # the bound measures the farther variant itself, so a chosen one is not used
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == "error: --variant does not apply with --bound\n"
 
 
 def test_bad_permutation_exits_two(capsys):

@@ -20,6 +20,7 @@ from starroute.harness import (
 )
 from starroute.classify import crossing_load
 from starroute.oracle import SWEEP_WIDTH, UNREACHABLE
+from starroute.perm import compose, inverse
 from starroute.routing import (
     MoveKind,
     RoutingInvariantError,
@@ -29,6 +30,7 @@ from starroute.routing import (
     oriented_route,
     validate_trace,
 )
+from starroute.topology import Scheme, relabelling
 
 from conftest import all_perms, tamper_picks
 
@@ -98,6 +100,16 @@ def test_lower_bound_fujita_orders_seven_to_nine(n, variant, value):
     assert (report.variant, report.distance) == (variant, value)
     assert report.witness == witness(n, variant)
     assert report.required == 2 * n and report.ok and report.supports_2n
+
+
+@pytest.mark.parametrize("n", range(5, 10))
+def test_lower_bound_holds_under_both_schemes(n):
+    # the Day-Tripathi witness is Fujita's relabelled, so it lies as far out
+    fujita, day_tripathi = (lower_bound_check(n, scheme) for scheme in Scheme)
+    assert day_tripathi.distance == fujita.distance and fujita.ok and day_tripathi.ok
+    assert day_tripathi.variant == fujita.variant
+    s = relabelling(n, Scheme.DAY_TRIPATHI)
+    assert day_tripathi.witness == compose(inverse(s), compose(fujita.witness, s))
 
 
 def test_lower_bound_range():
@@ -315,15 +327,15 @@ def test_router_equivariance_flags_a_decision_the_relabeling_does_not_carry(monk
 
 def test_stretch_bound_reads_the_classic_distance_of_every_pair(monkeypatch):
     nodes = all_perms(5)
-    count_rows = routetree._count_rows
+    pick_rows = routetree._pick_rows
     read = []  # the distances of each route tree's rows: by target, then by node
 
-    def recording(dest, k):
-        rows = count_rows(dest, k)
-        read.extend(rows.distance.tolist())
-        return rows
+    def recording(dest, odd, k):
+        counts, link, case = pick_rows(dest, odd, k)
+        read.extend(counts.distance.tolist())
+        return counts, link, case
 
-    monkeypatch.setattr(routetree, "_count_rows", recording)
+    monkeypatch.setattr(routetree, "_pick_rows", recording)
     assert verify(5, checks=["stretch-bound"]).ok
     assert read == [classic_distance(s, t) for t in nodes for s in nodes]
 

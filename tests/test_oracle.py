@@ -26,7 +26,14 @@ from starroute.oracle import (
     unrank,
 )
 from starroute.perm import apply_generator, parity
-from starroute.topology import Scheme, in_neighbors, neighbors, out_links, out_neighbors
+from starroute.topology import (
+    Scheme,
+    in_neighbors,
+    neighbors,
+    out_links,
+    out_neighbors,
+    relabelling,
+)
 
 from conftest import all_perms, perms_of
 
@@ -313,25 +320,27 @@ def _even_relabelling(n):
 
 @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
 def test_fujita_and_day_tripathi_are_one_graph(n):
-    s = _even_relabelling(n)
+    # the first even s found by search, and the one topology.relabelling builds
+    searched, library = _even_relabelling(n), relabelling(n, Scheme.DAY_TRIPATHI)
     if n == 5:
-        assert s == (1, 2, 5, 3, 4)
+        assert (searched, library) == ((1, 2, 5, 3, 4), (1, 3, 4, 2, 5))
     table = move_table(n)
-    # row v of relabelled is v∘s: (v∘s)(p) = v(s(p))
-    relabelled = table.perms[:, [p - 1 for p in s]]
-    image, image_odd = _lehmer(list(relabelled.T))
-    assert sorted(image.tolist()) == list(range(len(image)))
-    assert (image_odd == table.odd).all()  # s is even
     fujita, day_tripathi = _outgoing(n, Scheme.FUJITA), _outgoing(n, Scheme.DAY_TRIPATHI)
     assert (fujita != day_tripathi).any()  # the identity relabelling does not do it
     odd = table.odd.view(np.uint8)
-    for link in range(2, n + 1):
-        image_link = s.index(link) + 1  # s^-1(link)
-        # the edge at v over link is the edge at v∘s over s^-1(link) ...
-        ends = relabelled[table.moves[:, link - 2]]
-        assert (ends == table.perms[table.moves[image, image_link - 2]]).all()
-        # ... and both schemes direct it the same way
-        assert (fujita[odd, link] == day_tripathi[odd, image_link]).all()
+    for s in (searched, library):
+        # row v of relabelled is v∘s: (v∘s)(p) = v(s(p))
+        relabelled = table.perms[:, [p - 1 for p in s]]
+        image, image_odd = _lehmer(list(relabelled.T))
+        assert sorted(image.tolist()) == list(range(len(image)))
+        assert (image_odd == table.odd).all()  # s is even
+        for link in range(2, n + 1):
+            image_link = s.index(link) + 1  # s^-1(link)
+            # the edge at v over link is the edge at v∘s over s^-1(link) ...
+            ends = relabelled[table.moves[:, link - 2]]
+            assert (ends == table.perms[table.moves[image, image_link - 2]]).all()
+            # ... and both schemes direct it the same way
+            assert (fujita[odd, link] == day_tripathi[odd, image_link]).all()
 
 
 def _send_set_diameter(n, sends, mode):

@@ -7,14 +7,17 @@ each node those routes visit is compared as a source.
 """
 from __future__ import annotations
 
+import importlib
 import random
+import re
 from collections import Counter
 
 import pytest
 
-from starroute.classify import crossing_load
+from starroute import routetree
+from starroute.classify import _ROW_BLOCK, crossing_load
 from starroute.harness import hop_cap
-from starroute.oracle import rank
+from starroute.oracle import orbit_sources, rank
 from starroute.routetree import RouteTree
 from starroute.routing import (
     MoveKind,
@@ -64,7 +67,9 @@ def _compare_tree(n: int, t: tuple[int, ...], sources=None) -> Counter:
         assert tuple(int(phase[row]) for phase in summary.lengths) == report.phase_lengths
         assert bool(summary.extended[row]) == report.extended
         # the sweep's phase-structure text is these faults, joined
-        assert _fault_texts(laws, row) == list(report.violations), (s, t)
+        faults = _fault_texts(laws, row)
+        assert faults == list(report.violations), (s, t)
+        seen.update(re.sub(r"\d+", "#", fault) for fault in faults)  # each law by its text
         incoming = bool(tree.incoming[row])
         assert incoming == bool(validate_trace(trace))
         loads = [crossing_load(node, t) for node in trace.nodes]
@@ -123,6 +128,21 @@ RELINK = {(5, 4, 3, 1, 2): 4, (4, 5, 1, 3, 2): 5}
             {"rise"},
             id="load-rise",
         ),
+        # every case-1 settling hop claims to be a pre-final crossing, so every
+        # route breaks law (d), each of its final and pre-final texts on some
+        pytest.param(
+            lambda node, decision: (decision[0], MoveKind.PRE_FINAL_CROSSING, "1")
+            if decision[2] == "1"
+            else decision,
+            {
+                "phase",
+                "expected exactly one final crossing, found #",
+                "final crossing is not the last hop of Phase Two",
+                "# pre-final crossings",
+                "pre-final crossing is not directly before the final crossing",
+            },
+            id="case-1-claims-pre-final",
+        ),
     ],
 )
 def test_tree_matches_traces_under_a_tampered_pick(monkeypatch, change, failing):
@@ -130,6 +150,22 @@ def test_tree_matches_traces_under_a_tampered_pick(monkeypatch, change, failing)
     seen = _compare_tree(5, T5)
     assert seen["routes"] == 119
     assert all(seen[name] > 1 for name in failing), seen
+
+
+def test_tree_runs_the_cycle_doubling_once_per_block(monkeypatch):
+    classify = importlib.import_module("starroute.classify")  # the package exports classify()
+    cycle_cols = classify._cycle_cols
+    widths = []  # the rows of each block doubled
+
+    def counting(cols, k):
+        widths.append(cols.shape[1])
+        return cycle_cols(cols, k)
+
+    monkeypatch.setattr(classify, "_cycle_cols", counting)
+    # and any name of its own the route tree module may import it under
+    monkeypatch.setattr(routetree, "_cycle_cols", counting, raising=False)
+    tree = RouteTree(7, list(orbit_sources(7)))  # 10 080 rows, three blocks
+    assert widths == [_ROW_BLOCK, _ROW_BLOCK, 2 * tree.size - 2 * _ROW_BLOCK]
 
 
 @pytest.mark.parametrize("n", [6, 7, 8, 9])

@@ -1,7 +1,8 @@
 """The route trees' row kernels against the scalar forms they replace.
 
-The pick kernel against ``routing._oriented_pick`` (link, move kind and
-case), and the alternating-cycle count of ``classify._count_rows`` against
+The one pass of ``routetree._pick_rows``: its picks against
+``routing._oriented_pick`` (link, move kind and case), its counts against
+``classify._count_rows``, and their alternating-cycle count against
 ``classify._counts``: every ordered pair through order 6, 20 000 seeded
 pairs at orders 7 to 9.
 """
@@ -48,9 +49,11 @@ def test_row_kernels_match_the_scalar_pick_and_counts(n):
     half = boundary(n).half
     pairs = _pairs(n)
     dest, odd = _rows(n, pairs)
-    link, case = _pick_rows(dest, odd, boundary(n).k)
+    counts, link, case = _pick_rows(dest, odd, boundary(n).k)
     move = _move_rows(dest, link, case)
-    alternating = _count_rows(dest, boundary(n).k).alternating
+    # the one pass gives the counts of the distance sweep's kernel
+    assert all((a == b).all() for a, b in zip(counts, _count_rows(dest, boundary(n).k)))
+    alternating = counts.alternating
     # the scalar forms, each node's position index and parity taken once
     nodes = all_perms(n) if n <= 6 else {p for pair in pairs for p in pair}
     index = {p: (positions(p), parity(p)) for p in nodes}
