@@ -165,13 +165,13 @@ def _cmd_route(args: argparse.Namespace) -> int:
 def _cmd_distance(args: argparse.Namespace) -> int:
     scheme = _scheme(args, "directed")
     s, t = parse_perm(args.source), parse_perm(args.target)
-    print(distance(s, t, directed=args.directed, scheme=scheme))
+    print(distance(s, t, scheme if args.directed else None))
     return 0
 
 
 def _cmd_diameter(args: argparse.Namespace) -> int:
     scheme = _scheme(args, "directed")
-    result = diameter(args.n, directed=args.directed, scheme=scheme, mode=args.mode)
+    result = diameter(args.n, scheme if args.directed else None, args.mode)
     if args.json:
         print(
             json.dumps(
@@ -273,7 +273,10 @@ def _parse_orders(text: str) -> list[int]:
     spans: list[tuple[int, int]] = []
     for item in text.split(","):
         lo, dots, hi = item.partition("..")
-        span = (int(lo), int(hi if dots else lo))
+        try:
+            span = (int(lo), int(hi if dots else lo))
+        except ValueError:
+            raise ValueError(f"malformed order list {text!r}") from None
         for order in span:
             if not 3 <= order <= MAX_TABLE_ORDER:
                 raise ValueError(f"table covers orders 3..{MAX_TABLE_ORDER}, got {order}")

@@ -110,6 +110,12 @@ class VerificationReport:
         raise KeyError(name)
 
 
+def _nodes(n: int) -> list[Perm]:
+    """Every node of order ``n`` as a tuple, in rank order: n! tuples, so
+    built only where a check enumerates them."""
+    return [tuple(p) for p in itertools.permutations(range(1, n + 1))]
+
+
 def hop_cap(n: int) -> int:
     """Worst-case oriented route length: ``2n+2`` for odd n, ``2n+4`` for even."""
     return 2 * n + 2 if n % 2 else 2 * n + 4
@@ -195,12 +201,11 @@ def _route_violations(n: int, targets: list[Perm]) -> _Sweep:
     return factorial(n) * len(targets), found, extras
 
 
-def _distance_violations(
-    n: int, sources: list[Perm], targets: list[Perm]
-) -> _Sweep:
-    """The population and the violations of every distance check by name.
-    ``targets`` is every permutation in ``itertools.permutations`` order,
-    which is rank order, so target j's BFS distance is ``dist[j]``.
+def _distance_violations(n: int, sources: list[Perm]) -> _Sweep:
+    """The population and the violations of every distance check by name,
+    over the pairs from each of ``sources`` to every node.  The targets are
+    the rows of ``move_table(n).perms``, in rank order, so target j's BFS
+    distance is ``dist[j]``; a flagged target is named from its row.
 
     This is the sweep path of the closed forms; ``routing.classic_distance``
     and ``classic_distance_sets`` serve single pairs.  The pairs of each
@@ -213,9 +218,9 @@ def _distance_violations(
     """
     found: dict[str, list[Violation]] = {name: [] for name in DISTANCE_CHECKS}
     k = boundary(n).k
-    size = len(targets)
     # where[j, v - 1]: the position of value v in target j, row j of perms
     perms = move_table(n).perms
+    size = len(perms)
     where = np.empty_like(perms)
     for lo in range(0, size, _ROW_BLOCK):
         block = perms[lo : lo + _ROW_BLOCK]
@@ -231,14 +236,16 @@ def _distance_violations(
             for i in np.flatnonzero(d != actual).tolist():
                 bound = None if actual[i] == UNREACHABLE else int(actual[i])
                 found["distance-vs-bfs"].append(
-                    Violation(batch[src[i]], targets[tgt[i]], int(d[i]), bound)
+                    Violation(batch[src[i]], tuple(perms[tgt[i]].tolist()), int(d[i]), bound)
                 )
             via_sets = rows.ull + rows.urr + rows.ulr + rows.url + rows.nonsingleton
             for i in np.flatnonzero(via_sets != d).tolist():
                 found["set-formula"].append(
-                    Violation(batch[src[i]], targets[tgt[i]], int(via_sets[i]), int(d[i]))
+                    Violation(
+                        batch[src[i]], tuple(perms[tgt[i]].tolist()), int(via_sets[i]), int(d[i])
+                    )
                 )
-    return len(sources) * len(targets), found, {}
+    return len(sources) * size, found, {}
 
 
 def _decision(s: Perm, t: Perm) -> tuple[int, str, str]:
@@ -246,9 +253,7 @@ def _decision(s: Perm, t: Perm) -> tuple[int, str, str]:
     return link, case, kind.value
 
 
-def _equivariance_violations(
-    n: int, nodes: list[Perm], seed: int, sample_size: int
-) -> _Sweep:
+def _equivariance_violations(n: int, seed: int, sample_size: int) -> _Sweep:
     """Router equivariance under even relabeling, the property that lets
     ``sources="reduced"`` route into two canonical targets only.
 
@@ -269,6 +274,7 @@ def _equivariance_violations(
             yield s, t
 
     if n <= 5:
+        nodes = _nodes(n)
         population = len(nodes) * (len(nodes) - 1)
         pairs: Iterable[tuple[Perm, Perm]] = ((s, t) for t in nodes for s in nodes if s != t)
     else:
@@ -315,11 +321,10 @@ def _split_merge_problem(c: Perm, t: Perm, link: int) -> str | None:
     return None
 
 
-def _split_merge_violations(
-    n: int, nodes: list[Perm], seed: int, sample_size: int
-) -> _Sweep:
+def _split_merge_violations(n: int, seed: int, sample_size: int) -> _Sweep:
     found: list[Violation] = []
     if n <= 5:
+        nodes = _nodes(n)
         population = len(nodes) * len(nodes) * (n - 1)
         for c in nodes:
             for t in nodes:
@@ -385,15 +390,14 @@ def verify(
         sources = "all" if n <= 6 else "reduced"
     if sources not in ("all", "reduced"):
         raise ValueError(f"sources must be 'all' or 'reduced', not {sources!r}")
-    nodes = [tuple(p) for p in itertools.permutations(range(1, n + 1))]
-    chosen = nodes if sources == "all" else list(orbit_sources(n))
+    chosen = _nodes(n) if sources == "all" else list(orbit_sources(n))
 
     results: dict[str, CheckResult] = {}
     for family, sweep in (
         (ROUTE_CHECKS, lambda: _route_violations(n, chosen)),
-        (DISTANCE_CHECKS, lambda: _distance_violations(n, chosen, nodes)),
-        (("router-equivariance",), lambda: _equivariance_violations(n, nodes, seed, sample_size)),
-        (("split-merge",), lambda: _split_merge_violations(n, nodes, seed, sample_size)),
+        (DISTANCE_CHECKS, lambda: _distance_violations(n, chosen)),
+        (("router-equivariance",), lambda: _equivariance_violations(n, seed, sample_size)),
+        (("split-merge",), lambda: _split_merge_violations(n, seed, sample_size)),
     ):
         if not set(family).isdisjoint(selected):
             start = time.perf_counter()
@@ -458,7 +462,7 @@ class LowerBoundReport:
     supports_2n: bool
 
 
-def lower_bound_check(n: int, scheme: Scheme | str = Scheme.FUJITA) -> LowerBoundReport:
+def lower_bound_check(n: int, scheme: Scheme = Scheme.FUJITA) -> LowerBoundReport:
     """Measure the directed distance from the witness to the identity.
 
     That distance lower-bounds the directed diameter; the report requires
@@ -468,18 +472,19 @@ def lower_bound_check(n: int, scheme: Scheme | str = Scheme.FUJITA) -> LowerBoun
     The witness is taken as s^-1∘w∘s, with s the scheme's
     :func:`topology.relabelling`: under the scheme it lies as far from the
     identity as w does under Fujita's (w itself there), and the report
-    names the permutation measured.
+    names the permutation measured.  The bound is on a directed diameter,
+    so ``scheme`` must be a :class:`Scheme`.
     """
     if not 5 <= n <= MAX_TABLE_ORDER:
         raise ValueError(f"lower_bound_check covers n in 5..{MAX_TABLE_ORDER}, got {n}")
-    if isinstance(scheme, str):
-        scheme = Scheme.parse(scheme)
+    if not isinstance(scheme, Scheme):
+        raise ValueError(f"the lower bound needs an orientation Scheme, got {scheme!r}")
     variants = ["default"]
     if n % 2 == 0 and n >= 8:
         variants.append("even-refined")
     s = relabelling(n, scheme)
     witnesses = [compose(inverse(s), compose(witness(n, variant), s)) for variant in variants]
-    fields = distance_fields(witnesses, directed=True, scheme=scheme)
+    fields = distance_fields(witnesses, scheme)
     distances = [field.distance(identity(n)) for field in fields]
     # the farther variant wins; a tie keeps the default
     distance, w, variant = max(zip(distances, witnesses, variants), key=lambda m: m[0])
@@ -513,9 +518,9 @@ def diameter_table(ns: Iterable[int], mode: str | None = None) -> list[DiameterR
     """
     rows = []
     for n in ns:
-        und = diameter(n, directed=False, mode=mode)
-        fuj = diameter(n, directed=True, scheme=Scheme.FUJITA, mode=mode)
-        day = diameter(n, directed=True, scheme=Scheme.DAY_TRIPATHI, mode=mode)
+        und, fuj, day = (
+            diameter(n, scheme, mode) for scheme in (None, Scheme.FUJITA, Scheme.DAY_TRIPATHI)
+        )
         lower = None if n < 5 else (2 * n - 1 if n in (5, 6) else 2 * n)
         upper = None if n < 5 else hop_cap(n)
         rows.append(DiameterRow(n, und.value, fuj.value, day.value, lower, upper, und.mode))

@@ -12,9 +12,11 @@ sweep and the one-source :func:`bfs` move one byte per vertex, and uint64
 for a full batch of 64.  Each level pulls the frontier along in-arcs.  An
 orientation is a send set, the links even vertices send on (None
 undirected), and :class:`_InArcs` turns it into rank columns of move-table
-entries.  :func:`diameter` keeps only the level count and the last frontier
-of each sweep; :func:`distance_fields` writes each level into one byte per
-vertex and source.  On a 2-core Xeon a one-source directed order-9 field
+entries.  Every entry point names its graph with one value, ``scheme``:
+None for the undirected star graph, a :class:`Scheme` for that orientation.
+:func:`diameter` keeps only the level count and the last frontier of each
+sweep; :func:`distance_fields` writes each level into one byte per vertex
+and source.  On a 2-core Xeon a one-source directed order-9 field
 takes about 0.1 s and all 720 order-6 distance fields about 0.04 s.
 
 Everything here is deliberately independent of the routing formulas it is
@@ -159,9 +161,12 @@ class DistanceField:
 
     n: int
     source: Perm
-    directed: bool
-    scheme: Scheme | None
+    scheme: Scheme | None  # None for the undirected graph
     dist: np.ndarray  # (n!,) uint8, UNREACHABLE where no path exists
+
+    @property
+    def directed(self) -> bool:
+        return self.scheme is not None
 
     def distance(self, target: Sequence[int]) -> int | None:
         check_pair(self.source, target)
@@ -178,24 +183,15 @@ class DistanceField:
         return unrank(int(masked.argmax()), self.n)
 
 
-def bfs(
-    source: Sequence[int],
-    directed: bool = False,
-    scheme: Scheme = Scheme.FUJITA,
-) -> DistanceField:
+def bfs(source: Sequence[int], scheme: Scheme | None = None) -> DistanceField:
     """Breadth-first distance field from ``source``: one-source :func:`distance_fields`."""
-    return next(distance_fields([source], directed=directed, scheme=scheme))
+    return next(distance_fields([source], scheme))
 
 
-def distance(
-    s: Sequence[int],
-    t: Sequence[int],
-    directed: bool = False,
-    scheme: Scheme = Scheme.FUJITA,
-) -> int | None:
+def distance(s: Sequence[int], t: Sequence[int], scheme: Scheme | None = None) -> int | None:
     """BFS distance between one pair (None if unreachable)."""
     check_pair(s, t)
-    return bfs(s, directed=directed, scheme=scheme).distance(t)
+    return bfs(s, scheme).distance(t)
 
 
 SWEEP_WIDTH = 64  # sources per sweep: one bit each of the widest word, uint64
@@ -210,12 +206,17 @@ def _word(width: int) -> type[np.unsignedinteger]:
     raise ValueError(f"a sweep follows at most {SWEEP_WIDTH} sources, got {width}")
 
 
-def _sends(n: int, directed: bool, scheme: Scheme) -> frozenset[int] | None:
+def _sends(n: int, scheme: Scheme | None) -> frozenset[int] | None:
     """The links even vertices send on, None undirected: Fujita's left half
-    2..k, k = ceil((n-1)/2) + 1 = n//2 + 1, or Day-Tripathi's even links."""
+    2..k, k = ceil((n-1)/2) + 1 = n//2 + 1, or Day-Tripathi's even links.
+    Any value other than None or a Scheme raises ValueError, so a stray
+    flag cannot pass for an orientation."""
+    if scheme is None:
+        return None
+    if not isinstance(scheme, Scheme):
+        raise ValueError(f"scheme must be None (undirected) or a Scheme, got {scheme!r}")
     links = range(2, n + 1)
-    return (frozenset(links[: n // 2] if scheme is Scheme.FUJITA else links[::2])
-            if directed else None)
+    return frozenset(links[: n // 2] if scheme is Scheme.FUJITA else links[::2])
 
 
 @dataclass(frozen=True)
@@ -278,21 +279,20 @@ class _InArcs:
 
 
 def _distance_blocks(
-    sources: Sequence[Sequence[int]],
-    directed: bool = False,
-    scheme: Scheme = Scheme.FUJITA,
+    sources: Sequence[Sequence[int]], scheme: Scheme | None = None
 ) -> Iterator[tuple[list[Perm], np.ndarray]]:
     """Breadth-first distances from ``sources``, 64 sources per sweep: each
     batch of sources, in order, with its (width, n!) byte block, row i the
     distances from ``batch[i]`` in rank order.  Level d of a sweep writes d
     into row i wherever bit i is set."""
     sources = [tuple(s) for s in sources]
+    n = len(sources[0]) if sources else 0
+    sends = _sends(n, scheme)  # checked first, with no source too
     if not sources:
         return
-    n = len(sources[0])
     if any(len(s) != n for s in sources):
         raise ValueError(f"order mismatch among sources: {sorted({len(s) for s in sources})}")
-    arcs = _InArcs.build(move_table(n), _sends(n, directed, scheme))
+    arcs = _InArcs.build(move_table(n), sends)
     for lo in range(0, len(sources), SWEEP_WIDTH):
         batch = sources[lo : lo + SWEEP_WIDTH]
         block = np.full((len(batch), arcs.size), UNREACHABLE, dtype=np.uint8)
@@ -308,19 +308,17 @@ def _distance_blocks(
 
 
 def distance_fields(
-    sources: Sequence[Sequence[int]],
-    directed: bool = False,
-    scheme: Scheme = Scheme.FUJITA,
+    sources: Sequence[Sequence[int]], scheme: Scheme | None = None
 ) -> Iterator[DistanceField]:
     """Breadth-first distance fields from each of ``sources``, in order.
 
-    Undirected by default; with ``directed=True`` only outgoing arcs of
-    ``scheme`` are followed.  Each field's ``dist`` is one row of a block
-    of :func:`_distance_blocks`.
+    Undirected by default; under a ``scheme`` only its outgoing arcs are
+    followed.  Each field's ``dist`` is one row of a block of
+    :func:`_distance_blocks`.
     """
-    for batch, block in _distance_blocks(sources, directed, scheme):
+    for batch, block in _distance_blocks(sources, scheme):
         for s, dist in zip(batch, block):
-            yield DistanceField(len(s), s, directed, scheme if directed else None, dist)
+            yield DistanceField(len(s), s, scheme, dist)
 
 
 def _witness(frontier: np.ndarray) -> tuple[int, int]:
@@ -334,12 +332,15 @@ def _witness(frontier: np.ndarray) -> tuple[int, int]:
 @dataclass(frozen=True)
 class DiameterResult:
     n: int
-    directed: bool
-    scheme: Scheme | None
+    scheme: Scheme | None  # None for the undirected graph
     mode: str  # "exhaustive" or "orbit"
     value: int
     witness_source: Perm
     witness_target: Perm
+
+    @property
+    def directed(self) -> bool:
+        return self.scheme is not None
 
 
 def orbit_sources(n: int) -> tuple[Perm, Perm]:
@@ -353,13 +354,9 @@ def orbit_sources(n: int) -> tuple[Perm, Perm]:
     return ident, (2, 1) + ident[2:]
 
 
-def diameter(
-    n: int,
-    directed: bool = False,
-    scheme: Scheme = Scheme.FUJITA,
-    mode: str | None = None,
-) -> DiameterResult:
-    """Largest finite BFS distance over the chosen source set.
+def diameter(n: int, scheme: Scheme | None = None, mode: str | None = None) -> DiameterResult:
+    """Largest finite BFS distance over the chosen source set, undirected
+    or under ``scheme``.
 
     ``mode="exhaustive"`` sweeps every source, 64 at a time in rank order;
     ``mode="orbit"`` sweeps the two sources of :func:`orbit_sources` at
@@ -375,7 +372,8 @@ def diameter(
         raise ValueError(f"unknown diameter mode {mode!r}")
     if mode is None:
         mode = "exhaustive" if n <= 7 else "orbit"
-    arcs = _InArcs.build(move_table(n), _sends(n, directed, scheme))
+    sends = _sends(n, scheme)  # checked before the table is built
+    arcs = _InArcs.build(move_table(n), sends)
     if mode == "orbit":
         batches = [np.array([rank(s) for s in orbit_sources(n)])]
     else:
@@ -390,12 +388,4 @@ def diameter(
             bit, target = _witness(frontier)
             witness = (unrank(int(sources[bit]), n), unrank(target, n))
     assert witness is not None
-    return DiameterResult(
-        n=n,
-        directed=directed,
-        scheme=scheme if directed else None,
-        mode=mode,
-        value=best,
-        witness_source=witness[0],
-        witness_target=witness[1],
-    )
+    return DiameterResult(n, scheme, mode, best, witness[0], witness[1])

@@ -155,7 +155,7 @@ def test_criterion_4_phase_structure(sweep5, sweep6, sweep7):
 
 
 def test_criterion_5_directed_diameter_brackets():
-    measured = {n: diameter(n, directed=True, mode="orbit").value for n in (5, 6, 7)}
+    measured = {n: diameter(n, Scheme.FUJITA, mode="orbit").value for n in (5, 6, 7)}
     assert 9 <= measured[5] <= 12
     assert 11 <= measured[6] <= 16
     assert 14 <= measured[7] <= 16
@@ -166,15 +166,16 @@ def test_criterion_5_directed_diameter_brackets():
     _audit(5, f"contiguous-half diameters {measured} inside brackets, artifact agrees")
 
 
-GRAPHS = [(False, Scheme.FUJITA), (True, Scheme.FUJITA), (True, Scheme.DAY_TRIPATHI)]
+# the three graphs: undirected and each orientation
+GRAPHS = [None, Scheme.FUJITA, Scheme.DAY_TRIPATHI]
 
 
 def _orbit_equals_exhaustive(n: int) -> list[int]:
     values = []
-    for directed, scheme in GRAPHS:
-        orbit = diameter(n, directed=directed, scheme=scheme, mode="orbit").value
-        full = diameter(n, directed=directed, scheme=scheme, mode="exhaustive").value
-        assert orbit == full, (n, directed, scheme)
+    for scheme in GRAPHS:
+        orbit = diameter(n, scheme, mode="orbit").value
+        full = diameter(n, scheme, mode="exhaustive").value
+        assert orbit == full, (n, scheme)
         values.append(full)
     return values
 
@@ -228,7 +229,7 @@ def _split_merge_population(n: int) -> int:
 
 
 def test_criterion_8_second_scheme_cross_check():
-    value = diameter(6, directed=True, scheme=Scheme.DAY_TRIPATHI, mode="orbit").value
+    value = diameter(6, Scheme.DAY_TRIPATHI, mode="orbit").value
     assert value == 11
     _audit(8, "even-link (day-tripathi) scheme diameter at n=6 is 11 = 2n-1")
 
@@ -239,7 +240,7 @@ def test_criterion_8_second_scheme_cross_check():
 )
 def test_criterion_8_order_nine_informational():
     values = {
-        scheme.value: diameter(9, directed=True, scheme=scheme, mode="orbit").value
+        scheme.value: diameter(9, scheme, mode="orbit").value
         for scheme in (Scheme.FUJITA, Scheme.DAY_TRIPATHI)
     }
     # informational: recorded for the table, no exact value asserted

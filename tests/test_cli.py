@@ -218,6 +218,13 @@ def test_table_rejects_orders_outside_three_to_nine(capsys, orders):
     assert err.startswith("error: table covers orders 3..9")
 
 
+@pytest.mark.parametrize("orders", ["3..x", "3..4,", "..5"])
+def test_table_rejects_a_malformed_order_list(capsys, orders):
+    code, out, err = run(capsys, "table", orders)
+    assert code == 2 and out == ""
+    assert err == f"error: malformed order list {orders!r}\n"
+
+
 def test_table_comma_list(capsys):
     code, out, _ = run(capsys, "table", "3,5", "--format", "csv")
     assert code == 0

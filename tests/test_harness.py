@@ -119,6 +119,13 @@ def test_lower_bound_range():
         lower_bound_check(10)
 
 
+@pytest.mark.parametrize("scheme", [None, "fujita"])
+def test_lower_bound_needs_an_orientation(scheme):
+    # the witness bounds a directed diameter: the undirected graph has none
+    with pytest.raises(ValueError, match="needs an orientation Scheme"):
+        lower_bound_check(5, scheme)
+
+
 def test_verify_order_four_full():
     report = verify(4)
     assert report.ok
@@ -394,6 +401,17 @@ def test_verify_subset_and_reduced_sources():
     assert report.ok
     assert report.sources == "reduced"
     assert report.check("set-formula").population == 2 * 120
+
+
+@pytest.mark.parametrize("n,checks", [(9, ROUTE_CHECKS), (6, ALL_CHECKS)])
+def test_reduced_verify_never_builds_the_node_list(monkeypatch, n, checks):
+    # the n! node tuples are for sweeps that enumerate every node
+    def no_nodes(order):
+        raise AssertionError(f"node list of order {order} built")
+
+    monkeypatch.setattr(harness, "_nodes", no_nodes)
+    report = verify(n, checks=checks, sources="reduced", sample_size=100)
+    assert report.ok and report.sources == "reduced"
 
 
 def test_verify_split_merge_sampled():

@@ -100,13 +100,13 @@ def test_move_table_rows_follow_unrank(n):
 
 
 @functools.cache
-def _adjacency(n, directed, scheme):
+def _adjacency(n, scheme):
     """Nodes in lexicographic order, their indices, and each node's out-neighbour
-    indices, from the topology alone."""
+    indices under ``scheme`` (None undirected), from the topology alone."""
     nodes = all_perms(n)
     index = {p: i for i, p in enumerate(nodes)}
     adj = [
-        [index[q] for _, q in (out_neighbors(p, scheme) if directed else neighbors(p))]
+        [index[q] for _, q in (neighbors(p) if scheme is None else out_neighbors(p, scheme))]
         for p in nodes
     ]
     return nodes, index, adj
@@ -126,29 +126,29 @@ def _plain_bfs(adj, start):
     return dist
 
 
-def _naive_distances(source, directed, scheme):
-    nodes, index, adj = _adjacency(len(source), directed, scheme)
+def _naive_distances(source, scheme):
+    nodes, index, adj = _adjacency(len(source), scheme)
     dist = _plain_bfs(adj, index[source])
     return {p: d for p, d in zip(nodes, dist) if d >= 0}
 
 
-@pytest.mark.parametrize("directed,scheme", [
-    (False, Scheme.FUJITA),
-    (True, Scheme.FUJITA),
-    (True, Scheme.DAY_TRIPATHI),
-])
-def test_bfs_agrees_with_naive_search_n4(directed, scheme):
+# the three graphs: undirected and each orientation
+GRAPHS = [None, Scheme.FUJITA, Scheme.DAY_TRIPATHI]
+
+
+@pytest.mark.parametrize("scheme", GRAPHS)
+def test_bfs_agrees_with_naive_search_n4(scheme):
     source = (3, 1, 4, 2)
-    field = bfs(source, directed=directed, scheme=scheme)
-    expected = _naive_distances(source, directed, scheme)
+    field = bfs(source, scheme)
+    expected = _naive_distances(source, scheme)
     for t in all_perms(4):
         assert field.distance(t) == expected.get(t)
 
 
 def test_bfs_agrees_with_naive_search_n5_directed():
     source = (1, 2, 3, 4, 5)
-    field = bfs(source, directed=True, scheme=Scheme.FUJITA)
-    expected = _naive_distances(source, True, Scheme.FUJITA)
+    field = bfs(source, Scheme.FUJITA)
+    expected = _naive_distances(source, Scheme.FUJITA)
     assert field.eccentricity() == max(expected.values())
     for t in all_perms(5):
         assert field.distance(t) == expected.get(t)
@@ -175,20 +175,20 @@ def test_undirected_distance_is_a_metric(s, t):
 @given(perms_of(5), perms_of(5))
 def test_directed_distance_dominates_undirected(s, t):
     du = distance(s, t)
-    df = distance(s, t, directed=True, scheme=Scheme.FUJITA)
+    df = distance(s, t, Scheme.FUJITA)
     assert df >= du
 
 
 def test_eccentricity_identity():
     assert bfs((1, 2, 3, 4, 5)).eccentricity() == 6
-    assert bfs((1, 2, 3, 4, 5), directed=True).eccentricity() == 10
+    assert bfs((1, 2, 3, 4, 5), Scheme.FUJITA).eccentricity() == 10
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 @pytest.mark.parametrize("scheme", [Scheme.FUJITA, Scheme.DAY_TRIPATHI])
 def test_orientations_are_strongly_connected(n, scheme):
     for source in (tuple(range(1, n + 1)), (2, 1) + tuple(range(3, n + 1))):
-        field = bfs(source, directed=True, scheme=scheme)
+        field = bfs(source, scheme)
         assert UNREACHABLE not in field.dist
 
 
@@ -201,26 +201,46 @@ def test_undirected_diameters_frozen():
 
 
 def test_directed_diameters_frozen_small():
-    assert diameter(4, directed=True).value == 9
-    assert diameter(5, directed=True).value == 10
-    assert diameter(5, directed=True, scheme=Scheme.DAY_TRIPATHI).value == 10
+    assert diameter(4, Scheme.FUJITA).value == 9
+    assert diameter(5, Scheme.FUJITA).value == 10
+    assert diameter(5, Scheme.DAY_TRIPATHI).value == 10
+
+
+def test_scheme_alone_selects_the_orientation():
+    # the scheme is the graph: no second setting can drop it
+    res = diameter(6, scheme=Scheme.DAY_TRIPATHI)
+    assert (res.value, res.directed, res.scheme) == (11, True, Scheme.DAY_TRIPATHI)
+    field = bfs((1, 2, 3, 4, 5), Scheme.DAY_TRIPATHI)
+    assert (field.directed, field.scheme) == (True, Scheme.DAY_TRIPATHI)
+
+
+S5 = (1, 2, 3, 4, 5)
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: bfs(S5, True), id="bfs-bool"),
+    pytest.param(lambda: distance(S5, S5, "fujita"), id="distance-str"),
+    pytest.param(lambda: list(distance_fields([S5], 1)), id="distance-fields-int"),
+    pytest.param(lambda: list(distance_fields([], True)), id="distance-fields-empty"),
+    pytest.param(lambda: diameter(5, True), id="diameter-bool"),
+])
+def test_only_none_or_a_scheme_names_a_graph(call):
+    with pytest.raises(ValueError, match="scheme must be None"):
+        call()
 
 
 @pytest.mark.parametrize("n", [4, 5])
-@pytest.mark.parametrize("directed", [False, True])
-def test_orbit_mode_matches_exhaustive(n, directed):
-    a = diameter(n, directed=directed, mode="orbit")
-    b = diameter(n, directed=directed, mode="exhaustive")
+@pytest.mark.parametrize("scheme", [None, Scheme.FUJITA])
+def test_orbit_mode_matches_exhaustive(n, scheme):
+    a = diameter(n, scheme, mode="orbit")
+    b = diameter(n, scheme, mode="exhaustive")
     assert a.value == b.value
 
 
-GRAPHS = [(False, Scheme.FUJITA), (True, Scheme.FUJITA), (True, Scheme.DAY_TRIPATHI)]
-
-
-def _reference_diameter(n, directed, scheme, mode):
+def _reference_diameter(n, scheme, mode):
     """One plain BFS per source in lexicographic (rank) order; the first strict
     maximum wins, with its first farthest node in that order."""
-    nodes, index, adj = _adjacency(n, directed, scheme)
+    nodes, index, adj = _adjacency(n, scheme)
     sources = orbit_sources(n) if mode == "orbit" else nodes
     best = None
     for source in sources:
@@ -233,25 +253,25 @@ def _reference_diameter(n, directed, scheme, mode):
 
 # exhaustive n = 5 has 120 sources: one full sweep of 64 and one of 56
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
-@pytest.mark.parametrize("directed,scheme", GRAPHS)
+@pytest.mark.parametrize("scheme", GRAPHS)
 @pytest.mark.parametrize("mode", ["exhaustive", "orbit"])
-def test_diameter_matches_per_source_reference(n, directed, scheme, mode):
-    res = diameter(n, directed=directed, scheme=scheme, mode=mode)
+def test_diameter_matches_per_source_reference(n, scheme, mode):
+    res = diameter(n, scheme, mode)
     assert (res.value, res.witness_source, res.witness_target) == _reference_diameter(
-        n, directed, scheme, mode
+        n, scheme, mode
     )
 
 
 # n = 5 has 120 sources: one full batch of 64 and a partial one of 56
 @pytest.mark.parametrize("n", [4, 5])
-@pytest.mark.parametrize("directed,scheme", GRAPHS)
-def test_distance_fields_match_naive_search(n, directed, scheme):
+@pytest.mark.parametrize("scheme", GRAPHS)
+def test_distance_fields_match_naive_search(n, scheme):
     nodes = all_perms(n)
-    fields = list(distance_fields(nodes, directed=directed, scheme=scheme))
+    fields = list(distance_fields(nodes, scheme))
     assert [field.source for field in fields] == nodes
     for field in fields:
-        assert (field.directed, field.scheme) == (directed, scheme if directed else None)
-        expected = _naive_distances(field.source, directed, scheme)
+        assert (field.directed, field.scheme) == (scheme is not None, scheme)
+        expected = _naive_distances(field.source, scheme)
         # rank order is lexicographic order
         assert field.dist.tolist() == [expected.get(t, UNREACHABLE) for t in nodes]
 
@@ -261,15 +281,15 @@ WIDTHS = {1: np.uint8, 2: np.uint8, 8: np.uint8, 9: np.uint16, 16: np.uint16,
           17: np.uint32, 32: np.uint32, 33: np.uint64, 64: np.uint64}
 
 
-@pytest.mark.parametrize("directed,scheme", GRAPHS)
-def test_distance_fields_every_word_width(directed, scheme):
+@pytest.mark.parametrize("scheme", GRAPHS)
+def test_distance_fields_every_word_width(scheme):
     nodes = all_perms(5)
-    arcs = _InArcs.build(move_table(5), _sends(5, directed, scheme))
+    arcs = _InArcs.build(move_table(5), _sends(5, scheme))
     for width in [*WIDTHS, 65]:
         sources = random.Random(width).sample(nodes, width)
-        fields = distance_fields(sources, directed=directed, scheme=scheme)
+        fields = distance_fields(sources, scheme)
         for source, field in zip(sources, fields, strict=True):
-            expected = _naive_distances(source, directed, scheme)
+            expected = _naive_distances(source, scheme)
             assert field.dist.tolist() == [expected.get(t, UNREACHABLE) for t in nodes]
         if width in WIDTHS:
             levels = list(arcs.sweep(np.arange(width)))
@@ -277,26 +297,26 @@ def test_distance_fields_every_word_width(directed, scheme):
 
 
 @pytest.mark.parametrize("n", [4, 5, 6, 7])
-@pytest.mark.parametrize("directed,scheme", GRAPHS)
-def test_in_arc_columns_match_topology(n, directed, scheme):
+@pytest.mark.parametrize("scheme", GRAPHS)
+def test_in_arc_columns_match_topology(n, scheme):
     table = move_table(n)
-    sends = _sends(n, directed, scheme)
+    sends = _sends(n, scheme)
     arcs = _InArcs.build(table, sends)
     columns = np.stack(arcs.columns, axis=1)
     nodes = all_perms(n)
     index = {p: i for i, p in enumerate(nodes)}
     pads = 0
     for v, p in enumerate(nodes):
-        arcs_in = in_neighbors(p, scheme) if directed else neighbors(p)
+        arcs_in = neighbors(p) if scheme is None else in_neighbors(p, scheme)
         row = columns[v].tolist()
         assert [u for u in row if u != v] == [index[q] for _, q in arcs_in]
         assert len(row) == len(arcs_in) + row.count(v)
         pads += row.count(v)
     # a vertex pads with its own rank only where the parities' in-degrees differ
-    assert (pads > 0) == (directed and 2 * len(sends) != n - 1)
+    assert (pads > 0) == (sends is not None and 2 * len(sends) != n - 1)
     # undirected, the columns are the move table's own, so no n!-long copy is made
     shared = [np.shares_memory(column, table.moves) for column in arcs.columns]
-    assert shared == [not directed] * len(arcs.columns)
+    assert shared == [scheme is None] * len(arcs.columns)
 
 
 def _outgoing(n, scheme):
@@ -369,21 +389,21 @@ def test_send_set_size_decides_the_diameter(n):
             by_size.setdefault(size, set()).add(value)
     assert [by_size[size] for size in sorted(by_size)] == [{d} for d in SEND_SET_DIAMETERS[n]]
     # both named schemes send on ceil((n-1)/2) = n//2 links
-    assert {diameter(n, True, scheme).value for scheme in Scheme} == by_size[n // 2]
+    assert {diameter(n, scheme).value for scheme in Scheme} == by_size[n // 2]
 
 
 def test_distance_fields_edge_inputs():
     assert list(distance_fields([])) == []
     s = (2, 4, 1, 3)
-    twice = list(distance_fields([s, s], directed=True))
-    assert [f.dist.tolist() for f in twice] == [bfs(s, directed=True).dist.tolist()] * 2
+    twice = list(distance_fields([s, s], Scheme.FUJITA))
+    assert [f.dist.tolist() for f in twice] == [bfs(s, Scheme.FUJITA).dist.tolist()] * 2
     with pytest.raises(ValueError, match="order mismatch"):
         list(distance_fields([(1, 2, 3), (1, 2, 3, 4)]))
 
 
 def test_diameter_result_witness_is_consistent():
-    res = diameter(5, directed=True)
-    field = bfs(res.witness_source, directed=True, scheme=Scheme.FUJITA)
+    res = diameter(5, Scheme.FUJITA)
+    field = bfs(res.witness_source, Scheme.FUJITA)
     assert field.distance(res.witness_target) == res.value
     assert res.mode == "exhaustive"
     assert res.scheme is Scheme.FUJITA
