@@ -16,8 +16,10 @@ cycle is *alternating* when it has at least two elements and their current
 positions alternate between the halves all the way around; position 1 breaks
 alternation since it belongs to neither half.
 
-:func:`_counts` counts one pair in plain Python; :func:`_count_rows` gives
-the same counts, and the classic distance, for a block of pairs at once.
+:func:`_slots` sorts the positions of one pair into these sets in one pass,
+and :func:`classify`, :func:`_counts` and the router's scalar pick read it;
+:func:`_count_rows` gives the counts, and the classic distance, for a block
+of pairs at once.
 """
 
 from __future__ import annotations
@@ -59,8 +61,10 @@ class ClassifiedSets:
 
 
 # An unsettled value at current position p with target position tp falls in
-# slot 3 * half[p] + half[tp]; slots touching position 1 belong to no set.
+# slot 3 * half[p] + half[tp], and a settled one in slot _SETTLED + half[p];
+# the unsettled slots touching position 1 belong to no set.
 _ULL, _ULR, _URL, _URR = 4, 5, 7, 8
+_SETTLED = 9
 
 
 def _alternates(start: int, dest: Sequence[int], half: Sequence[int], seen: list[bool]) -> bool:
@@ -110,31 +114,23 @@ def classify(c: Sequence[int], t: Sequence[int]) -> ClassifiedSets:
     ([5], [4], [3])
     """
     c, t = check_pair(c, t)
-    n = len(c)
-    b = boundary(n)
-    half = b.half
-    tpos = positions(t)
-    settled: list[int] = []
-    settled_in: list[list[int]] = [[], [], []]  # by half
-    slots: list[list[int]] = [[] for _ in range(9)]
-    for p, v in enumerate(c, 1):
-        tp = tpos[v]
-        if tp == p:
-            settled.append(v)
-            settled_in[half[p]].append(v)
-        else:
-            slots[3 * half[p] + half[tp]].append(v)
-    *_, chi, nonsingleton = _counts(c, tpos, half)
+    b = boundary(len(c))
+    slots, dest = _slots(c, positions(t), b.half)
+    chi, nonsingleton = _cycle_counts(dest, b.half)
+
+    def values(*at: int) -> frozenset[int]:
+        return frozenset(c[p - 1] for slot in at for p in slots[slot])
+
     return ClassifiedSets(
-        n=n,
+        n=b.n,
         k=b.k,
-        settled=frozenset(settled),
-        ull=frozenset(slots[_ULL]),
-        urr=frozenset(slots[_URR]),
-        ulr=frozenset(slots[_ULR]),
-        url=frozenset(slots[_URL]),
-        sl=frozenset(settled_in[1]),
-        sr=frozenset(settled_in[2]),
+        settled=values(_SETTLED, _SETTLED + 1, _SETTLED + 2),
+        ull=values(_ULL),
+        urr=values(_URR),
+        ulr=values(_ULR),
+        url=values(_URL),
+        sl=values(_SETTLED + 1),
+        sr=values(_SETTLED + 2),
         alternating_count=chi,
         nonsingleton_cycles=nonsingleton,
     )
@@ -158,6 +154,33 @@ def crossing_load(c: Sequence[int], t: Sequence[int]) -> int:
     return load
 
 
+def _slots(
+    c: Sequence[int], tpos: Sequence[int], half: Sequence[int]
+) -> tuple[list[list[int]], list[int]]:
+    """The partition of the positions of ``c`` toward the target whose
+    position index is ``tpos``: ``slots[j]`` holds, in ascending order, the
+    positions whose value falls in slot j (see ``_ULL``), and ``dest[p]`` is
+    the target position of the value at position p (``dest[0]`` unused)."""
+    dest = [0] * len(tpos)
+    slots: list[list[int]] = [[] for _ in range(_SETTLED + 3)]
+    for p, v in enumerate(c, 1):
+        tp = dest[p] = tpos[v]
+        slots[_SETTLED + half[p] if tp == p else 3 * half[p] + half[tp]].append(p)
+    return slots, dest
+
+
+def _cycle_counts(dest: Sequence[int], half: Sequence[int]) -> tuple[int, int]:
+    """``(alternating, nonsingleton)``: the relative cycles of ``dest`` (as
+    :func:`_slots` gives it) that alternate, and those of two or more."""
+    seen = [False] * len(dest)
+    chi = nonsingleton = 0
+    for p in range(1, len(dest)):
+        if not seen[p] and dest[p] != p:
+            nonsingleton += 1
+            chi += _alternates(p, dest, half, seen)
+    return chi, nonsingleton
+
+
 def _counts(
     c: Sequence[int], tpos: Sequence[int], half: Sequence[int]
 ) -> tuple[int, int, int, int, int, int]:
@@ -167,19 +190,9 @@ def _counts(
 
     Returns ``(ull, urr, ulr, url, alternating, nonsingleton)`` as plain ints.
     """
-    dest = [0] * len(tpos)
-    tally = [0] * 9
-    for p, v in enumerate(c, 1):
-        tp = dest[p] = tpos[v]
-        if tp != p:
-            tally[3 * half[p] + half[tp]] += 1
-    seen = [False] * len(dest)
-    chi = nonsingleton = 0
-    for p in range(1, len(dest)):
-        if not seen[p] and dest[p] != p:
-            nonsingleton += 1
-            chi += _alternates(p, dest, half, seen)
-    return tally[_ULL], tally[_URR], tally[_ULR], tally[_URL], chi, nonsingleton
+    slots, dest = _slots(c, tpos, half)
+    ull, urr, ulr, url = (len(slots[j]) for j in (_ULL, _URR, _ULR, _URL))
+    return ull, urr, ulr, url, *_cycle_counts(dest, half)
 
 
 # rows per pass of _count_rows: bounds its temporaries (a few hundred kB)
@@ -204,28 +217,27 @@ def _halves(x: np.ndarray, k: int) -> np.ndarray:
     return (x > 1).view(np.uint8) + (x > k)
 
 
-def _cycle_cols(cols: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+def _cycle_cols(cols: np.ndarray, stay: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The cycles of a block of pairs in column layout: ``cols`` is the
     ``(n, r)`` transpose of a block of ``dest`` rows, so entry ``[p - 1, i]``
-    is the target position of the value at position p of pair i.  Returns
-    each position's label, the lowest position on its cycle, and whether
-    its cycle alternates (as :func:`_alternates` decides), both ``(n, r)``.
+    is the target position of the value at position p of pair i, and
+    ``stay`` marks where that value is destined for the half it sits in.
+    Returns each position's label, the lowest position on its cycle, and
+    whether its cycle alternates (as :func:`_alternates` decides), both ``(n, r)``.
 
     Pointer doubling, ``ceil(log2 n)`` gathers per array: a position is
-    *bad* when it is position 1 or its value is destined for its own half
-    (a singleton is), and a cycle alternates when none of its positions is
-    bad.  ``k`` is the boundary of ``boundary(n)``.
+    *bad* when it is position 1 or it stays in its half (a singleton does),
+    and a cycle alternates when none of its positions is bad.
     """
     n, r = cols.shape
-    pos = np.arange(1, n + 1, dtype=np.uint8)
     # flat index of each entry's target position in the block
     ptr = cols.astype(np.intp)
     ptr -= 1
     ptr *= r
     ptr += np.arange(r)
     ptr = ptr.ravel()
-    label = np.repeat(pos, r)
-    bad = _halves(cols, k) == _halves(pos, k)[:, None]
+    label = np.repeat(np.arange(1, n + 1, dtype=np.uint8), r)
+    bad = stay.copy()
     bad[0] = True
     bad = bad.ravel()
     steps = (n - 1).bit_length()
@@ -237,24 +249,27 @@ def _cycle_cols(cols: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     return label.reshape(n, r), ~bad.reshape(n, r)
 
 
-def _count_block(block: np.ndarray, k: int, out: np.ndarray) -> tuple[np.ndarray, ...]:
+def _count_block(block: np.ndarray, out: np.ndarray) -> tuple[np.ndarray, ...]:
     """The :class:`RowCounts` of up to ``_ROW_BLOCK`` rows of ``dest``, into
-    the ``(7, r)`` ``out``.  Returns what the pick kernel reads too, each
-    ``(n, r)``: the block in column layout, the half each value is destined
-    for, the moved mask and the labels and alternation flags of :func:`_cycle_cols`."""
+    the ``(7, r)`` ``out``.  Returns the partition the pick kernel reads too,
+    each ``(n, r)``: the block in column layout, the moved, burn-down (moved
+    within its half) and crossed masks, and :func:`_cycle_cols`'s labels and flags."""
     cols = np.ascontiguousarray(block.T)
     n = len(cols)
+    k = boundary(n).k
     pos = np.arange(1, n + 1, dtype=np.uint8)[:, None]
+    here, there = _halves(pos, k), _halves(cols, k)
+    stay, moved = there == here, cols != pos
+    same, crossed = stay & moved, there + here == 3
+    label, alternates = _cycle_cols(cols, stay)
+    leader = label == pos
     left, right = slice(1, k), slice(k, n)
     ull, urr, ulr, url, nonsingleton, distance, alternating = out
-    there, moved = _halves(cols, k), cols != pos
-    label, alternates = _cycle_cols(cols, k)
-    leader = label == pos
     for mask, total in (
-        ((there[left] == 1) & moved[left], ull),
-        ((there[right] == 2) & moved[right], urr),
-        (there[left] == 2, ulr),
-        (there[right] == 1, url),
+        (same[left], ull),
+        (same[right], urr),
+        (crossed[left], ulr),
+        (crossed[right], url),
         (leader & moved, nonsingleton),
         (moved, distance),
         (leader & alternates, alternating),
@@ -262,27 +277,27 @@ def _count_block(block: np.ndarray, k: int, out: np.ndarray) -> tuple[np.ndarray
         np.sum(mask, axis=0, dtype=np.uint8, out=total)
     distance += nonsingleton
     distance -= 2 * moved[0].view(np.uint8)
-    return cols, there, moved, label, alternates
+    return cols, moved, same, crossed, label, alternates
 
 
-def _count_rows(dest: np.ndarray, k: int) -> RowCounts:
+def _count_rows(dest: np.ndarray) -> RowCounts:
     """:func:`_counts` and the classic distance for every row of ``dest``.
 
     ``dest`` is an ``(m, n)`` uint8 block, one row per (current, target)
     pair: entry ``i`` is the target position (1-based) of the value at
-    position ``i + 1``, the ``dest`` that :func:`_counts` builds.  ``k`` is
-    the boundary of ``boundary(n)``.
+    position ``i + 1``, the ``dest`` that :func:`_counts` builds.
 
     Rows are taken ``_ROW_BLOCK`` at a time by :func:`_count_block`, each
     block in column layout, so that every count is a sum over the ``n``
-    rows of a mask.  The slot counts read the halves of the left positions
-    (2..k) and the right ones.  The cycle counts read the labels and
-    alternation flags of :func:`_cycle_cols`: a moved position that is its
-    own label stands for one non-singleton cycle, and for an alternating
-    one when its cycle alternates.  The distance is mismatches plus
-    non-singleton cycles, minus 2 when position 1 is unsettled.
+    rows of a mask.  The slot counts sum the burn-down and crossed masks
+    over the left positions (2..k of ``boundary(n)``) and the right ones.
+    The cycle counts read the labels and alternation flags of
+    :func:`_cycle_cols`: a moved position that is its own label stands for
+    one non-singleton cycle, and for an alternating one when its cycle
+    alternates.  The distance is mismatches plus non-singleton cycles,
+    minus 2 when position 1 is unsettled.
     """
     out = np.empty((7, len(dest)), dtype=np.uint8)
     for lo in range(0, len(dest), _ROW_BLOCK):
-        _count_block(dest[lo : lo + _ROW_BLOCK], k, out[:, lo : lo + _ROW_BLOCK])
+        _count_block(dest[lo : lo + _ROW_BLOCK], out[:, lo : lo + _ROW_BLOCK])
     return RowCounts(*out)

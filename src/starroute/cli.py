@@ -269,7 +269,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _parse_orders(text: str) -> list[int]:
     """Orders named by ``6``, ``3..7`` or ``5,7,9``; every order and range end
-    is checked against 3..MAX_TABLE_ORDER before any range is expanded."""
+    is checked against 3..MAX_TABLE_ORDER before any range is expanded, and
+    a reversed range or an order named twice is rejected."""
     spans: list[tuple[int, int]] = []
     for item in text.split(","):
         lo, dots, hi = item.partition("..")
@@ -280,10 +281,13 @@ def _parse_orders(text: str) -> list[int]:
         for order in span:
             if not 3 <= order <= MAX_TABLE_ORDER:
                 raise ValueError(f"table covers orders 3..{MAX_TABLE_ORDER}, got {order}")
+        if span[0] > span[1]:
+            raise ValueError(f"reversed range {item!r}")
         spans.append(span)
     out = [n for lo, hi in spans for n in range(lo, hi + 1)]
-    if not out:
-        raise ValueError("empty order list")
+    for n in out:
+        if out.count(n) > 1:
+            raise ValueError(f"order {n} named twice")
     return out
 
 

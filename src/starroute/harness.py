@@ -32,7 +32,7 @@ from .oracle import (
 )
 from . import routing
 from .perm import Perm, _apply_generator, _cycles, _relative_map, compose, identity, inverse, parity
-from .routetree import _CASES, _NO_CASE, RouteTree
+from .routetree import RouteTree
 from .routing import (
     _bound_from_counts,
     _fault_texts,
@@ -155,7 +155,7 @@ def _route_violations(n: int, targets: list[Perm]) -> _Sweep:
     cap = hop_cap(n)
     found: dict[str, list[Violation]] = {name: [] for name in ROUTE_CHECKS}
     extended = 0
-    cases = np.zeros(_NO_CASE + 1, dtype=np.int64)  # the last bin counts the targets
+    cases = np.zeros(len(routing.CASES) + 1, dtype=np.int64)  # the last bin counts the targets
     lengths = np.zeros(routing._runaway_limit(n) + 1, dtype=np.int64)
     per = max(1, _GROUP_ROWS // factorial(n))
     for lo in range(0, len(targets), per):
@@ -191,7 +191,7 @@ def _route_violations(n: int, targets: list[Perm]) -> _Sweep:
     extras = {
         "phase-structure": {
             "extended": extended,
-            "cases": dict(zip(_CASES, cases[:_NO_CASE].tolist())),
+            "cases": dict(zip(routing.CASES, cases.tolist())),
         },
         "diameter-bound": {
             "longest": longest,
@@ -217,7 +217,6 @@ def _distance_violations(n: int, sources: list[Perm]) -> _Sweep:
     arrays; a :class:`Violation` is built only for a pair that differs.
     """
     found: dict[str, list[Violation]] = {name: [] for name in DISTANCE_CHECKS}
-    k = boundary(n).k
     # where[j, v - 1]: the position of value v in target j, row j of perms
     perms = move_table(n).perms
     size = len(perms)
@@ -230,7 +229,7 @@ def _distance_violations(n: int, sources: list[Perm]) -> _Sweep:
         bfs = block.ravel()
         for start in range(0, len(bfs), _ROW_BLOCK):
             src, tgt = np.divmod(np.arange(start, min(start + _ROW_BLOCK, len(bfs))), size)
-            rows = _count_rows(where[tgt[:, None], values[src]], k)
+            rows = _count_rows(where[tgt[:, None], values[src]])
             d = rows.distance
             actual = bfs[start : start + len(d)]
             for i in np.flatnonzero(d != actual).tolist():

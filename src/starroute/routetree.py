@@ -30,7 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
-# the runaway limit is read through the module
+# the runaway limit and the decision cases are read through the module
 from . import routing
 from .classify import _ROW_BLOCK, RowCounts, _count_block, _halves
 from .oracle import move_table
@@ -42,8 +42,8 @@ from .topology import Scheme, boundary, out_links
 _KINDS = tuple(MoveKind)
 _SETTLING, _SEEDING, _CROSSING, _FINAL, _PRE_FINAL = range(len(_KINDS))
 _AT_TARGET = len(_KINDS)  # a row already at its target: no hop leaves it
-_CASES = ("1", "2.1", "2.2", "2.3", "2.4", "2.5", "3.1", "3.2", "4")
-_NO_CASE = len(_CASES)  # the case code of a row already at its target
+# a row's case code j is routing.CASES[j]; this one is a target's
+_NO_CASE = len(routing.CASES)
 # the move kind of each case code: a 2.x hop seeds instead when c(1) = t(1),
 # and a 3.2 hop that does not bring t(1) forward is pre-final
 _CASE_MOVE = np.array(
@@ -58,7 +58,7 @@ _HOPS = ("crossing", "final", "pre-final", "fallback", "rise", "incoming")
 # near pointers stop at (final, pre-final, not settling)
 _CODE = np.arange(len(_CROSSES))
 _BY_MOVE = np.column_stack((_CROSSES, _CODE == _FINAL, _CODE == _PRE_FINAL, _CODE != _SETTLING))
-_FALLBACK = np.array([case in ("2.4", "2.5") for case in _CASES] + [False])  # per case code
+_FALLBACK = np.array([case in routing.FALLBACK_CASES for case in routing.CASES] + [False])
 
 
 def _lowest(mask: np.ndarray) -> np.ndarray:
@@ -70,45 +70,44 @@ def _lowest(mask: np.ndarray) -> np.ndarray:
     return rows + 2 - (mask * weight).max(axis=0)
 
 
-def _pick_rows(
-    dest: np.ndarray, odd: np.ndarray, k: int
-) -> tuple[RowCounts, np.ndarray, np.ndarray]:
+def _pick_rows(dest: np.ndarray, odd: np.ndarray) -> tuple[RowCounts, np.ndarray, np.ndarray]:
     """:func:`classify._count_rows` and :func:`routing._oriented_pick` for
     every row of ``dest``, in one pass: the counts, and the link and the
-    decision case (code ``j`` of ``_CASES[j]``), each an ``(m,)`` uint8
-    array.  A row already at its target gets link 0 and ``_NO_CASE``.
+    decision case (code ``j`` of ``routing.CASES[j]``), each an ``(m,)``
+    uint8 array.  A row already at its target gets link 0 and ``_NO_CASE``.
 
     ``dest`` is an ``(m, n)`` uint8 block, one row per (current, target)
-    pair, as :func:`classify._count_rows` takes it with the boundary ``k``;
-    ``odd`` is the parity of each current node.  Each block's picks read
-    the column layout, halves and cycles of its counts
-    (:func:`classify._count_block`).  A pick set is an ``(n - 1, r)`` mask
-    over positions 2..n, its lowest position a weighted maximum.  Case 2.1
-    reads the cycle labels (position 1's is 1), case 3.1 the alternation
-    flags, and case 2.2 walks the inverse of ``dest`` backwards from
-    position 1, at most n gathers.  Raises :class:`RoutingInvariantError`
-    where the scalar pick would.
+    pair, as :func:`classify._count_rows` takes it; ``odd`` is the parity
+    of each current node.  Each block's picks intersect the partition
+    masks of its counts (:func:`classify._count_block`) with the node's
+    home half.  A pick set is an ``(n - 1, r)`` mask over positions 2..n,
+    its lowest position a weighted maximum.  Case 2.1 reads the cycle
+    labels (position 1's is 1), case 3.1 the alternation flags, and case
+    2.2 walks the inverse of ``dest`` backwards from position 1, at most n
+    gathers.  Raises :class:`RoutingInvariantError` where the scalar pick
+    would.
     """
     m, n = dest.shape
+    k = boundary(n).k
     pos = np.arange(1, n + 1, dtype=np.uint8)
     here = _halves(pos[1:], k)[:, None]  # the half of each of positions 2..n
     counts = np.empty((7, m), dtype=np.uint8)
     link = np.empty(m, dtype=np.uint8)
     case = np.empty(m, dtype=np.uint8)
     for lo in range(0, m, _ROW_BLOCK):
-        cols, there, moved, label, alternates = _count_block(
-            dest[lo : lo + _ROW_BLOCK], k, counts[:, lo : lo + _ROW_BLOCK]
+        cols, moved, same, crossed, label, alternates = _count_block(
+            dest[lo : lo + _ROW_BLOCK], counts[:, lo : lo + _ROW_BLOCK]
         )
         r = cols.shape[1]
         home = odd[lo : lo + r].astype(np.uint8) + 1  # the half this node's links reach
         first = cols[0]
-        there, moved = there[1:], moved[1:]  # of positions 2..n
+        # of positions 2..n; same marks the burn-down values, |ull| + |urr|
+        moved, same = moved[1:], same[1:]
         mine = here == home
-        same = moved & (there == here)  # the burn-down values, |ull| + |urr|
         a_set = same & mine
         outside = a_set & (label[1:] != 1)
         sh_set = ~moved & mine
-        c_set = moved & (there != here) & (there != 0) & mine
+        c_set = crossed[1:] & mine
         alt_set = c_set & alternates[1:]
         t1 = np.sum((cols == 1) * pos[:, None], axis=0, dtype=np.uint8)  # where t(1) is
         t1_mine = _halves(t1, k) == home
@@ -241,7 +240,7 @@ class RouteTree:
         """Every row's counts and decision: link, move kind code and case
         code.  One call per tree, so that the decisions can be replaced as a
         whole."""
-        counts, link, case = _pick_rows(dest, odd, boundary(self.n).k)
+        counts, link, case = _pick_rows(dest, odd)
         return counts, link, _move_rows(dest, link, case), case
 
     def node(self, row: int) -> Perm:
@@ -308,7 +307,7 @@ class RouteTree:
         while self.move[row] != _AT_TARGET and len(links) <= limit:
             links.append(int(self.link[row]))
             moves.append(_KINDS[self.move[row]])
-            cases.append(_CASES[self.case[row]])
+            cases.append(routing.CASES[self.case[row]])
             row = self.nxt[row]
             walk.append(self.node(row))
         return RouteTrace(

@@ -55,7 +55,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .classify import _alternates, _counts as _set_counts
+from .classify import _SETTLED, _alternates, _counts as _set_counts, _slots
 from .perm import Perm, _parity, _positions, check_pair
 from .topology import Scheme, boundary, out_links
 
@@ -71,6 +71,10 @@ class MoveKind(enum.Enum):
 # a tuple: ``in`` compares members by identity, where a frozenset would call
 # the enum's Python-level __hash__ on every test
 CROSSING_KINDS = (MoveKind.CROSSING, MoveKind.FINAL_CROSSING, MoveKind.PRE_FINAL_CROSSING)
+# the oriented router's decision cases, in the order of the module docstring;
+# a fallback hop (2.4, 2.5) displaces a crossed value mid-burn-down
+CASES = ("1", "2.1", "2.2", "2.3", "2.4", "2.5", "3.1", "3.2", "4")
+FALLBACK_CASES = ("2.4", "2.5")
 
 
 class RoutingInvariantError(RuntimeError):
@@ -193,7 +197,6 @@ def _oriented_pick(
     tpos: list[int],
     half: Sequence[int],
 ) -> tuple[int, MoveKind, str]:
-    n = len(c)
     c1 = c[0]
     t1 = t[0]
     home = 1 + odd  # the half this node's outgoing links cover
@@ -201,52 +204,33 @@ def _oriented_pick(
     if half[tpos[c1]] == home:
         return tpos[c1], MoveKind.SETTLING, "1"
 
-    burn = 0  # |ull| + |urr| over both halves
-    a_vals: list[int] = []  # home-half values destined for the home half
-    c_list: list[int] = []  # positions of crossed values sitting in the home half
-    sh_first = 0  # lowest-position settled value in the home half
-    for i in range(1, n):
-        v = c[i]
-        p = i + 1
-        tp = tpos[v]
-        ch = half[p]
-        if tp == p:
-            if ch == home and not sh_first:
-                sh_first = p
-            continue
-        th = half[tp]
-        if th == ch:
-            burn += 1
-            if ch == home:
-                a_vals.append(v)
-        elif th and ch == home:
-            c_list.append(p)
+    slots, dest = _slots(c, tpos, half)
+    # the positions of A, C and SH, ascending: the unsettled values that sit in
+    # and are destined for H, the crossed values sitting in H, the settled ones
+    a_set, c_list, sh = slots[4 * home], slots[2 * home + 3], slots[_SETTLED + home]
+    burn = len(slots[4]) + len(slots[8])  # |ull| + |urr| over both halves
 
     if burn:
         kind = MoveKind.SEEDING if c1 == t1 else MoveKind.CROSSING
-        if a_vals:
-            cycle = {c1}
-            w = c[tpos[c1] - 1]
-            while w != c1:
-                cycle.add(w)
-                w = c[tpos[w] - 1]
-            outside = [v for v in a_vals if v not in cycle]
+        if a_set:
+            cycle = {1}
+            p = dest[1]
+            while p != 1:
+                cycle.add(p)
+                p = dest[p]
+            outside = [p for p in a_set if p not in cycle]
             if outside:
-                link = min(cpos[v] for v in outside)
-                return link, kind, "2.1"
-            a_set = set(a_vals)
-            w = t[cpos[c1] - 1]  # backward step: predecessor in the relative cycle
+                return outside[0], kind, "2.1"
+            p = cpos[t1]  # backward step: predecessor in the relative cycle
             steps = 0
-            while w not in a_set:
-                w = t[cpos[w] - 1]
+            while p not in a_set:
+                p = cpos[t[p - 1]]
                 steps += 1
-                if steps > n:
-                    raise RoutingInvariantError(
-                        "backward cycle walk found no same-half value"
-                    )
-            return cpos[w], kind, "2.2"
-        if sh_first:
-            return sh_first, kind, "2.3"
+                if steps > len(c):
+                    raise RoutingInvariantError("backward cycle walk found no same-half value")
+            return p, kind, "2.2"
+        if sh:
+            return sh[0], kind, "2.3"
         # The reachable half holds neither burn-down nor settled values, so
         # it is filled by crossed values plus at most the position-1 value.
         if c_list:
@@ -258,14 +242,14 @@ def _oriented_pick(
 
     if half[tpos[c1]]:  # destined for the opposite half, burn-down complete
         if c_list:
-            link = _prefer_alternating(c_list, c, tpos, half)
+            link = _prefer_alternating(c_list, dest, half)
             return link, MoveKind.FINAL_CROSSING, "3.1"
         t1p = cpos[t1]
         if half[t1p] == home:
             return t1p, MoveKind.FINAL_CROSSING, "3.2"
-        if not sh_first:
+        if not sh:
             raise RoutingInvariantError("case 3.2 found neither t(1) nor a settled value")
-        return sh_first, MoveKind.PRE_FINAL_CROSSING, "3.2"
+        return sh[0], MoveKind.PRE_FINAL_CROSSING, "3.2"
 
     # c(1) == t(1) with burn-down complete: seed with a crossed value
     if not c_list:
@@ -273,12 +257,10 @@ def _oriented_pick(
     return c_list[0], MoveKind.SEEDING, "4"
 
 
-def _prefer_alternating(
-    c_list: list[int], c: Sequence[int], tpos: Sequence[int], half: Sequence[int]
-) -> int:
+def _prefer_alternating(c_list: list[int], dest: Sequence[int], half: Sequence[int]) -> int:
     """Lowest position in ``c_list`` whose value lies on an alternating
-    relative cycle; lowest position outright when no such value exists."""
-    dest = [0] + [tpos[v] for v in c]
+    relative cycle; lowest position outright when no such value exists.
+    ``dest`` is the one :func:`classify._slots` gives."""
     seen = [False] * len(dest)
     for p in c_list:
         # skip cycles already walked: none of them alternated
@@ -555,7 +537,7 @@ def check_phase_invariants(trace: RouteTrace) -> PhaseReport:
 
 
 def _extended(cases: Sequence[str]) -> bool:
-    return "2.4" in cases or "2.5" in cases
+    return any(case in cases for case in FALLBACK_CASES)
 
 
 def _phase_summary(trace: RouteTrace) -> PhaseSummary:

@@ -44,11 +44,11 @@ def tamper_picks(monkeypatch, target, change) -> None:
             for row in range(j * tree.size, (j + 1) * tree.size):
                 if case[row] == routetree._NO_CASE:
                     continue
-                kind, label = routetree._KINDS[move[row]], routetree._CASES[case[row]]
+                kind, label = routetree._KINDS[move[row]], routing.CASES[case[row]]
                 new_link, kind, label = change(tree.node(row), (int(link[row]), kind, label))
                 link[row] = new_link
                 move[row] = routetree._KINDS.index(kind)
-                case[row] = routetree._CASES.index(label)
+                case[row] = routing.CASES.index(label)
         return counts, link, move, case
 
     monkeypatch.setattr(routing, "_oriented_pick", tampered_pick)

@@ -8,8 +8,10 @@ from hypothesis import given
 
 from starroute.classify import (
     _ROW_BLOCK,
+    _SETTLED,
     _count_rows,
     _counts,
+    _slots,
     classify,
     crossing_load,
     is_alternating,
@@ -88,6 +90,20 @@ def test_settled_matches_relative_fixed_points(pair):
 
 
 @given(perm_pairs())
+def test_slots_hold_every_position_once_in_ascending_order(pair):
+    c, t = pair
+    n = len(c)
+    half = boundary(n).half
+    slots, dest = _slots(c, positions(t), half)
+    assert sorted(p for slot in slots for p in slot) == list(range(1, n + 1))
+    assert all(slot == sorted(slot) for slot in slots)
+    # the settled slots, one per half, hold exactly the fixed points
+    fixed = [p for p in range(1, n + 1) if c[p - 1] == t[p - 1]]
+    assert slots[_SETTLED:] == [[p for p in fixed if half[p] == h] for h in range(3)]
+    assert dest[1:] == [t.index(v) + 1 for v in c]
+
+
+@given(perm_pairs())
 def test_crossing_load_agrees_with_full_partition(pair):
     c, t = pair
     sets = classify(c, t)
@@ -127,7 +143,7 @@ def test_count_rows_matches_the_scalar_counts(n):
     targets = [positions(t) for _, t in pairs]
     dest = np.array([[tpos[v] for v in c] for (c, _), tpos in zip(pairs, targets)], dtype=np.uint8)
     assert n < 5 or len(pairs) > _ROW_BLOCK  # several blocks per call
-    got = np.stack(_count_rows(dest, boundary(n).k), axis=1).tolist()
+    got = np.stack(_count_rows(dest), axis=1).tolist()
     expected = []
     for (c, t), tpos in zip(pairs, targets):
         ull, urr, ulr, url, chi, nonsingleton = _counts(c, tpos, half)

@@ -225,6 +225,21 @@ def test_table_rejects_a_malformed_order_list(capsys, orders):
     assert err == f"error: malformed order list {orders!r}\n"
 
 
+@pytest.mark.parametrize(
+    ("orders", "message"),
+    [
+        ("5..3,4", "reversed range '5..3'"),
+        ("4..3", "reversed range '4..3'"),
+        ("4,4", "order 4 named twice"),
+        ("3..5,4", "order 4 named twice"),
+    ],
+)
+def test_table_rejects_a_reversed_range_or_a_repeated_order(capsys, orders, message):
+    code, out, err = run(capsys, "table", orders)
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_table_comma_list(capsys):
     code, out, _ = run(capsys, "table", "3,5", "--format", "csv")
     assert code == 0

@@ -337,8 +337,8 @@ def test_stretch_bound_reads_the_classic_distance_of_every_pair(monkeypatch):
     pick_rows = routetree._pick_rows
     read = []  # the distances of each route tree's rows: by target, then by node
 
-    def recording(dest, odd, k):
-        counts, link, case = pick_rows(dest, odd, k)
+    def recording(dest, odd):
+        counts, link, case = pick_rows(dest, odd)
         read.extend(counts.distance.tolist())
         return counts, link, case
 
@@ -375,8 +375,8 @@ def test_set_formula_reports_exactly_a_planted_kernel_row(monkeypatch):
     count_rows = harness._count_rows
     calls = []
 
-    def tampered(dest, k):
-        rows = count_rows(dest, k)
+    def tampered(dest):
+        rows = count_rows(dest)
         if len(calls) == 1:
             rows.ulr[0] += 1
         calls.append(len(dest))

@@ -16,8 +16,8 @@ import pytest
 from starroute.classify import _count_rows, _counts
 from starroute.oracle import move_table
 from starroute.perm import parity, positions
-from starroute.routetree import _CASES, _KINDS, _NO_CASE, _move_rows, _pick_rows
-from starroute.routing import _oriented_pick
+from starroute.routetree import _KINDS, _NO_CASE, _move_rows, _pick_rows
+from starroute.routing import CASES, _oriented_pick
 from starroute.topology import boundary
 
 from conftest import all_perms
@@ -49,16 +49,16 @@ def test_row_kernels_match_the_scalar_pick_and_counts(n):
     half = boundary(n).half
     pairs = _pairs(n)
     dest, odd = _rows(n, pairs)
-    counts, link, case = _pick_rows(dest, odd, boundary(n).k)
+    counts, link, case = _pick_rows(dest, odd)
     move = _move_rows(dest, link, case)
     # the one pass gives the counts of the distance sweep's kernel
-    assert all((a == b).all() for a, b in zip(counts, _count_rows(dest, boundary(n).k)))
+    assert all((a == b).all() for a, b in zip(counts, _count_rows(dest)))
     alternating = counts.alternating
     # the scalar forms, each node's position index and parity taken once
     nodes = all_perms(n) if n <= 6 else {p for pair in pairs for p in pair}
     index = {p: (positions(p), parity(p)) for p in nodes}
     kinds = {kind: code for code, kind in enumerate(_KINDS)}
-    cases = {label: code for code, label in enumerate(_CASES)}
+    cases = {label: code for code, label in enumerate(CASES)}
     expected, chi = [], []
     for c, t in pairs:
         (cpos, c_odd), (tpos, _) = index[c], index[t]
