@@ -19,6 +19,7 @@ violations or standard output is closed before the output is written
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import os
@@ -33,7 +34,6 @@ from .harness import (
     VerificationReport,
     diameter_table,
     format_table,
-    hop_cap,
     lower_bound_check,
     verify,
     witness,
@@ -83,38 +83,30 @@ def _set_line(label: str, values: frozenset[int]) -> str:
     return f"{label}: {' '.join(map(str, sorted(values)))}".rstrip()
 
 
+# the sets of a classification: the attribute, which is also the --json
+# key, and the label of the text line
+_SETS = (
+    ("settled", "S"),
+    ("sl", "SL"),
+    ("sr", "SR"),
+    ("ull", "ULL"),
+    ("urr", "URR"),
+    ("ulr", "ULR"),
+    ("url", "URL"),
+    ("crossed", "X"),
+)
+
+
 def _cmd_classify(args: argparse.Namespace) -> int:
     s, t = parse_perm(args.source), parse_perm(args.target)
     sets = classify(s, t)
     if args.json:
-        print(
-            json.dumps(
-                {
-                    "settled": sorted(sets.settled),
-                    "sl": sorted(sets.sl),
-                    "sr": sorted(sets.sr),
-                    "ull": sorted(sets.ull),
-                    "urr": sorted(sets.urr),
-                    "ulr": sorted(sets.ulr),
-                    "url": sorted(sets.url),
-                    "crossed": sorted(sets.crossed),
-                    "chi": sets.alternating_count,
-                    "cycles": sets.nonsingleton_cycles,
-                }
-            )
-        )
+        record: dict = {key: sorted(getattr(sets, key)) for key, _ in _SETS}
+        record.update(chi=sets.alternating_count, cycles=sets.nonsingleton_cycles)
+        print(json.dumps(record))
         return 0
-    for label, values in (
-        ("S", sets.settled),
-        ("SL", sets.sl),
-        ("SR", sets.sr),
-        ("ULL", sets.ull),
-        ("URR", sets.urr),
-        ("ULR", sets.ulr),
-        ("URL", sets.url),
-        ("X", sets.crossed),
-    ):
-        print(_set_line(label, values))
+    for key, label in _SETS:
+        print(_set_line(label, getattr(sets, key)))
     print(f"chi={sets.alternating_count} cycles={sets.nonsingleton_cycles}")
     return 0
 
@@ -201,33 +193,25 @@ def _report_json(report: VerificationReport) -> dict:
         "n": report.n,
         "sources": report.sources,
         "ok": report.ok,
-        "checks": [_check_json(c, report.n) for c in report.checks],
+        "checks": [_check_json(c) for c in report.checks],
     }
 
 
-def _histogram(counts: dict) -> str:
-    """A histogram as one compact string: ``label:count`` pairs, comma
-    separated, in the order of the keys."""
-    return ",".join(f"{label}:{count}" for label, count in counts.items())
+def _figures(c: CheckResult) -> dict:
+    """The figures a check reports beside its population, by key.  A
+    histogram (a dict of counts by label) becomes one compact string,
+    ``label:count`` pairs comma separated in the order of the keys; any
+    other figure is reported as it is."""
+    return {
+        key: ",".join(f"{label}:{count}" for label, count in value.items())
+        if isinstance(value, dict)
+        else value
+        for key, value in c.figures.items()
+    }
 
 
-def _figures(c: CheckResult, n: int) -> dict:
-    """The figures a check reports beside its population, by key."""
-    figures: dict = {}
-    if c.extended is not None:
-        figures["extended"] = c.extended
-    if c.cases is not None:
-        figures["cases"] = _histogram(c.cases)
-    if c.longest is not None:
-        figures["longest"] = c.longest
-        figures["hop_cap"] = hop_cap(n)
-    if c.lengths is not None:
-        figures["lengths"] = _histogram(c.lengths)
-    return figures
-
-
-def _check_json(c: CheckResult, n: int) -> dict:
-    entry: dict = {"name": c.name, "population": c.population, **_figures(c, n)}
+def _check_json(c: CheckResult) -> dict:
+    entry: dict = {"name": c.name, "population": c.population, **_figures(c)}
     entry["violations"] = len(c.violations)
     entry["elapsed"] = round(c.elapsed, 3)
     entry["examples"] = [
@@ -256,7 +240,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         return 0 if report.ok else 1
     for c in report.checks:
         status = "pass" if c.ok else f"FAIL ({len(c.violations)} violations)"
-        figures = "".join(f" {key}={value}" for key, value in _figures(c, report.n).items())
+        figures = "".join(f" {key}={value}" for key, value in _figures(c).items())
         print(f"{c.name}: {status} population={c.population}{figures} elapsed={c.elapsed:.2f}s")
         for v in c.violations[:5]:
             print(
@@ -305,26 +289,15 @@ def _cmd_witness(args: argparse.Namespace) -> int:
         if args.variant is not None:
             raise ValueError("--variant does not apply with --bound")
         report = lower_bound_check(args.n, scheme=scheme)
+        record = {**dataclasses.asdict(report), "witness": format_perm(report.witness)}
         if args.json:
-            print(
-                json.dumps(
-                    {
-                        "n": report.n,
-                        "witness": format_perm(report.witness),
-                        "variant": report.variant,
-                        "distance": report.distance,
-                        "required": report.required,
-                        "ok": report.ok,
-                        "supports_2n": report.supports_2n,
-                    }
-                )
-            )
+            print(json.dumps(record))
         else:
             print(
-                f"n={report.n} witness={format_perm(report.witness)} "
-                f"variant={report.variant} distance={report.distance} "
-                f"required={report.required} ok={str(report.ok).lower()} "
-                f"supports_2n={str(report.supports_2n).lower()}"
+                " ".join(
+                    f"{key}={str(value).lower() if isinstance(value, bool) else value}"
+                    for key, value in record.items()
+                )
             )
         return 0 if report.ok else 1
     variant = args.variant or "default"

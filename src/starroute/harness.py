@@ -14,7 +14,7 @@ import json
 import random
 import time
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, astuple, dataclass, field, fields
 from math import factorial
 from typing import Iterable, Iterator, Sequence
 
@@ -67,8 +67,8 @@ class Violation:
 
 
 # what a family's sweep returns: its population, its violations by check
-# name, and per check any extra figures for CheckResult
-_Sweep = tuple[int, dict[str, list[Violation]], dict[str, dict[str, int]]]
+# name, and per check its figures for CheckResult
+_Sweep = tuple[int, dict[str, list[Violation]], dict[str, dict[str, object]]]
 
 
 @dataclass(frozen=True)
@@ -77,16 +77,10 @@ class CheckResult:
     population: int
     violations: tuple[Violation, ...]
     elapsed: float
-    # phase-structure only: traces where law (b) and the all-crossing part
-    # of law (d) were skipped (PhaseReport.extended); None for other checks
-    extended: int | None = None
-    # diameter-bound only: the longest route, to set beside hop_cap(n)
-    longest: int | None = None
-    # phase-structure only: how many (node, target) pairs each decision case
-    # of the first hop served, by case label
-    cases: dict[str, int] | None = None
-    # diameter-bound only: how many routes have each length, 1 to longest
-    lengths: dict[int, int] | None = None
+    # what the check reports beside its population, by name in report
+    # order: a number, or a histogram as counts by label; empty for most.
+    # Left out of the hash, so a result stays hashable
+    figures: dict[str, object] = field(default_factory=dict, hash=False)
 
     @property
     def ok(self) -> bool:
@@ -121,6 +115,12 @@ def hop_cap(n: int) -> int:
     return 2 * n + 2 if n % 2 else 2 * n + 4
 
 
+def _required_distance(n: int) -> int:
+    """The directed distance the lower-bound witness must reach: ``2n-1``
+    at n in {5, 6}, ``2n`` from n=7 on."""
+    return 2 * n - 1 if n in (5, 6) else 2 * n
+
+
 # rows of the route trees built at once: bounds the columns a group holds.
 # Larger groups run faster below order 7, where a target has few rows, but
 # perfbench's worker keeps every pass's report, so a faster route-sweep
@@ -150,7 +150,8 @@ def _route_violations(n: int, targets: list[Perm]) -> _Sweep:
     :class:`RouteTrace` rebuilt from the tree, by
     :func:`routing.validate_trace`, so it reads exactly as for a routed
     trace.  The figures are the count of extended routes, the decision
-    cases of every pair's first hop and the route lengths.
+    cases of every pair's first hop, the longest route beside the cap and
+    the route lengths.
     """
     cap = hop_cap(n)
     found: dict[str, list[Violation]] = {name: [] for name in ROUTE_CHECKS}
@@ -195,6 +196,7 @@ def _route_violations(n: int, targets: list[Perm]) -> _Sweep:
         },
         "diameter-bound": {
             "longest": longest,
+            "hop_cap": cap,
             "lengths": dict(enumerate(lengths[1 : longest + 1].tolist(), 1)),
         },
     }
@@ -370,12 +372,15 @@ def verify(
     checks (:data:`DISTANCE_CHECKS`) another: selecting any check of a family
     runs the whole family, every check of it reports the family's ``elapsed``
     wall time, and the report holds just the selected checks in the order
-    given.
+    given.  A check's figures are those its family's sweep reports for it,
+    as :attr:`CheckResult.figures`.
     """
     if not 3 <= n <= MAX_TABLE_ORDER:
         raise ValueError(f"verify covers orders 3..{MAX_TABLE_ORDER}, got {n}")
     if sample_size < 1:
         raise ValueError(f"sample size must be at least 1, got {sample_size}")
+    if isinstance(checks, str):
+        raise ValueError(f"checks must be a collection of names, not the string {checks!r}")
     selected = list(ALL_CHECKS) if checks is None else list(checks)
     if not selected:
         raise ValueError(f"no checks selected; valid: {', '.join(ALL_CHECKS)}")
@@ -405,7 +410,7 @@ def verify(
             for name in family:
                 violations = tuple(by_name[name])
                 results[name] = CheckResult(
-                    name, population, violations, elapsed, **extras.get(name, {})
+                    name, population, violations, elapsed, extras.get(name, {})
                 )
     return VerificationReport(n, sources, tuple(results[name] for name in selected))
 
@@ -483,11 +488,10 @@ def lower_bound_check(n: int, scheme: Scheme = Scheme.FUJITA) -> LowerBoundRepor
         variants.append("even-refined")
     s = relabelling(n, scheme)
     witnesses = [compose(inverse(s), compose(witness(n, variant), s)) for variant in variants]
-    fields = distance_fields(witnesses, scheme)
-    distances = [field.distance(identity(n)) for field in fields]
+    distances = [d.distance(identity(n)) for d in distance_fields(witnesses, scheme)]
     # the farther variant wins; a tie keeps the default
     distance, w, variant = max(zip(distances, witnesses, variants), key=lambda m: m[0])
-    required = 2 * n - 1 if n in (5, 6) else 2 * n
+    required = _required_distance(n)
     return LowerBoundReport(
         n, w, variant, distance, required, distance >= required, distance >= 2 * n
     )
@@ -520,37 +524,26 @@ def diameter_table(ns: Iterable[int], mode: str | None = None) -> list[DiameterR
         und, fuj, day = (
             diameter(n, scheme, mode) for scheme in (None, Scheme.FUJITA, Scheme.DAY_TRIPATHI)
         )
-        lower = None if n < 5 else (2 * n - 1 if n in (5, 6) else 2 * n)
+        lower = None if n < 5 else _required_distance(n)
         upper = None if n < 5 else hop_cap(n)
         rows.append(DiameterRow(n, und.value, fuj.value, day.value, lower, upper, und.mode))
     return rows
 
 
 def format_table(rows: Sequence[DiameterRow], fmt: str = "text") -> str:
-    """Render diameter rows as aligned text, CSV, or a JSON array."""
-    if fmt == "csv":
-        lines = ["n,undirected,fujita,daytripathi,lower,upper,mode"]
-        for r in rows:
-            lower = "" if r.lower is None else r.lower
-            upper = "" if r.upper is None else r.upper
-            lines.append(
-                f"{r.n},{r.undirected},{r.fujita},{r.daytripathi},{lower},{upper},{r.mode}"
-            )
-        return "\n".join(lines)
+    """Render diameter rows as aligned text, CSV, or a JSON array; the
+    columns are the fields of :class:`DiameterRow`, and a blank is empty
+    in CSV and ``-`` in text."""
     if fmt == "json":
-        return json.dumps([r.__dict__ for r in rows], indent=2)
-    if fmt == "text":
-        header = ("n", "undirected", "fujita", "daytripathi", "lower", "upper", "mode")
-        table = [header]
-        for r in rows:
-            table.append(
-                tuple(
-                    "-" if v is None else str(v)
-                    for v in (r.n, r.undirected, r.fujita, r.daytripathi, r.lower, r.upper, r.mode)
-                )
-            )
-        widths = [max(len(row[c]) for row in table) for c in range(len(header))]
-        return "\n".join(
-            "  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() for row in table
-        )
-    raise ValueError(f"format must be text, csv or json, not {fmt!r}")
+        return json.dumps([asdict(r) for r in rows], indent=2)
+    if fmt not in ("csv", "text"):
+        raise ValueError(f"format must be text, csv or json, not {fmt!r}")
+    blank = "" if fmt == "csv" else "-"
+    table = [tuple(f.name for f in fields(DiameterRow))]
+    table += [tuple(blank if v is None else str(v) for v in astuple(r)) for r in rows]
+    if fmt == "csv":
+        return "\n".join(",".join(row) for row in table)
+    widths = [max(len(cell) for cell in column) for column in zip(*table)]
+    return "\n".join(
+        "  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() for row in table
+    )

@@ -100,11 +100,11 @@ BOUND_CHECKS = ["route-validity", "hop-bound", "stretch-bound", "diameter-bound"
 def _bound_audit(report, label: str, longest: int) -> None:
     _assert_clean(report, BOUND_CHECKS)
     result = report.check("diameter-bound")
-    assert result.longest == longest
+    assert result.figures["longest"] == longest
     _audit(
         3,
         f"{label}: {result.population} routes, zero violations, "
-        f"longest {result.longest} of cap {hop_cap(report.n)}",
+        f"longest {result.figures['longest']} of cap {hop_cap(report.n)}",
     )
 
 
@@ -124,7 +124,7 @@ def test_criterion_3_and_4_order_eight_reduced():
     report = verify(8, checks=ROUTE_CHECKS)
     assert report.sources == "reduced" and report.check("route-validity").population == 2 * 40_320
     _assert_clean(report, ROUTE_CHECKS)
-    assert report.check("phase-structure").extended == 11_796
+    assert report.check("phase-structure").figures["extended"] == 11_796
     _bound_audit(report, "n=8 reduced", 17)
 
 
@@ -145,7 +145,7 @@ def test_criterion_4_phase_structure(sweep5, sweep6, sweep7):
     # traces where law (b) and the all-crossing part of (d) were skipped; at
     # n=6 all pairs this is 360 times the 196 of the reduced pairs, as
     # router equivariance predicts
-    extended = [r.check("phase-structure").extended for r in (sweep5, sweep6, sweep7)]
+    extended = [r.check("phase-structure").figures["extended"] for r in (sweep5, sweep6, sweep7)]
     assert extended == [0, 70_560, 0]
     _audit(
         4,

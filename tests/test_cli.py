@@ -49,6 +49,15 @@ def test_classify_output(capsys):
     ]
 
 
+def test_classify_json_keys_in_order(capsys):
+    code, out, _ = run(capsys, "classify", "21435", "12345", "--json")
+    assert code == 0
+    assert out == (
+        '{"settled": [5], "sl": [], "sr": [5], "ull": [], "urr": [], "ulr": [4], '
+        '"url": [3], "crossed": [3, 4], "chi": 1, "cycles": 2}\n'
+    )
+
+
 def test_route_default_prints_length_only(capsys):
     code, out, _ = run(capsys, "route", "24135", "12345")
     assert code == 0
@@ -199,6 +208,28 @@ def test_verify_reports_longest_route_beside_the_cap(capsys):
     assert "longest" not in bound and "hop_cap" not in bound and "lengths" not in bound
 
 
+def test_verify_figures_sit_between_population_and_violations(capsys):
+    # every check's figures in the order its sweep reports them, the same
+    # in --json and on the text line
+    report = verify(4)
+    code, out, _ = run(capsys, "verify", "4", "--json")
+    assert code == 0
+    entries = json.loads(out)["checks"]
+    code, out, _ = run(capsys, "verify", "4")
+    lines = out.splitlines()[:-1]
+    assert [entry["name"] for entry in entries] == [c.name for c in report.checks]
+    for c, entry, line in zip(report.checks, entries, lines):
+        keys = list(c.figures)
+        assert list(entry) == ["name", "population", *keys, "violations", "elapsed", "examples"]
+        figures = "".join(f" {key}={entry[key]}" for key in keys)
+        assert line.startswith(f"{c.name}: pass population={c.population}{figures} elapsed=")
+    figured = {c.name: list(c.figures) for c in report.checks if c.figures}
+    assert figured == {
+        "diameter-bound": ["longest", "hop_cap", "lengths"],
+        "phase-structure": ["extended", "cases"],
+    }
+
+
 def test_table_csv(capsys):
     code, out, _ = run(capsys, "table", "3..5", "--format", "csv")
     assert code == 0
@@ -264,6 +295,15 @@ def test_witness_plain_and_bound(capsys):
     assert out == (
         "n=7 witness=1652743 variant=default distance=14 required=14 "
         "ok=true supports_2n=true\n"
+    )
+
+
+def test_witness_bound_json_line(capsys):
+    code, out, _ = run(capsys, "witness", "5", "--bound", "--json")
+    assert code == 0
+    assert out == (
+        '{"n": 5, "witness": "13254", "variant": "default", "distance": 10, '
+        '"required": 9, "ok": true, "supports_2n": true}\n'
     )
 
 

@@ -135,8 +135,9 @@ def test_verify_order_four_full():
     assert populations["split-merge"] == 1728
     assert all(not c.violations for c in report.checks)
     assert report.check("hop-bound").ok
-    assert report.check("phase-structure").extended == 72
-    assert report.check("route-validity").extended is None
+    assert report.check("phase-structure").figures["extended"] == 72
+    assert report.check("route-validity").figures == {}
+    hash(report)  # a dict of figures leaves the report hashable
     with pytest.raises(KeyError):
         report.check("no-such-check")
 
@@ -145,7 +146,7 @@ def test_verify_counts_extended_traces_order_six_reduced():
     report = verify(6, checks=["phase-structure"], sources="reduced")
     result = report.check("phase-structure")
     assert result.ok
-    assert (result.population, result.extended) == (1440, 196)
+    assert (result.population, result.figures["extended"]) == (1440, 196)
 
 
 T4 = (1, 2, 3, 4)
@@ -187,7 +188,7 @@ def _per_trace_flags(s, t) -> set[str]:
 
 
 def _summary(result) -> tuple:
-    return result.name, result.population, result.violations, result.extended, result.longest
+    return result.name, result.population, result.violations, result.figures
 
 
 CYCLE_TEXT = "; ".join(
@@ -275,7 +276,7 @@ def test_route_checks_report_exactly_the_pairs_through_a_tampered_pick(
     for key, text in texts.items():
         assert observed[key] == text, key
     # 9 hops is the longest route at order 4; runaway routes have no length
-    assert report.check("diameter-bound").longest == max(
+    assert report.check("diameter-bound").figures["longest"] == max(
         [9] + [v.observed for v in report.check("diameter-bound").violations]
     )
     # a selection only filters the report: the family is swept whole either way
@@ -300,7 +301,7 @@ def test_routes_past_the_runaway_limit_fail_route_validity_only(monkeypatch):
     validity = report.check("route-validity").violations
     assert {(v.source, v.target): v.observed for v in validity} == expected
     assert all(report.check(name).ok for name in ROUTE_CHECKS if name != "route-validity")
-    assert report.check("diameter-bound").longest == 5
+    assert report.check("diameter-bound").figures["longest"] == 5
 
 
 def test_router_equivariance_is_exhaustive_through_order_five():
@@ -396,6 +397,12 @@ def test_verify_rejects_unknown_check():
         verify(4, checks=["route-validity", "bogus"])
 
 
+def test_verify_rejects_a_bare_string_of_checks():
+    # a string is a collection of characters, not of check names
+    with pytest.raises(ValueError, match="not the string 'hop-bound'"):
+        verify(4, checks="hop-bound")
+
+
 def test_verify_subset_and_reduced_sources():
     report = verify(5, checks=["set-formula"], sources="reduced")
     assert report.ok
@@ -465,3 +472,13 @@ def test_format_table_text_aligns_headers():
     assert body.split() == ["4", "4", "9", "9", "-", "-", "exhaustive"]
     with pytest.raises(ValueError):
         format_table(rows, "yaml")
+
+
+def test_format_table_text_exact():
+    # each column as wide as its widest cell, two spaces apart, no trailing
+    # space, and a blank as "-"
+    assert format_table(diameter_table([3, 5]), "text") == (
+        "n  undirected  fujita  daytripathi  lower  upper  mode\n"
+        "3  3           5       5            -      -      exhaustive\n"
+        "5  6           10      10           9      12     exhaustive"
+    )
