@@ -20,7 +20,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .classify import _ROW_BLOCK, _count_rows
+from .classify import _ROW_BLOCK, _count_rows, _cycle_cols
 from .oracle import (
     MAX_TABLE_ORDER,
     UNREACHABLE,
@@ -322,18 +322,58 @@ def _split_merge_problem(c: Perm, t: Perm, link: int) -> str | None:
     return None
 
 
-def _split_merge_violations(n: int, seed: int, sample_size: int) -> _Sweep:
-    found: list[Violation] = []
+def _split_merge_rows(dest: np.ndarray, link: np.ndarray) -> np.ndarray:
+    """Which rows break the split/merge law: True exactly where
+    :func:`_split_merge_problem` returns a text.
+
+    ``dest`` is an ``(m, n)`` uint8 block of :func:`classify._count_rows`
+    rows, for pairs (c, t), and ``link`` the ``(m,)`` link of each row's hop.
+    A value is named by its position in c, so a relative cycle is a set of
+    positions.  The hop moves the value at position τ(p) to position p, with
+    τ = (1 link) read from the hop itself.  After it, position dest[q], the
+    one the value named q is bound for, holds the value named τ(dest[q]), so
+    the cycles after the hop are those of ``τ(dest)``, in the same names.
+    :func:`classify._cycle_cols` labels each position with the lowest
+    position on its cycle, before (L) and after (L') the hop.
+
+    With U the union of the cycles through positions 1 and ``link``, the law
+    holds iff every cycle off U is kept, every cycle meeting U after the hop
+    lies in U, and U holds two cycles after a split (1 and ``link`` shared a
+    cycle) or one after a merge.  Over the labels: L'(q) = L(q) at every q
+    off U, L'(q) lies in U at every q in U, and the positions of U with
+    L'(q) = q, the leaders of its cycles after the hop, number 2 or 1.
+    """
+    m, n = dest.shape
+    at = link.astype(np.intp)
+    # hops[l - 2, x] = τ(x) for the hop on link l, read from the hop itself
+    hops = np.zeros((n - 1, n + 1), dtype=np.uint8)
+    hops[:, 1:] = [_apply_generator(tuple(range(1, n + 1)), l) for l in range(2, n + 1)]
+    still = np.zeros((n, m), dtype=bool)
+    label, _ = _cycle_cols(np.ascontiguousarray(dest.T), still)
+    relabel, _ = _cycle_cols(np.ascontiguousarray(hops[at[:, None] - 2, dest].T), still)
+    row = np.arange(m)
+    first, other = label[0], label[at - 1, row]
+    shared = (label == first) | (label == other)
+    # whether the lowest position on each position's cycle after the hop is in U
+    inside = shared.ravel()[(relabel.astype(np.intp) - 1) * m + row].reshape(n, m)
+    broken = np.where(shared, ~inside, relabel != label)
+    pos = np.arange(1, n + 1, dtype=np.uint8)[:, None]
+    cycles = np.sum(shared & (relabel == pos), axis=0)
+    return broken.any(axis=0) | (cycles != 1 + (first == other))
+
+
+def _split_merge_triples(n: int, seed: int, sample_size: int) -> Iterator[list[int]]:
+    """The (c, t, link) triples of the split/merge check, each as one row
+    ``c + t + [link]``: through order 5 every triple, c and then t in rank
+    order and links ascending; beyond, ``sample_size`` triples, each from
+    two shuffles of 1..n and ``randint(2, n)`` of ``random.Random(seed)``."""
     if n <= 5:
         nodes = _nodes(n)
-        population = len(nodes) * len(nodes) * (n - 1)
         for c in nodes:
             for t in nodes:
                 for link in range(2, n + 1):
-                    problem = _split_merge_problem(c, t, link)
-                    if problem:
-                        found.append(Violation(c, t, f"link {link}: {problem}", "split/merge law"))
-        return population, {"split-merge": found}, {}
+                    yield [*c, *t, link]
+        return
     values = list(range(1, n + 1))
     rng = random.Random(seed)
     for _ in range(sample_size):
@@ -341,11 +381,46 @@ def _split_merge_violations(n: int, seed: int, sample_size: int) -> _Sweep:
         t = values[:]
         rng.shuffle(c)
         rng.shuffle(t)
-        link = rng.randint(2, n)
-        problem = _split_merge_problem(tuple(c), tuple(t), link)
-        if problem:
-            found.append(Violation(tuple(c), tuple(t), f"link {link}: {problem}", "split/merge law"))
-    return sample_size, {"split-merge": found}, {}
+        yield c + t + [rng.randint(2, n)]
+
+
+# triples drawn and evaluated at once by the split/merge sweep: bounds its
+# arrays whatever the sample size
+_SPLIT_MERGE_ROWS = 1024
+
+
+def _split_merge_violations(n: int, seed: int, sample_size: int) -> _Sweep:
+    """The split/merge law for one hop from c toward t: every (c, t, link)
+    through order 5, ``sample_size`` triples drawn from ``seed`` beyond.
+
+    The triples of :func:`_split_merge_triples` are drawn
+    ``_SPLIT_MERGE_ROWS`` at a time, each block just before it is used, so
+    memory does not grow with the sample size.  A block becomes ``dest``
+    rows, and :func:`_split_merge_rows` applies the law to them at once: it
+    labels the cycles before and after the hop with
+    :func:`classify._cycle_cols`, names the cycles after it by their
+    positions before (the τ = (1 link) relabelling), and flags a row where a
+    cycle off the two at positions 1 and ``link`` changes, a cycle reaches
+    into or out of those two, or they do not become two (a split) or one (a
+    merge).  A flagged row's text is :func:`_split_merge_problem`'s, the
+    per-triple reference, so violations read and come in the same order as
+    from a loop over the triples.
+    """
+    population = factorial(n) ** 2 * (n - 1) if n <= 5 else sample_size
+    found: list[Violation] = []
+    triples = _split_merge_triples(n, seed, sample_size)
+    while drawn := list(itertools.islice(triples, _SPLIT_MERGE_ROWS)):
+        block = np.array(drawn, dtype=np.uint8)
+        c, t, link = block[:, :n], block[:, n:-1], block[:, -1]
+        # where[i, v - 1]: the position of value v in t, so dest = where at c
+        where = np.empty_like(t)
+        np.put_along_axis(where, t - 1, np.arange(1, n + 1, dtype=np.uint8), axis=1)
+        dest = np.take_along_axis(where, c.astype(np.intp) - 1, axis=1)
+        for i in np.flatnonzero(_split_merge_rows(dest, link)).tolist():
+            s, d, hop = tuple(drawn[i][:n]), tuple(drawn[i][n:-1]), drawn[i][-1]
+            problem = _split_merge_problem(s, d, hop)
+            found.append(Violation(s, d, f"link {hop}: {problem}", "split/merge law"))
+    return population, {"split-merge": found}, {}
 
 
 def verify(

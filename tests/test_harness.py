@@ -1,7 +1,11 @@
 from __future__ import annotations
 
+import itertools
 import json
+import random
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from starroute import harness, routetree, routing
@@ -425,6 +429,126 @@ def test_verify_split_merge_sampled():
     report = verify(6, checks=["split-merge"], seed=7, sample_size=500)
     assert report.ok
     assert report.check("split-merge").population == 500
+
+
+def _three_cycle(p, link):
+    """A planted fault in place of the hop: the 3-cycle sending the values
+    at positions link, 2 and 1 to positions 1, link and 2 (the swap itself
+    when link is 2)."""
+    q = list(p)
+    q[0], q[link - 1], q[1] = q[link - 1], q[1], q[0]
+    return tuple(q)
+
+
+def _swap_and_tail(p, link):
+    """A planted fault in place of the hop: the swap, then the last two
+    positions exchanged too when neither is ``link``, which can split or
+    merge a cycle off the two the swap touches."""
+    q = list(p)
+    q[0], q[link - 1] = q[link - 1], q[0]
+    if link < len(q) - 1:
+        q[-2], q[-1] = q[-1], q[-2]
+    return tuple(q)
+
+
+def _wrong_pair(p, link):
+    """A planted fault in place of the hop: positions link - 1 and link
+    exchanged instead of 1 and link, which can draw a cycle off the two
+    through positions 1 and link into them."""
+    q = list(p)
+    q[link - 2], q[link - 1] = q[link - 1], q[link - 2]
+    return tuple(q)
+
+
+def _flags(triples):
+    """Per (c, t, link) triple: the block law's flag and whether the
+    per-triple reference returns a text, ``_ROW_BLOCK`` triples at a time."""
+    triples = iter(triples)
+    got: list[bool] = []
+    want: list[bool] = []
+    while chunk := list(itertools.islice(triples, _ROW_BLOCK)):
+        dest = np.array([[t.index(v) + 1 for v in c] for c, t, _ in chunk], dtype=np.uint8)
+        link = np.array([link for _, _, link in chunk], dtype=np.uint8)
+        got += harness._split_merge_rows(dest, link).tolist()
+        want += [harness._split_merge_problem(c, t, link) is not None for c, t, link in chunk]
+    return got, want
+
+
+def _every_triple(n):
+    nodes = all_perms(n)
+    return ((c, t, link) for c in nodes for t in nodes for link in range(2, n + 1))
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_split_merge_rows_match_the_reference_on_every_triple(n):
+    got, want = _flags(_every_triple(n))
+    assert len(got) == len(all_perms(n)) ** 2 * (n - 1)
+    assert got == want and not any(got)
+
+
+@pytest.mark.parametrize("n", [6, 7, 8, 9])
+def test_split_merge_rows_match_the_reference_on_seeded_samples(n):
+    for seed in (0, 1):
+        triples = harness._split_merge_triples(n, seed, 10_000)
+        got, want = _flags((tuple(r[:n]), tuple(r[n:-1]), r[-1]) for r in triples)
+        assert len(got) == 10_000 and got == want
+
+
+@pytest.mark.parametrize(
+    "fault,n,flagged",
+    [
+        (_three_cycle, 4, 1152),
+        (_three_cycle, 5, 43_200),
+        (_swap_and_tail, 4, 576),
+        (_wrong_pair, 4, 576),
+    ],
+)
+def test_a_planted_fault_flags_the_same_rows_on_both_sides(monkeypatch, fault, n, flagged):
+    # the block law reads the hop through the same name as the reference
+    monkeypatch.setattr(harness, "_apply_generator", fault)
+    got, want = _flags(_every_triple(n))
+    assert got == want and sum(got) == flagged
+
+
+@pytest.mark.parametrize("size", [500, 2_500])  # one block, and several
+def test_split_merge_keeps_the_seeded_population(monkeypatch, size):
+    def per_sample(n, seed, sample_size):
+        # the per-sample loop the block law replaced
+        found = []
+        values = list(range(1, n + 1))
+        rng = random.Random(seed)
+        for _ in range(sample_size):
+            c = values[:]
+            t = values[:]
+            rng.shuffle(c)
+            rng.shuffle(t)
+            link = rng.randint(2, n)
+            problem = harness._split_merge_problem(tuple(c), tuple(t), link)
+            if problem:
+                found.append(
+                    Violation(tuple(c), tuple(t), f"link {link}: {problem}", "split/merge law")
+                )
+        return found
+
+    monkeypatch.setattr(harness, "_apply_generator", _three_cycle)
+    result = verify(6, checks=["split-merge"], seed=7, sample_size=size).check("split-merge")
+    expected = per_sample(6, 7, size)
+    assert result.population == size and 0 < len(expected) < size
+    assert result.violations == tuple(expected)
+
+
+def test_split_merge_memory_does_not_grow_with_the_sample():
+    def peak(size):
+        tracemalloc.start()
+        try:
+            verify(6, checks=["split-merge"], sample_size=size)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    verify(6, checks=["split-merge"], sample_size=10)  # the caches a first call fills
+    small, large = peak(4_096), peak(40_960)
+    assert large <= 1.1 * small, (small, large)
 
 
 def test_diameter_table_frozen_rows():
