@@ -18,8 +18,8 @@ alternation since it belongs to neither half.
 
 :func:`_slots` sorts the positions of one pair into these sets in one pass,
 and :func:`classify`, :func:`_counts` and the router's scalar pick read it;
-:func:`_count_rows` gives the counts, and the classic distance, for a block
-of pairs at once.
+:func:`_count_rows` gives the same :class:`Counts` for a block of pairs at
+once.
 """
 
 from __future__ import annotations
@@ -95,11 +95,14 @@ def is_alternating(cycle: Sequence[int], c: Sequence[int]) -> bool:
 
     ``cycle`` is a cyclically ordered tuple of values; ``c`` supplies their
     current positions.  Singletons never alternate, and neither does any
-    cycle with an element at position 1.
+    cycle with an element at position 1.  Raises ValueError for a value
+    outside 1..n or one named twice.
     """
     if not cycle:
         return False
     cpos = positions(c)
+    if len(set(cycle)) != len(cycle) or not all(1 <= v < len(cpos) for v in cycle):
+        raise ValueError(f"not a cycle of distinct values in 1..{len(c)}: {tuple(cycle)}")
     dest = [0] * len(cpos)
     for v, w in zip(cycle, cycle[1:] + cycle[:1]):
         dest[cpos[v]] = cpos[w]
@@ -181,34 +184,38 @@ def _cycle_counts(dest: Sequence[int], half: Sequence[int]) -> tuple[int, int]:
     return chi, nonsingleton
 
 
-def _counts(
-    c: Sequence[int], tpos: Sequence[int], half: Sequence[int]
-) -> tuple[int, int, int, int, int, int]:
+class Counts(NamedTuple):
+    """The counts of a (current, target) pair that the router's bounds and
+    phase laws read: the four unsettled sets, the alternating and the
+    non-singleton relative cycles, and the classic distance
+    (``routing.classic_distance``).  Plain ints for one pair
+    (:func:`_counts`), ``(m,)`` arrays for a block of pairs
+    (:func:`_count_rows`)."""
+
+    ull: int | np.ndarray
+    urr: int | np.ndarray
+    ulr: int | np.ndarray
+    url: int | np.ndarray
+    alternating: int | np.ndarray
+    nonsingleton: int | np.ndarray
+    distance: int | np.ndarray
+
+
+def _counts(c: Sequence[int], tpos: Sequence[int], half: Sequence[int]) -> Counts:
     """Lean counterpart of :func:`classify` for hot loops, against a prebuilt
     target position index and half table.  :func:`_count_rows` is its block
-    form.
-
-    Returns ``(ull, urr, ulr, url, alternating, nonsingleton)`` as plain ints.
-    """
+    form; both take the distance as moved positions plus non-singleton
+    cycles, minus 2 when position 1 is unsettled."""
     slots, dest = _slots(c, tpos, half)
+    chi, nonsingleton = _cycle_counts(dest, half)
+    moved = len(c) - sum(map(len, slots[_SETTLED:]))
+    distance = moved + nonsingleton - 2 * (dest[1] != 1)
     ull, urr, ulr, url = (len(slots[j]) for j in (_ULL, _URR, _ULR, _URL))
-    return ull, urr, ulr, url, *_cycle_counts(dest, half)
+    return Counts(ull, urr, ulr, url, chi, nonsingleton, distance)
 
 
 # rows per pass of _count_rows: bounds its temporaries (a few hundred kB)
 _ROW_BLOCK = 4096
-
-
-class RowCounts(NamedTuple):
-    """What :func:`_count_rows` gives per row, each an ``(m,)`` uint8 array."""
-
-    ull: np.ndarray
-    urr: np.ndarray
-    ulr: np.ndarray
-    url: np.ndarray
-    nonsingleton: np.ndarray
-    distance: np.ndarray  # routing.classic_distance
-    alternating: np.ndarray
 
 
 def _halves(x: np.ndarray, k: int) -> np.ndarray:
@@ -250,10 +257,11 @@ def _cycle_cols(cols: np.ndarray, stay: np.ndarray) -> tuple[np.ndarray, np.ndar
 
 
 def _count_block(block: np.ndarray, out: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The :class:`RowCounts` of up to ``_ROW_BLOCK`` rows of ``dest``, into
-    the ``(7, r)`` ``out``.  Returns the partition the pick kernel reads too,
-    each ``(n, r)``: the block in column layout, the moved, burn-down (moved
-    within its half) and crossed masks, and :func:`_cycle_cols`'s labels and flags."""
+    """The :class:`Counts` of up to ``_ROW_BLOCK`` rows of ``dest``, into
+    the ``(7, r)`` ``out``, a row per field.  Returns the partition the pick
+    kernel reads too, each ``(n, r)``: the block in column layout, the moved,
+    burn-down (moved within its half) and crossed masks, and
+    :func:`_cycle_cols`'s labels and flags."""
     cols = np.ascontiguousarray(block.T)
     n = len(cols)
     k = boundary(n).k
@@ -264,24 +272,26 @@ def _count_block(block: np.ndarray, out: np.ndarray) -> tuple[np.ndarray, ...]:
     label, alternates = _cycle_cols(cols, stay)
     leader = label == pos
     left, right = slice(1, k), slice(k, n)
-    ull, urr, ulr, url, nonsingleton, distance, alternating = out
-    for mask, total in (
-        (same[left], ull),
-        (same[right], urr),
-        (crossed[left], ulr),
-        (crossed[right], url),
-        (leader & moved, nonsingleton),
-        (moved, distance),
-        (leader & alternates, alternating),
+    total = Counts(*out)
+    for mask, into in (
+        (same[left], total.ull),
+        (same[right], total.urr),
+        (crossed[left], total.ulr),
+        (crossed[right], total.url),
+        (leader & alternates, total.alternating),
+        (leader & moved, total.nonsingleton),
+        (moved, total.distance),
     ):
-        np.sum(mask, axis=0, dtype=np.uint8, out=total)
-    distance += nonsingleton
+        np.sum(mask, axis=0, dtype=np.uint8, out=into)
+    distance = total.distance
+    distance += total.nonsingleton
     distance -= 2 * moved[0].view(np.uint8)
     return cols, moved, same, crossed, label, alternates
 
 
-def _count_rows(dest: np.ndarray) -> RowCounts:
-    """:func:`_counts` and the classic distance for every row of ``dest``.
+def _count_rows(dest: np.ndarray) -> Counts:
+    """:func:`_counts` for every row of ``dest``, each field an ``(m,)``
+    uint8 array.
 
     ``dest`` is an ``(m, n)`` uint8 block, one row per (current, target)
     pair: entry ``i`` is the target position (1-based) of the value at
@@ -300,4 +310,4 @@ def _count_rows(dest: np.ndarray) -> RowCounts:
     out = np.empty((7, len(dest)), dtype=np.uint8)
     for lo in range(0, len(dest), _ROW_BLOCK):
         _count_block(dest[lo : lo + _ROW_BLOCK], out[:, lo : lo + _ROW_BLOCK])
-    return RowCounts(*out)
+    return Counts(*out)

@@ -33,7 +33,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .perm import Perm, check_pair, check_perm
+from .perm import MIN_ORDER, Perm, check_pair, check_perm
 from .topology import Scheme
 
 UNREACHABLE = 0xFF
@@ -68,6 +68,8 @@ def unrank(r: int, n: int) -> Perm:
     >>> unrank(5, 3)
     (3, 2, 1)
     """
+    if n < MIN_ORDER:
+        raise ValueError(f"permutation order must be at least {MIN_ORDER}, got {n}")
     if n > MAX_RANK_ORDER:
         raise ValueError(f"rank arithmetic supported up to order {MAX_RANK_ORDER}")
     if not 0 <= r < factorial(n):

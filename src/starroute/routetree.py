@@ -32,7 +32,7 @@ import numpy as np
 
 # the runaway limit and the decision cases are read through the module
 from . import routing
-from .classify import _ROW_BLOCK, RowCounts, _count_block, _halves
+from .classify import _ROW_BLOCK, Counts, _count_block, _halves
 from .oracle import move_table
 from .perm import Perm, _positions
 from .routing import CROSSING_KINDS, MoveKind, PhaseSummary, RouteTrace, RoutingInvariantError
@@ -70,7 +70,7 @@ def _lowest(mask: np.ndarray) -> np.ndarray:
     return rows + 2 - (mask * weight).max(axis=0)
 
 
-def _pick_rows(dest: np.ndarray, odd: np.ndarray) -> tuple[RowCounts, np.ndarray, np.ndarray]:
+def _pick_rows(dest: np.ndarray, odd: np.ndarray) -> tuple[Counts, np.ndarray, np.ndarray]:
     """:func:`classify._count_rows` and :func:`routing._oriented_pick` for
     every row of ``dest``, in one pass: the counts, and the link and the
     decision case (code ``j`` of ``routing.CASES[j]``), each an ``(m,)``
@@ -157,7 +157,7 @@ def _pick_rows(dest: np.ndarray, odd: np.ndarray) -> tuple[RowCounts, np.ndarray
             choice[2, walk] = found
         link[lo : lo + r] = choice[code, np.arange(r)]
         case[lo : lo + r] = code
-    return RowCounts(*counts), link, case
+    return Counts(*counts), link, case
 
 
 def _move_rows(dest: np.ndarray, link: np.ndarray, case: np.ndarray) -> np.ndarray:
@@ -236,7 +236,7 @@ class RouteTree:
 
     def _decide(
         self, dest: np.ndarray, odd: np.ndarray
-    ) -> tuple[RowCounts, np.ndarray, np.ndarray, np.ndarray]:
+    ) -> tuple[Counts, np.ndarray, np.ndarray, np.ndarray]:
         """Every row's counts and decision: link, move kind code and case
         code.  One call per tree, so that the decisions can be replaced as a
         whole."""
@@ -254,8 +254,6 @@ class RouteTree:
         """The phase summary of every row's route, from its sums and the
         depths of the rows it points to.  The roots have length 0 and the
         rows that no level reached length -1, so neither breaks a law."""
-        c = self.counts
-        cols = (c.ull, c.urr, c.ulr, c.url, c.alternating, c.nonsingleton)
         depth, length = self.depth, self.depth[:-1]
         crossings, finals, prefinals, fallbacks = self.sums[:, :4].T
         crossed, extended = crossings > 0, fallbacks > 0
@@ -271,7 +269,8 @@ class RouteTree:
             finals, np.where(finals > 0, length - depth[first_final], -1),
             prefinals, np.where(prefinals > 0, length - depth[first_prefinal], -1),
             np.where(crossed & ~extended, inside, 0),
-            cols, tuple(col[alpha] for col in cols), tuple(col[gamma] for col in cols),
+            self.counts,
+            *(Counts._make(col[at] for col in self.counts) for at in (alpha, gamma)),
             self.odd[alpha], self.inside_hops,
         )
 

@@ -55,7 +55,8 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .classify import _SETTLED, _alternates, _counts as _set_counts, _slots
+from .classify import _SETTLED, _ULL, _ULR, _URL, _URR, Counts, _alternates, _slots
+from .classify import _counts as _set_counts
 from .perm import Perm, _parity, _positions, check_pair
 from .topology import Scheme, boundary, out_links
 
@@ -181,8 +182,8 @@ def classic_distance_sets(s: Sequence[int], t: Sequence[int]) -> int:
     ``|ull| + |urr| + |crossed| + nonsingleton relative cycles``.  Single
     pairs only, as :func:`classic_distance`."""
     s, t = check_pair(s, t)
-    ull, urr, ulr, url, _, nonsingleton = _set_counts(s, _positions(t), boundary(len(s)).half)
-    return ull + urr + ulr + url + nonsingleton
+    counts = _set_counts(s, _positions(t), boundary(len(s)).half)
+    return counts.ull + counts.urr + counts.ulr + counts.url + counts.nonsingleton
 
 
 # ---------------------------------------------------------------------------
@@ -190,41 +191,39 @@ def classic_distance_sets(s: Sequence[int], t: Sequence[int]) -> int:
 
 
 def _oriented_pick(
-    c: Sequence[int],
-    cpos: Sequence[int],
-    odd: int,
-    t: Sequence[int],
-    tpos: list[int],
-    half: Sequence[int],
+    c: Sequence[int], odd: int, tpos: Sequence[int], half: Sequence[int]
 ) -> tuple[int, MoveKind, str]:
-    c1 = c[0]
-    t1 = t[0]
+    """``(link, kind, case)`` at ``c``, of parity ``odd``, toward the target
+    whose position index is ``tpos``, read from :func:`classify._slots`:
+    c(1) = t(1) is ``dest[1] == 1``, and t(1) sits at ``dest.index(1)``."""
     home = 1 + odd  # the half this node's outgoing links cover
+    goal = tpos[c[0]]  # dest[1], the target position of c(1)
 
-    if half[tpos[c1]] == home:
-        return tpos[c1], MoveKind.SETTLING, "1"
+    if half[goal] == home:
+        return goal, MoveKind.SETTLING, "1"
 
     slots, dest = _slots(c, tpos, half)
     # the positions of A, C and SH, ascending: the unsettled values that sit in
     # and are destined for H, the crossed values sitting in H, the settled ones
-    a_set, c_list, sh = slots[4 * home], slots[2 * home + 3], slots[_SETTLED + home]
-    burn = len(slots[4]) + len(slots[8])  # |ull| + |urr| over both halves
+    a_set, c_list = slots[(_ULL, _URR)[odd]], slots[(_ULR, _URL)[odd]]
+    sh = slots[_SETTLED + home]
+    burn = len(slots[_ULL]) + len(slots[_URR])  # over both halves
 
     if burn:
-        kind = MoveKind.SEEDING if c1 == t1 else MoveKind.CROSSING
+        kind = MoveKind.SEEDING if goal == 1 else MoveKind.CROSSING
         if a_set:
             cycle = {1}
-            p = dest[1]
+            p = goal
             while p != 1:
                 cycle.add(p)
                 p = dest[p]
             outside = [p for p in a_set if p not in cycle]
             if outside:
                 return outside[0], kind, "2.1"
-            p = cpos[t1]  # backward step: predecessor in the relative cycle
+            p = dest.index(1)  # backward step: predecessor in the relative cycle
             steps = 0
             while p not in a_set:
-                p = cpos[t[p - 1]]
+                p = dest.index(p)
                 steps += 1
                 if steps > len(c):
                     raise RoutingInvariantError("backward cycle walk found no same-half value")
@@ -235,16 +234,16 @@ def _oriented_pick(
         # it is filled by crossed values plus at most the position-1 value.
         if c_list:
             return c_list[0], kind, "2.4"
-        t1p = cpos[t1]
+        t1p = dest.index(1)
         if half[t1p] != home:
             raise RoutingInvariantError("nothing to displace in the reachable half")
         return t1p, kind, "2.5"
 
-    if half[tpos[c1]]:  # destined for the opposite half, burn-down complete
+    if half[goal]:  # destined for the opposite half, burn-down complete
         if c_list:
             link = _prefer_alternating(c_list, dest, half)
             return link, MoveKind.FINAL_CROSSING, "3.1"
-        t1p = cpos[t1]
+        t1p = dest.index(1)
         if half[t1p] == home:
             return t1p, MoveKind.FINAL_CROSSING, "3.2"
         if not sh:
@@ -278,9 +277,7 @@ def oriented_step(c: Sequence[int], t: Sequence[int]) -> tuple[int, MoveKind, st
     c, t = check_pair(c, t)
     if c == t:
         raise ValueError("already at the target; no step to take")
-    return _oriented_pick(
-        list(c), _positions(c), _parity(c), t, _positions(t), boundary(len(c)).half
-    )
+    return _oriented_pick(c, _parity(c), _positions(t), boundary(len(c)).half)
 
 
 def _route(s: Sequence[int], t: Sequence[int], scheme: Scheme | None) -> RouteTrace:
@@ -290,7 +287,6 @@ def _route(s: Sequence[int], t: Sequence[int], scheme: Scheme | None) -> RouteTr
     half = boundary(n).half
     tpos = _positions(t)
     c = list(s)
-    cpos = _positions(s)
     odd = _parity(s)
     limit = _runaway_limit(n)
     node = s
@@ -303,14 +299,12 @@ def _route(s: Sequence[int], t: Sequence[int], scheme: Scheme | None) -> RouteTr
             link, kind = _classic_pick(c, t, tpos)
             case = "classic"
         else:
-            link, kind, case = _oriented_pick(c, cpos, odd, t, tpos, half)
+            link, kind, case = _oriented_pick(c, odd, tpos, half)
         links.append(link)
         moves.append(kind)
         cases.append(case)
         i = link - 1
         c[0], c[i] = c[i], c[0]
-        cpos[c[0]] = 1
-        cpos[c[i]] = link
         odd ^= 1
         node = tuple(c)
         nodes.append(node)
@@ -373,11 +367,11 @@ def hop_bound(s: Sequence[int], t: Sequence[int]) -> int:
     return int(_bound_from_counts(_set_counts(s, _positions(t), boundary(len(s)).half)))
 
 
-def _bound_from_counts(counts: Sequence) -> np.ndarray:
-    """:func:`hop_bound` from the source's :func:`classify._counts`, for one
+def _bound_from_counts(counts: Counts) -> np.ndarray:
+    """:func:`hop_bound` from the source's :class:`classify.Counts`, for one
     pair or, as columns, for many."""
-    ull, urr, ulr, url, chi, _ = counts
-    return ulr + url + np.maximum(6, 4 * np.maximum(ull, urr) + chi + 4)
+    most = np.maximum(counts.ull, counts.urr)
+    return counts.ulr + counts.url + np.maximum(6, 4 * most + counts.alternating + 4)
 
 
 # ---------------------------------------------------------------------------
@@ -453,8 +447,7 @@ class PhaseSummary(NamedTuple):
     A trace gives a one-route summary through :func:`_phase_summary`; route
     trees (:meth:`routetree.RouteTree.summary`) give one route per (node,
     target) row.  Either way :func:`_phase_faults` evaluates it, so each law
-    is written once.  The counts are :func:`classify._counts` tuples of
-    columns, ``(ull, urr, ulr, url, alternating, nonsingleton)``.
+    is written once.  The counts are :class:`classify.Counts` of columns.
     """
 
     length: np.ndarray  # a length below 1 (a target, or no route) breaks no law
@@ -468,9 +461,9 @@ class PhaseSummary(NamedTuple):
     # non-crossing hops strictly inside Phase Two; the law that reads them is
     # skipped on extended routes, so they count none
     inside: np.ndarray
-    source: tuple[np.ndarray, ...]  # the counts of s, alpha and gamma
-    alpha: tuple[np.ndarray, ...]
-    gamma: tuple[np.ndarray, ...]
+    source: Counts  # the counts of s, alpha and gamma
+    alpha: Counts
+    gamma: Counts
     alpha_odd: np.ndarray  # parity of alpha
     # (hop, kind) of each of the ``inside`` hops of route i; read only for a
     # route that has some
@@ -550,7 +543,7 @@ def _phase_summary(trace: RouteTrace) -> PhaseSummary:
     a_counts = _set_counts(nodes[len1], tpos, half) if len1 else s_counts
     g_counts = _set_counts(nodes[end2], tpos, half) if end2 > len1 else a_counts
     inside = () if extended else tuple((j, moves[j]) for j in others if len1 < j < end2)
-    # every one-entry column is a row of one (k, 1) array
+    # every one-entry column is a row of one (k, 1) array, the counts last
     rows = np.array(
         [
             len(moves),
@@ -568,15 +561,9 @@ def _phase_summary(trace: RouteTrace) -> PhaseSummary:
         ],
         dtype=np.int16,
     )[:, None]
+    s, a, g = map(Counts._make, rows[9:].reshape(3, len(Counts._fields), 1))
     return PhaseSummary(
-        *rows[:3],
-        np.array([extended]),
-        *rows[3:8],
-        tuple(rows[9:15]),
-        tuple(rows[15:21]),
-        tuple(rows[21:27]),
-        rows[8],
-        lambda i: inside,
+        *rows[:3], np.array([extended]), *rows[3:8], s, a, g, rows[8], lambda i: inside
     )
 
 
@@ -593,7 +580,7 @@ def _phase_faults(summary: PhaseSummary) -> list[Law]:
     """
     (
         m, len1, end2, extended, finals, final_hop, prefinals, prefinal_hop, inside,
-        s_counts, a_counts, g_counts, alpha_odd, inside_hops,
+        s, a, g, alpha_odd, inside_hops,
     ) = summary
     live = m > 0
     len2, len3 = end2 - len1, m - end2
@@ -602,13 +589,8 @@ def _phase_faults(summary: PhaseSummary) -> list[Law]:
     def law(broken: np.ndarray, text: Callable[[int], str]) -> None:
         laws.append((broken & live, text))
 
-    _, _, s_ulr, s_url, s_chi, _ = s_counts
-    a_ull, a_urr, a_ulr, a_url, a_chi, _ = a_counts
-    g_ull, g_urr, g_ulr, g_url, g_chi, g_cyc = g_counts
-    # signed, so that no difference below wraps
-    s_x, a_x, g_x = (
-        ulr.astype(np.int16) + url for ulr, url in ((s_ulr, s_url), (a_ulr, a_url), (g_ulr, g_url))
-    )
+    # the crossed counts, signed, so that no difference below wraps
+    s_x, a_x, g_x = (c.ulr.astype(np.int16) + c.url for c in (s, a, g))
 
     expected = s_x - np.maximum(len1.astype(np.int16) - 1, 0)
     law(
@@ -617,23 +599,28 @@ def _phase_faults(summary: PhaseSummary) -> list[Law]:
         f"expected {expected[i]}",
     )
     law(
-        a_chi > s_chi,
-        lambda i: f"alternating count grew over the settling prefix: {s_chi[i]} -> {a_chi[i]}",
+        a.alternating > s.alternating,
+        lambda i: "alternating count grew over the settling prefix: "
+        f"{s.alternating[i]} -> {a.alternating[i]}",
     )
 
     # law (b); it does not apply where the burn-down chain was interrupted
-    quiet = ~extended & (a_ull == 0) & (a_urr == 0) & (np.where(alpha_odd, a_url, a_ulr) == 0)
-    law(quiet & (g_chi > 1), lambda i: f"chi(gamma) = {g_chi[i]} > 1 with no burn-down at alpha")
+    quiet = ~extended & (a.ull == 0) & (a.urr == 0) & (np.where(alpha_odd, a.url, a.ulr) == 0)
+    law(
+        quiet & (g.alternating > 1),
+        lambda i: f"chi(gamma) = {g.alternating[i]} > 1 with no burn-down at alpha",
+    )
     law(quiet & (len2 > 2), lambda i: f"Phase Two has {len2[i]} hops, expected <= 2")
     law(
         quiet & (g_x > a_x + 2),
         lambda i: f"crossed count {a_x[i]} -> {g_x[i]} over Phase Two, expected <= +2",
     )
     burning = ~extended & ~quiet
-    most = np.maximum(a_ull, a_urr).astype(np.int16)
+    most = np.maximum(a.ull, a.urr).astype(np.int16)
     law(
-        burning & (g_chi > a_chi.astype(np.int16) + 1),
-        lambda i: f"chi grew {a_chi[i]} -> {g_chi[i]} over Phase Two, expected <= +1",
+        burning & (g.alternating > a.alternating.astype(np.int16) + 1),
+        lambda i: f"chi grew {a.alternating[i]} -> {g.alternating[i]} over Phase Two, "
+        "expected <= +1",
     )
     law(
         burning & (len2 > 2 * most + 1),
@@ -644,10 +631,10 @@ def _phase_faults(summary: PhaseSummary) -> list[Law]:
         lambda i: f"crossed count {a_x[i]} -> {g_x[i]} over Phase Two, expected <= +{2 * most[i]}",
     )
 
-    law((g_ull > 0) | (g_urr > 0), lambda i: f"gamma still has burn-down {g_ull[i]}+{g_urr[i]}")
+    law((g.ull > 0) | (g.urr > 0), lambda i: f"gamma still has burn-down {g.ull[i]}+{g.urr[i]}")
     law(
-        len3 != g_x + g_cyc,
-        lambda i: f"Phase Three has {len3[i]} hops, expected {g_x[i]} + {g_cyc[i]}",
+        len3 != g_x + g.nonsingleton,
+        lambda i: f"Phase Three has {len3[i]} hops, expected {g_x[i]} + {g.nonsingleton[i]}",
     )
 
     law(

@@ -5,6 +5,7 @@ import itertools
 from hypothesis import strategies as st
 
 from starroute import routetree, routing
+from starroute.perm import positions
 from starroute.routetree import RouteTree
 
 
@@ -29,10 +30,11 @@ def tamper_picks(monkeypatch, target, change) -> None:
     ``node``, in the single-pair pick and in the route trees' kernel output
     alike."""
     pick = routing._oriented_pick
+    target_pos = positions(target)  # the pick knows its target by this index
 
-    def tampered_pick(c, cpos, odd, t, tpos, half):
-        decision = pick(c, cpos, odd, t, tpos, half)
-        return change(tuple(c), decision) if tuple(t) == target else decision
+    def tampered_pick(c, odd, tpos, half):
+        decision = pick(c, odd, tpos, half)
+        return change(tuple(c), decision) if tpos == target_pos else decision
 
     decide = RouteTree._decide
 

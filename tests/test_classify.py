@@ -9,6 +9,7 @@ from hypothesis import given
 from starroute.classify import (
     _ROW_BLOCK,
     _SETTLED,
+    Counts,
     _count_rows,
     _counts,
     _slots,
@@ -61,6 +62,13 @@ def test_is_alternating_edge_cases():
     # any cycle touching position 1 is disqualified
     assert not is_alternating((1, 2), c)
     assert is_alternating((3, 4), c)
+    assert not is_alternating((), c)
+
+
+@pytest.mark.parametrize("cycle", [(1, 9), (0, 2), (6,), (2, 2), (3, 4, 3)])
+def test_is_alternating_rejects_a_value_outside_the_order_or_named_twice(cycle):
+    with pytest.raises(ValueError):
+        is_alternating(cycle, (2, 1, 4, 3, 5))
 
 
 @given(perm_pairs())
@@ -143,12 +151,12 @@ def test_count_rows_matches_the_scalar_counts(n):
     targets = [positions(t) for _, t in pairs]
     dest = np.array([[tpos[v] for v in c] for (c, _), tpos in zip(pairs, targets)], dtype=np.uint8)
     assert n < 5 or len(pairs) > _ROW_BLOCK  # several blocks per call
-    got = np.stack(_count_rows(dest), axis=1).tolist()
-    expected = []
-    for (c, t), tpos in zip(pairs, targets):
-        ull, urr, ulr, url, chi, nonsingleton = _counts(c, tpos, half)
-        expected.append([ull, urr, ulr, url, nonsingleton, classic_distance(c, t), chi])
-    assert got == expected
-    # the half-partition form of the distance, from the same rows
-    assert [sum(row[:5]) for row in got] == [classic_distance_sets(c, t) for c, t in pairs]
+    got = _count_rows(dest)
+    expected = [_counts(c, tpos, half) for (c, _), tpos in zip(pairs, targets)]
+    for field in Counts._fields:
+        assert getattr(got, field).tolist() == [getattr(e, field) for e in expected], field
+    # the distance both forms give is the classic one, and so is the half-partition sum
+    distances = [classic_distance(c, t) for c, t in pairs]
+    assert got.distance.tolist() == distances
+    assert [classic_distance_sets(c, t) for c, t in pairs] == distances
 

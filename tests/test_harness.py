@@ -24,7 +24,7 @@ from starroute.harness import (
 )
 from starroute.classify import crossing_load
 from starroute.oracle import SWEEP_WIDTH, UNREACHABLE
-from starroute.perm import compose, inverse
+from starroute.perm import compose, inverse, positions
 from starroute.routing import (
     MoveKind,
     RoutingInvariantError,
@@ -325,10 +325,11 @@ def test_router_equivariance_flags_a_decision_the_relabeling_does_not_carry(monk
     # canonical tree at the relabeled node
     target, node = (2, 4, 1, 3), (3, 1, 4, 2)
     pick = routing._oriented_pick
+    target_pos = positions(target)
 
-    def tampered_pick(c, cpos, odd, t, tpos, half):
-        link, kind, case = pick(c, cpos, odd, t, tpos, half)
-        if (tuple(c), tuple(t)) == (node, target):
+    def tampered_pick(c, odd, tpos, half):
+        link, kind, case = pick(c, odd, tpos, half)
+        if (tuple(c), tpos) == (node, target_pos):
             return link, MoveKind.CROSSING if kind is MoveKind.SETTLING else MoveKind.SETTLING, case
         return link, kind, case
 

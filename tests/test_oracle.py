@@ -66,6 +66,14 @@ def test_rank_bounds():
         rank(tuple(range(1, MAX_RANK_ORDER + 2)))
 
 
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_unrank_rejects_the_orders_rank_rejects(n):
+    with pytest.raises(ValueError):
+        rank(tuple(range(1, n + 1)))
+    with pytest.raises(ValueError):
+        unrank(0, n)
+
+
 def test_move_table_matches_generator_action():
     table = move_table(4)
     assert table.perms.shape == (24, 4)

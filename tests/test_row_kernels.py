@@ -61,12 +61,12 @@ def test_row_kernels_match_the_scalar_pick_and_counts(n):
     cases = {label: code for code, label in enumerate(CASES)}
     expected, chi = [], []
     for c, t in pairs:
-        (cpos, c_odd), (tpos, _) = index[c], index[t]
-        chi.append(_counts(c, tpos, half)[4])
+        (_, c_odd), (tpos, _) = index[c], index[t]
+        chi.append(_counts(c, tpos, half).alternating)
         if c == t:
             expected.append((0, len(_KINDS), _NO_CASE))
             continue
-        link_, kind, label = _oriented_pick(c, cpos, c_odd, t, tpos, half)
+        link_, kind, label = _oriented_pick(c, c_odd, tpos, half)
         expected.append((link_, kinds[kind], cases[label]))
     assert list(zip(link.tolist(), move.tolist(), case.tolist())) == expected
     assert alternating.tolist() == chi
