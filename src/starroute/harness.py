@@ -20,7 +20,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .classify import _ROW_BLOCK, _count_rows, _cycle_cols
+from .classify import _ROW_BLOCK, _count_rows, _cycle_cols, crossing_load
 from .oracle import (
     MAX_TABLE_ORDER,
     UNREACHABLE,
@@ -31,7 +31,7 @@ from .oracle import (
     orbit_sources,
 )
 from . import routing
-from .perm import Perm, _apply_generator, _cycles, _relative_map, compose, identity, inverse, parity
+from .perm import Perm, apply_generator, compose, cycles, identity, inverse, parity, relative_map
 from .routetree import RouteTree
 from .routing import (
     _bound_from_counts,
@@ -145,13 +145,14 @@ def _route_violations(n: int, targets: list[Perm]) -> _Sweep:
     check reads it.
 
     Each law is evaluated once: a ``phase-structure`` text joins the faults
-    of that one evaluation, and a ``crossing-monotone`` text is the tree's
-    first load rise.  Only a ``route-validity`` text is written from the
-    :class:`RouteTrace` rebuilt from the tree, by
-    :func:`routing.validate_trace`, so it reads exactly as for a routed
-    trace.  The figures are the count of extended routes, the decision
-    cases of every pair's first hop, the longest route beside the cap and
-    the route lengths.
+    of that one evaluation.  A text that walks a flagged row's route is
+    written from the :class:`RouteTrace` the tree rebuilds, so it reads
+    exactly as for a routed trace: ``route-validity`` by
+    :func:`routing.validate_trace`, ``crossing-monotone`` at the first hop
+    where :func:`classify.crossing_load` rises, and the inside hops of
+    ``phase-structure`` by :func:`routing._inside_hops`.  The figures are
+    the count of extended routes, the decision cases of every pair's first
+    hop, the longest route beside the cap and the route lengths.
     """
     cap = hop_cap(n)
     found: dict[str, list[Violation]] = {name: [] for name in ROUTE_CHECKS}
@@ -172,8 +173,11 @@ def _route_violations(n: int, targets: list[Perm]) -> _Sweep:
             problems = validate_trace(tree.trace(row))
             flag("route-validity", row, "; ".join(problems), "valid directed route")
         for row in np.flatnonzero(tree.rising).tolist():
-            hop, before, after = tree.first_rise(row)
-            flag("crossing-monotone", row, f"{before} -> {after} at hop {hop}", "non-increasing")
+            trace = tree.trace(row)
+            loads = [crossing_load(node, trace.target) for node in trace.nodes]
+            hop = next(j for j in range(1, len(loads)) if loads[j] > loads[j - 1])
+            rise = f"{loads[hop - 1]} -> {loads[hop]} at hop {hop}"
+            flag("crossing-monotone", row, rise, "non-increasing")
         for name, cutoff in (
             ("hop-bound", _bound_from_counts(summary.source)),
             ("stretch-bound", 4 * tree.counts.distance.astype(np.int16) + 4),
@@ -292,9 +296,8 @@ def _equivariance_violations(n: int, seed: int, sample_size: int) -> _Sweep:
 
 
 def _cycle_family(c: Perm, t: Perm) -> set[frozenset[int]]:
-    """The relative cycles of ``c`` toward ``t`` as sets; unchecked, as the
-    sampler draws only permutations."""
-    return {frozenset(cy) for cy in _cycles(_relative_map(c, t)).cycles}
+    """The relative cycles of ``c`` toward ``t`` as sets."""
+    return {frozenset(cy) for cy in cycles(relative_map(c, t)).cycles}
 
 
 def _split_merge_problem(c: Perm, t: Perm, link: int) -> str | None:
@@ -302,7 +305,7 @@ def _split_merge_problem(c: Perm, t: Perm, link: int) -> str | None:
     every other cycle untouched; returns a description of any departure."""
     u, v = c[0], c[link - 1]
     before = _cycle_family(c, t)
-    after = _cycle_family(_apply_generator(c, link), t)
+    after = _cycle_family(apply_generator(c, link), t)
     cyc_u = next(cy for cy in before if u in cy)
     cyc_v = next(cy for cy in before if v in cy)
     if cyc_u == cyc_v:
@@ -347,7 +350,7 @@ def _split_merge_rows(dest: np.ndarray, link: np.ndarray) -> np.ndarray:
     at = link.astype(np.intp)
     # hops[l - 2, x] = τ(x) for the hop on link l, read from the hop itself
     hops = np.zeros((n - 1, n + 1), dtype=np.uint8)
-    hops[:, 1:] = [_apply_generator(tuple(range(1, n + 1)), l) for l in range(2, n + 1)]
+    hops[:, 1:] = [apply_generator(identity(n), l) for l in range(2, n + 1)]
     still = np.zeros((n, m), dtype=bool)
     label, _ = _cycle_cols(np.ascontiguousarray(dest.T), still)
     relabel, _ = _cycle_cols(np.ascontiguousarray(hops[at[:, None] - 2, dest].T), still)
@@ -469,7 +472,12 @@ def verify(
         sources = "all" if n <= 6 else "reduced"
     if sources not in ("all", "reduced"):
         raise ValueError(f"sources must be 'all' or 'reduced', not {sources!r}")
-    chosen = _nodes(n) if sources == "all" else list(orbit_sources(n))
+    if sources == "reduced":
+        chosen = list(orbit_sources(n))
+    elif set(ROUTE_CHECKS + DISTANCE_CHECKS).isdisjoint(selected):
+        chosen = []  # only the sampled checks run, and they take no sources
+    else:
+        chosen = _nodes(n)
 
     results: dict[str, CheckResult] = {}
     for family, sweep in (

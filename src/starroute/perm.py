@@ -105,12 +105,7 @@ def positions(p: Sequence[int]) -> list[int]:
     >>> positions((2, 3, 1))
     [0, 3, 1, 2]
     """
-    return _positions(check_perm(p))
-
-
-def _positions(p: Sequence[int]) -> list[int]:
-    """:func:`positions` without the input check, for permutations known to
-    be well formed."""
+    p = check_perm(p)
     pos = [0] * (len(p) + 1)
     for i, v in enumerate(p, 1):
         pos[v] = i
@@ -123,12 +118,7 @@ def inverse(p: Sequence[int]) -> Perm:
     >>> format_perm(inverse(parse_perm("23145")))
     '31245'
     """
-    return _inverse(check_perm(p))
-
-
-def _inverse(p: Sequence[int]) -> Perm:
-    """:func:`inverse` without the input check."""
-    return tuple(_positions(p)[1:])
+    return tuple(positions(p)[1:])
 
 
 def parity(p: Sequence[int]) -> int:
@@ -141,7 +131,8 @@ def parity(p: Sequence[int]) -> int:
 
 
 def _parity(p: Sequence[int]) -> int:
-    """:func:`parity` without the input check."""
+    """:func:`parity` without the input check: any sequence, ties included,
+    so that :func:`routing.validate_trace` gives a malformed node a parity."""
     inversions = 0
     right: list[int] = []  # the values to the right of the current one, sorted
     for v in reversed(p):
@@ -170,12 +161,7 @@ def cycles(p: Sequence[int]) -> CycleDecomposition:
     >>> cycles((2, 3, 1, 4, 5)).cycles
     ((1, 2, 3), (4,), (5,))
     """
-    return _cycles(check_perm(p))
-
-
-def _cycles(p: Sequence[int]) -> CycleDecomposition:
-    """:func:`cycles` without the input check, for permutations known to be
-    well formed."""
+    p = check_perm(p)
     n = len(p)
     seen = [False] * (n + 1)
     out: list[tuple[int, ...]] = []
@@ -200,13 +186,8 @@ def relative_map(s: Sequence[int], t: Sequence[int]) -> Perm:
     value that *currently* occupies it (per ``s``); its fixed points are
     exactly the settled values, i.e. values at the same position in both.
     """
-    return _relative_map(*check_pair(s, t))
-
-
-def _relative_map(s: Sequence[int], t: Sequence[int]) -> Perm:
-    """:func:`relative_map` without the input check, for pairs known to be
-    well formed."""
-    return tuple(s[v - 1] for v in _inverse(t))
+    s, t = check_pair(s, t)
+    return tuple(s[v - 1] for v in inverse(t))
 
 
 def relative_cycles(s: Sequence[int], t: Sequence[int]) -> CycleDecomposition:
@@ -215,7 +196,7 @@ def relative_cycles(s: Sequence[int], t: Sequence[int]) -> CycleDecomposition:
     >>> relative_cycles(parse_perm("21345"), parse_perm("21435")).cycles
     ((1,), (2,), (3, 4), (5,))
     """
-    return _cycles(relative_map(s, t))
+    return cycles(relative_map(s, t))
 
 
 def apply_generator(p: Sequence[int], link: int) -> Perm:
@@ -231,12 +212,6 @@ def apply_generator(p: Sequence[int], link: int) -> Perm:
     n = len(p)
     if not 2 <= link <= n:
         raise ValueError(f"link must be within 2..{n}, got {link}")
-    return _apply_generator(p, link)
-
-
-def _apply_generator(p: Sequence[int], link: int) -> Perm:
-    """:func:`apply_generator` without the checks, for a permutation known
-    to be well formed and a link known to be within 2..n."""
     q = list(p)
     q[0], q[link - 1] = q[link - 1], q[0]
     return tuple(q)

@@ -19,9 +19,8 @@ node v into target j.  Each column is a numpy array over the rows:
 
 :meth:`RouteTree.summary` derives the columns :func:`routing._phase_faults`
 evaluates from those and the depths.  :meth:`RouteTree.trace` rebuilds one
-route as a :class:`routing.RouteTrace` for :func:`routing.validate_trace`,
-and :meth:`RouteTree.first_rise` walks one route to its first load rise;
-both serve flagged rows only.
+route as a :class:`routing.RouteTrace`, the tree's only per-row walk: a
+flagged row's text is written from it by the single-route functions.
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ import numpy as np
 from . import routing
 from .classify import _ROW_BLOCK, Counts, _count_block, _halves
 from .oracle import move_table
-from .perm import Perm, _positions
+from .perm import Perm, positions
 from .routing import CROSSING_KINDS, MoveKind, PhaseSummary, RouteTrace, RoutingInvariantError
 from .topology import Scheme, boundary, out_links
 
@@ -178,7 +177,7 @@ class RouteTree:
         table = move_table(n)
         self.n, self.targets = n, list(targets)
         self.size = size = len(table.perms)
-        tpos = np.array([_positions(t) for t in self.targets], dtype=np.uint8)
+        tpos = np.array([positions(t) for t in self.targets], dtype=np.uint8)
         dest = tpos[:, table.perms].reshape(-1, n)
         rows = len(dest)
         self.odd = odd = np.tile(table.odd.view(np.uint8), len(self.targets))
@@ -200,7 +199,7 @@ class RouteTree:
         del base, hop
 
         # each row's own hop indicators; the load past the end is a root's, 0
-        self.load = load = np.zeros(rows + 1, dtype=np.uint8)
+        load = np.zeros(rows + 1, dtype=np.uint8)
         np.add(counts.ull, counts.urr, out=load[:rows])
         out = np.zeros((2, n + 1), dtype=bool)  # out[odd, link]: an outgoing arc
         out[:, 0] = True  # a root's link 0 is no arc
@@ -271,31 +270,8 @@ class RouteTree:
             np.where(crossed & ~extended, inside, 0),
             self.counts,
             *(Counts._make(col[at] for col in self.counts) for at in (alpha, gamma)),
-            self.odd[alpha], self.inside_hops,
+            self.odd[alpha], self.trace,
         )
-
-    def inside_hops(self, row: int) -> list[tuple[int, MoveKind]]:
-        """``(hop, kind)`` of each non-crossing hop strictly inside Phase Two
-        of route ``row``, walked from alpha to gamma."""
-        depth, end = self.depth, self.depth[self.gamma[row]]
-        x = self.nxt[self.near[row, 2]]
-        hops = []
-        while depth[x] > end:
-            if not _CROSSES[self.move[x]]:
-                hops.append((int(depth[row] - depth[x]), _KINDS[self.move[x]]))
-            x = self.nxt[x]
-        return hops
-
-    def first_rise(self, row: int) -> tuple[int, int, int]:
-        """The first hop of a rising route at which the crossing load
-        (``ull + urr``) rises, as ``(hop, before, after)`` with hops numbered
-        from 1."""
-        load, hop = self.load, 1
-        while True:
-            w = self.nxt[row]
-            if load[w] > load[row]:
-                return hop, int(load[row]), int(load[w])
-            row, hop = w, hop + 1
 
     def trace(self, row: int) -> RouteTrace:
         """The route of ``row``, cut after ``_runaway_limit(n) + 1`` hops as

@@ -57,7 +57,7 @@ import numpy as np
 
 from .classify import _SETTLED, _ULL, _ULR, _URL, _URR, Counts, _alternates, _slots
 from .classify import _counts as _set_counts
-from .perm import Perm, _parity, _positions, check_pair
+from .perm import Perm, _parity, check_pair, positions
 from .topology import Scheme, boundary, out_links
 
 
@@ -135,7 +135,7 @@ def classic_step(c: Sequence[int], t: Sequence[int]) -> tuple[int, MoveKind]:
     c, t = check_pair(c, t)
     if c == t:
         raise ValueError("already at the target; no step to take")
-    return _classic_pick(list(c), t, _positions(t))
+    return _classic_pick(list(c), t, positions(t))
 
 
 def classic_distance(s: Sequence[int], t: Sequence[int]) -> int:
@@ -154,7 +154,7 @@ def classic_distance(s: Sequence[int], t: Sequence[int]) -> int:
     """
     s, t = check_pair(s, t)
     n = len(s)
-    tpos = _positions(t)
+    tpos = positions(t)
     mismatched = 0
     for i in range(n):
         if s[i] != t[i]:
@@ -182,7 +182,7 @@ def classic_distance_sets(s: Sequence[int], t: Sequence[int]) -> int:
     ``|ull| + |urr| + |crossed| + nonsingleton relative cycles``.  Single
     pairs only, as :func:`classic_distance`."""
     s, t = check_pair(s, t)
-    counts = _set_counts(s, _positions(t), boundary(len(s)).half)
+    counts = _set_counts(s, positions(t), boundary(len(s)).half)
     return counts.ull + counts.urr + counts.ulr + counts.url + counts.nonsingleton
 
 
@@ -277,7 +277,7 @@ def oriented_step(c: Sequence[int], t: Sequence[int]) -> tuple[int, MoveKind, st
     c, t = check_pair(c, t)
     if c == t:
         raise ValueError("already at the target; no step to take")
-    return _oriented_pick(c, _parity(c), _positions(t), boundary(len(c)).half)
+    return _oriented_pick(c, _parity(c), positions(t), boundary(len(c)).half)
 
 
 def _route(s: Sequence[int], t: Sequence[int], scheme: Scheme | None) -> RouteTrace:
@@ -285,7 +285,7 @@ def _route(s: Sequence[int], t: Sequence[int], scheme: Scheme | None) -> RouteTr
     s, t = check_pair(s, t)
     n = len(s)
     half = boundary(n).half
-    tpos = _positions(t)
+    tpos = positions(t)
     c = list(s)
     odd = _parity(s)
     limit = _runaway_limit(n)
@@ -320,13 +320,11 @@ def _assign_phases(kinds: Sequence[MoveKind]) -> list[int]:
     return [1] * len1 + [2] * (end2 - len1) + [3] * (len(kinds) - end2)
 
 
-def _scan_moves(
-    kinds: Sequence[MoveKind],
-) -> tuple[int, int, list[int], list[int], list[int]]:
+def _scan_moves(kinds: Sequence[MoveKind]) -> tuple[int, int, list[int], list[int]]:
     """One pass over the move kinds: the settling-prefix length ``len1``, the
     end of Phase Two ``end2`` (one past the last crossing-kind move, ``len1``
-    when there is none), the hops of the final and of the pre-final
-    crossings, and the hops after the prefix that do not cross."""
+    when there is none), and the hops of the final and of the pre-final
+    crossings."""
     settling, final, pre_final = (
         MoveKind.SETTLING,
         MoveKind.FINAL_CROSSING,
@@ -335,7 +333,6 @@ def _scan_moves(
     len1 = end2 = 0
     finals: list[int] = []
     prefinals: list[int] = []
-    others: list[int] = []
     for j, kind in enumerate(kinds):
         if kind is settling and j == len1:
             len1 += 1
@@ -345,9 +342,7 @@ def _scan_moves(
                 finals.append(j)
             elif kind is pre_final:
                 prefinals.append(j)
-        else:
-            others.append(j)
-    return len1, max(end2, len1), finals, prefinals, others
+    return len1, max(end2, len1), finals, prefinals
 
 
 def classic_route(s: Sequence[int], t: Sequence[int]) -> RouteTrace:
@@ -364,7 +359,7 @@ def hop_bound(s: Sequence[int], t: Sequence[int]) -> int:
     """Upper bound on the oriented route length, from the partition counts:
     ``|crossed| + max(6, 4*max(|ull|, |urr|) + alternating + 4)``."""
     s, t = check_pair(s, t)
-    return int(_bound_from_counts(_set_counts(s, _positions(t), boundary(len(s)).half)))
+    return int(_bound_from_counts(_set_counts(s, positions(t), boundary(len(s)).half)))
 
 
 def _bound_from_counts(counts: Counts) -> np.ndarray:
@@ -465,9 +460,9 @@ class PhaseSummary(NamedTuple):
     alpha: Counts
     gamma: Counts
     alpha_odd: np.ndarray  # parity of alpha
-    # (hop, kind) of each of the ``inside`` hops of route i; read only for a
-    # route that has some
-    inside_hops: Callable[[int], Sequence[tuple[int, MoveKind]]]
+    # route i as a trace, for a law text that lists its hops; read only for
+    # a route that breaks such a law
+    trace: Callable[[int], RouteTrace]
 
     @property
     def lengths(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -533,16 +528,26 @@ def _extended(cases: Sequence[str]) -> bool:
     return any(case in cases for case in FALLBACK_CASES)
 
 
+def _inside_hops(trace: RouteTrace) -> list[tuple[int, MoveKind]]:
+    """``(hop, kind)`` of each non-crossing hop strictly inside Phase Two of
+    ``trace``, hops numbered from 0.  None on an extended route: the law
+    that reads them is skipped there."""
+    if _extended(trace.cases):
+        return []
+    len1, end2, *_ = _scan_moves(trace.moves)
+    inner = enumerate(trace.moves[len1 + 1 : end2], len1 + 1)
+    return [(j, kind) for j, kind in inner if kind not in CROSSING_KINDS]
+
+
 def _phase_summary(trace: RouteTrace) -> PhaseSummary:
     """The one-route summary of a well-formed trace."""
     moves, nodes, t = trace.moves, trace.nodes, trace.target
-    tpos, half = _positions(t), boundary(len(t)).half
-    len1, end2, finals, prefinals, others = _scan_moves(moves)
+    tpos, half = positions(t), boundary(len(t)).half
+    len1, end2, finals, prefinals = _scan_moves(moves)
     extended = _extended(trace.cases)
     s_counts = _set_counts(nodes[0], tpos, half)
     a_counts = _set_counts(nodes[len1], tpos, half) if len1 else s_counts
     g_counts = _set_counts(nodes[end2], tpos, half) if end2 > len1 else a_counts
-    inside = () if extended else tuple((j, moves[j]) for j in others if len1 < j < end2)
     # every one-entry column is a row of one (k, 1) array, the counts last
     rows = np.array(
         [
@@ -553,7 +558,7 @@ def _phase_summary(trace: RouteTrace) -> PhaseSummary:
             finals[0] if finals else -1,
             len(prefinals),
             prefinals[0] if prefinals else -1,
-            len(inside),
+            len(_inside_hops(trace)),
             _parity(nodes[0]) ^ (len1 & 1),
             *s_counts,
             *a_counts,
@@ -563,7 +568,7 @@ def _phase_summary(trace: RouteTrace) -> PhaseSummary:
     )[:, None]
     s, a, g = map(Counts._make, rows[9:].reshape(3, len(Counts._fields), 1))
     return PhaseSummary(
-        *rows[:3], np.array([extended]), *rows[3:8], s, a, g, rows[8], lambda i: inside
+        *rows[:3], np.array([extended]), *rows[3:8], s, a, g, rows[8], lambda i: trace
     )
 
 
@@ -580,7 +585,7 @@ def _phase_faults(summary: PhaseSummary) -> list[Law]:
     """
     (
         m, len1, end2, extended, finals, final_hop, prefinals, prefinal_hop, inside,
-        s, a, g, alpha_odd, inside_hops,
+        s, a, g, alpha_odd, route,
     ) = summary
     live = m > 0
     len2, len3 = end2 - len1, m - end2
@@ -640,7 +645,8 @@ def _phase_faults(summary: PhaseSummary) -> list[Law]:
     law(
         inside > 0,
         lambda i: "; ".join(
-            f"hop {j + 1} inside Phase Two is {kind.value}" for j, kind in inside_hops(i)
+            f"hop {j + 1} inside Phase Two is {kind.value}"
+            for j, kind in _inside_hops(route(i))
         ),
     )
     crossing = end2 > len1  # some crossing occurs

@@ -75,19 +75,7 @@ def test_criterion_2_distance_formulas_reduced_seven():
 
 
 # beyond criterion 2's populations: the same canonical sources at n = 8, 9
-@pytest.mark.parametrize(
-    "n",
-    [
-        8,
-        pytest.param(
-            9,
-            marks=pytest.mark.skipif(
-                not os.environ.get("STARROUTE_LONG"),
-                reason="the order-9 distance sweep is an opt-in long run (STARROUTE_LONG=1)",
-            ),
-        ),
-    ],
-)
+@pytest.mark.parametrize("n", [8, 9])
 def test_distance_formulas_reduced_eight_and_nine(n):
     report = verify(n, checks=DISTANCE_CHECKS, sources="reduced")
     _assert_clean(report, DISTANCE_CHECKS)
@@ -128,10 +116,6 @@ def test_criterion_3_and_4_order_eight_reduced():
     _bound_audit(report, "n=8 reduced", 17)
 
 
-@pytest.mark.skipif(
-    not os.environ.get("STARROUTE_LONG"),
-    reason="the order-9 route sweep is an opt-in long run (STARROUTE_LONG=1)",
-)
 def test_criterion_3_and_4_order_nine_reduced():
     report = verify(9, checks=ROUTE_CHECKS)
     _assert_clean(report, ROUTE_CHECKS)
@@ -234,10 +218,6 @@ def test_criterion_8_second_scheme_cross_check():
     _audit(8, "even-link (day-tripathi) scheme diameter at n=6 is 11 = 2n-1")
 
 
-@pytest.mark.skipif(
-    not os.environ.get("STARROUTE_LONG"),
-    reason="order-9 orbit sweep is an opt-in long run (STARROUTE_LONG=1)",
-)
 def test_criterion_8_order_nine_informational():
     values = {
         scheme.value: diameter(9, scheme, mode="orbit").value

@@ -415,15 +415,23 @@ def test_verify_subset_and_reduced_sources():
     assert report.check("set-formula").population == 2 * 120
 
 
-@pytest.mark.parametrize("n,checks", [(9, ROUTE_CHECKS), (6, ALL_CHECKS)])
-def test_reduced_verify_never_builds_the_node_list(monkeypatch, n, checks):
+@pytest.mark.parametrize(
+    "n,checks,sources",
+    [
+        (9, ROUTE_CHECKS, "reduced"),
+        (6, ALL_CHECKS, "reduced"),
+        # neither sampled check reads the sources, whatever they are
+        (9, ("split-merge", "router-equivariance"), "all"),
+    ],
+)
+def test_reduced_verify_never_builds_the_node_list(monkeypatch, n, checks, sources):
     # the n! node tuples are for sweeps that enumerate every node
     def no_nodes(order):
         raise AssertionError(f"node list of order {order} built")
 
     monkeypatch.setattr(harness, "_nodes", no_nodes)
-    report = verify(n, checks=checks, sources="reduced", sample_size=100)
-    assert report.ok and report.sources == "reduced"
+    report = verify(n, checks=checks, sources=sources, sample_size=100)
+    assert report.ok and report.sources == sources
 
 
 def test_verify_split_merge_sampled():
@@ -506,7 +514,7 @@ def test_split_merge_rows_match_the_reference_on_seeded_samples(n):
 )
 def test_a_planted_fault_flags_the_same_rows_on_both_sides(monkeypatch, fault, n, flagged):
     # the block law reads the hop through the same name as the reference
-    monkeypatch.setattr(harness, "_apply_generator", fault)
+    monkeypatch.setattr(harness, "apply_generator", fault)
     got, want = _flags(_every_triple(n))
     assert got == want and sum(got) == flagged
 
@@ -531,7 +539,7 @@ def test_split_merge_keeps_the_seeded_population(monkeypatch, size):
                 )
         return found
 
-    monkeypatch.setattr(harness, "_apply_generator", _three_cycle)
+    monkeypatch.setattr(harness, "apply_generator", _three_cycle)
     result = verify(6, checks=["split-merge"], seed=7, sample_size=size).check("split-merge")
     expected = per_sample(6, 7, size)
     assert result.population == size and 0 < len(expected) < size

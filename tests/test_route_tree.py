@@ -23,6 +23,7 @@ from starroute.routing import (
     MoveKind,
     _bound_from_counts,
     _fault_texts,
+    _inside_hops,
     _phase_faults,
     _phase_summary,
     check_phase_invariants,
@@ -37,12 +38,12 @@ from conftest import all_perms, tamper_picks
 
 def _route(summary, i: int) -> tuple:
     """Route ``i`` of a summary as plain values, its inside hops listed."""
-    *columns, source, alpha, gamma, alpha_odd, inside_hops = summary
+    *columns, source, alpha, gamma, alpha_odd, trace = summary
     return (
         *(int(column[i]) for column in columns),
         *(tuple(int(count[i]) for count in counts) for counts in (source, alpha, gamma)),
         int(alpha_odd[i]),
-        tuple(inside_hops(i)) if summary.inside[i] else (),
+        tuple(_inside_hops(trace(i))) if summary.inside[i] else (),
     )
 
 
@@ -73,9 +74,8 @@ def _compare_tree(n: int, t: tuple[int, ...], sources=None) -> Counter:
         incoming = bool(tree.incoming[row])
         assert incoming == bool(validate_trace(trace))
         loads = [crossing_load(node, t) for node in trace.nodes]
-        rises = [(j, a, b) for j, (a, b) in enumerate(zip(loads, loads[1:]), 1) if b > a]
-        rise = tree.first_rise(row) if tree.rising[row] else None
-        assert rise == (rises[0] if rises else None), (s, t)
+        rise = any(b > a for a, b in zip(loads, loads[1:]))
+        assert bool(tree.rising[row]) == rise, (s, t)
         # the three bounds: the same length against the same cutoffs
         length, cutoff, distance = int(summary.length[row]), hop_bound(s, t), classic_distance(s, t)
         assert length == trace.length
@@ -83,7 +83,7 @@ def _compare_tree(n: int, t: tuple[int, ...], sources=None) -> Counter:
         seen.update(
             routes=1,
             incoming=incoming,
-            rise=rise is not None,
+            rise=rise,
             phase=not report.ok,
             inside=bool(summary.inside[row]),
             hop=length > cutoff,
