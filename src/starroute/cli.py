@@ -363,7 +363,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--sources",
         choices=["all", "reduced"],
         default=None,
-        help="all: every ordered pair (default through n=6); reduced: one pair per orbit "
+        help="all: every ordered pair (default through n=6, route and distance checks "
+        "through n=7); reduced: one pair per orbit "
         "under even relabeling, 2*n! pairs (default from n=7): route checks route every "
         "node into the two canonical targets, distance checks measure from them",
     )

@@ -56,6 +56,9 @@ ALL_CHECKS: tuple[str, ...] = (
 )
 
 SPLIT_MERGE_SAMPLES = 10_000
+# the largest order a route or distance check sweeps every ordered pair at:
+# (n!)^2 pairs, 2.5e7 at order 7 and 1.6e9 at order 8
+ALL_SOURCES_ORDER = 7
 
 
 @dataclass(frozen=True)
@@ -435,7 +438,8 @@ def verify(
 ) -> VerificationReport:
     """Run the named checks over ordered node pairs of the order-``n`` graph.
 
-    ``sources`` is ``"all"`` (every ordered pair, default through n=6) or
+    ``sources`` is ``"all"`` (every ordered pair, default through n=6 and
+    for the route and distance checks allowed through :data:`ALL_SOURCES_ORDER`) or
     ``"reduced"`` (default from n=7 on): one pair from each orbit of ordered
     pairs under even relabeling, which the router respects
     (``router-equivariance`` checks that), 2·n! pairs in all.  The route
@@ -476,6 +480,11 @@ def verify(
         chosen = list(orbit_sources(n))
     elif set(ROUTE_CHECKS + DISTANCE_CHECKS).isdisjoint(selected):
         chosen = []  # only the sampled checks run, and they take no sources
+    elif n > ALL_SOURCES_ORDER:
+        raise ValueError(
+            f"sources 'all' at order {n} means {factorial(n) ** 2:,} pairs; "
+            f"use --sources reduced above order {ALL_SOURCES_ORDER}"
+        )
     else:
         chosen = _nodes(n)
 

@@ -5,19 +5,24 @@ notation, identity = 0).  For each order a move table is built once: row r,
 column j holds the rank of vertex r after swapping positions 1 and j+2.
 
 One search runs over that table: the bit-parallel multi-source BFS of
-Akiba, Iwata & Yoshida (SIGMOD 2013).  It follows up to 64 sources at once,
-one bit each in a word per vertex, and the word is the narrowest unsigned
-type with a bit per source: uint8 up to 8 sources, so the two-source orbit
-sweep and the one-source :func:`bfs` move one byte per vertex, and uint64
-for a full batch of 64.  Each level pulls the frontier along in-arcs.  An
-orientation is a send set, the links even vertices send on (None
-undirected), and :class:`_InArcs` turns it into rank columns of move-table
-entries.  Every entry point names its graph with one value, ``scheme``:
-None for the undirected star graph, a :class:`Scheme` for that orientation.
-:func:`diameter` keeps only the level count and the last frontier of each
-sweep; :func:`distance_fields` writes each level into one byte per vertex
-and source.  On a 2-core Xeon a one-source directed order-9 field
-takes about 0.1 s and all 720 order-6 distance fields about 0.04 s.
+Akiba, Iwata & Yoshida (SIGMOD 2013).  It follows any number of sources at
+once, one bit each, in one frontier form: an (n!, words) array of the
+narrowest unsigned word with a bit per source.  Up to 64 sources that is one
+word per vertex, uint8 up to 8 sources, so the two-source orbit sweep and the
+one-source :func:`bfs` move one byte per vertex; beyond 64 it is a row of
+uint64 words.  Each level pulls whole rows along in-arcs, one gather per
+in-arc column into buffers allocated once per sweep, so a wider row follows
+more sources for the same number of numpy calls.  An orientation is a send
+set, the links even vertices send on (None undirected), and :class:`_InArcs`
+turns it into rank columns of move-table entries.  Every entry point names
+its graph with one value, ``scheme``: None for the undirected star graph, a
+:class:`Scheme` for that orientation.  :func:`diameter` keeps only the level
+count and the last frontier of each sweep, and batches an exhaustive run by
+the byte bound :data:`SWEEP_BYTES`: 128 sources per sweep at order 7, 64
+from order 8 on.  :func:`distance_fields` sweeps 64 sources at a time and
+writes each level into one byte per vertex and source.  On a 2-core Xeon a
+one-source directed order-9 field takes about 0.1 s and all 720 order-6
+distance fields about 0.03 s.
 
 Everything here is deliberately independent of the routing formulas it is
 used to check: vertex parity comes from Lehmer digit sums and each scheme's
@@ -196,16 +201,25 @@ def distance(s: Sequence[int], t: Sequence[int], scheme: Scheme | None = None) -
     return bfs(s, scheme).distance(t)
 
 
-SWEEP_WIDTH = 64  # sources per sweep: one bit each of the widest word, uint64
+SWEEP_WIDTH = 64  # sources per distance block: one (width, n!) byte block each
+# Bytes of one exhaustive frontier array, (n!, words): 2 uint64 words (128
+# sources) at order 7 and one word from order 8 on.  Each level costs one
+# gather per in-arc column whatever the width, so wider rows mean fewer numpy
+# calls.  Measured on a 2-core Xeon: 2 words against 1 took the two order-7
+# diameters from about 0.075 s to 0.047 s; 4 words ran faster again but the four
+# n!-row arrays of a sweep raised a diameter process's peak RSS by 0.7-0.9 MB
+# more; at order 8, 2 words took 4.7 s to 3.6 s but cost 1.5 MB of peak.
+SWEEP_BYTES = 96 * 1024
 _WORDS = (np.uint8, np.uint16, np.uint32, np.uint64)
 
 
 def _word(width: int) -> type[np.unsignedinteger]:
-    """The narrowest unsigned word with one bit for each of ``width`` sources."""
+    """The narrowest unsigned word with one bit for each of ``width`` sources,
+    uint64 beyond 64: a wider sweep takes a row of uint64 words per vertex."""
     for word in _WORDS:
         if width <= np.iinfo(word).bits:
             return word
-    raise ValueError(f"a sweep follows at most {SWEEP_WIDTH} sources, got {width}")
+    return np.uint64
 
 
 def _sends(n: int, scheme: Scheme | None) -> frozenset[int] | None:
@@ -253,31 +267,40 @@ class _InArcs:
         return cls(size, columns)
 
     def sweep(self, sources: np.ndarray) -> Iterator[np.ndarray]:
-        """BFS from up to 64 source ranks at once, bit i for ``sources[i]``.
+        """BFS from any number of source ranks at once, bit i of the row for
+        ``sources[i]``.
 
-        The words are the narrowest unsigned type with a bit per source
-        (:func:`_word`), so a two-source sweep moves one byte per vertex.
-        Yields one word per vertex for each level d = 0, 1, ... in turn:
-        bit i of vertex v is set when v is at distance exactly d from
-        ``sources[i]``.  Stops after the last level that set a new bit, so
-        the number of levels after level 0 is the largest finite
-        eccentricity among the sources.
+        The frontier is an (n!, words) array of the narrowest unsigned word
+        with a bit per source (:func:`_word`): one word per vertex up to 64
+        sources, so a two-source sweep moves one byte per vertex, and beyond
+        that a row of uint64 words, source i at bit i % 64 of word i // 64.
+        Yields the frontier for each level d = 0, 1, ... in turn: bit i of
+        row v is set when v is at distance exactly d from ``sources[i]``.
+        Stops after the last level that set a new bit, so the number of
+        levels after level 0 is the largest finite eccentricity among the
+        sources.  Each level gathers whole rows into buffers allocated once
+        per sweep, so a yielded frontier is overwritten two levels on; copy
+        it to keep it.
         """
         word = _word(len(sources))
-        frontier = np.zeros(self.size, dtype=word)
-        bits = np.left_shift(word(1), np.arange(len(sources), dtype=word))
-        np.bitwise_or.at(frontier, sources, bits)
+        bits = np.iinfo(word).bits
+        index = np.arange(len(sources))
+        frontier = np.zeros((self.size, -(-len(sources) // bits)), dtype=word)
+        np.bitwise_or.at(
+            frontier, (sources, index // bits), np.left_shift(word(1), (index % bits).astype(word))
+        )
         unseen = ~frontier
+        pulled, gathered = np.empty_like(frontier), np.empty_like(frontier)
         while frontier.any():
             yield frontier
             # take(mode="clip") skips the bounds check of fancy indexing
             # (every column holds valid ranks) and is about twice as fast
-            pulled = np.take(frontier, self.columns[0], mode="clip")
+            np.take(frontier, self.columns[0], axis=0, mode="clip", out=pulled)
             for column in self.columns[1:]:
-                pulled |= np.take(frontier, column, mode="clip")
+                pulled |= np.take(frontier, column, axis=0, mode="clip", out=gathered)
             pulled &= unseen
             unseen ^= pulled
-            frontier = pulled
+            frontier, pulled = pulled, frontier
 
 
 def _distance_blocks(
@@ -299,11 +322,10 @@ def _distance_blocks(
         batch = sources[lo : lo + SWEEP_WIDTH]
         block = np.full((len(batch), arcs.size), UNREACHABLE, dtype=np.uint8)
         for d, level in enumerate(arcs.sweep(np.array([rank(s) for s in batch]))):
-            vertices = np.flatnonzero(level)
+            vertices = np.flatnonzero(level.any(axis=1))
             # little-endian bytes, little bit order: column i is bit i
-            nbytes = level.itemsize
-            words = level[vertices].astype(f"<u{nbytes}", copy=False).view(np.uint8)
-            bits = np.unpackbits(words.reshape(-1, nbytes), axis=1, bitorder="little")
+            words = level[vertices].astype(level.dtype.newbyteorder("<"), copy=False)
+            bits = np.unpackbits(words.view(np.uint8), axis=1, bitorder="little")
             hit, row = np.nonzero(bits)
             block[row, vertices[hit]] = d
         yield batch, block
@@ -324,11 +346,15 @@ def distance_fields(
 
 
 def _witness(frontier: np.ndarray) -> tuple[int, int]:
-    """First source bit set in ``frontier`` and the lowest rank holding it."""
-    reached = int(np.bitwise_or.reduce(frontier))
-    bit = (reached & -reached).bit_length() - 1
-    target = int(np.flatnonzero(frontier & frontier.dtype.type(1 << bit))[0])
-    return bit, target
+    """First source set in the (n!, words) ``frontier`` and the lowest rank
+    holding it: the first word with a set bit, the lowest bit in that word,
+    and the lowest rank where that bit is set."""
+    reached = np.bitwise_or.reduce(frontier, axis=0)
+    word = int(np.flatnonzero(reached)[0])
+    low = int(reached[word])
+    bit = (low & -low).bit_length() - 1
+    target = int(np.flatnonzero(frontier[:, word] & frontier.dtype.type(1 << bit))[0])
+    return word * frontier.dtype.itemsize * 8 + bit, target
 
 
 @dataclass(frozen=True)
@@ -360,15 +386,16 @@ def diameter(n: int, scheme: Scheme | None = None, mode: str | None = None) -> D
     """Largest finite BFS distance over the chosen source set, undirected
     or under ``scheme``.
 
-    ``mode="exhaustive"`` sweeps every source, 64 at a time in rank order;
-    ``mode="orbit"`` sweeps the two sources of :func:`orbit_sources` at
-    once, in one byte per vertex.  The default is exhaustive through order 7
-    and orbit beyond.  Measured on a 2-core Xeon: exhaustive order 7 in
-    about 0.04 s per graph, orbit mode for all three graphs at orders 8 and
-    9 in about 0.2 s, exhaustive order 8 in 4-5 s per graph.  The witness
-    is the first source in rank order of largest eccentricity, and the
-    lowest-rank vertex at that distance from it, which is what
-    :meth:`DistanceField.farthest` picks.
+    ``mode="exhaustive"`` sweeps every source in rank order, as many per
+    sweep as fit the :data:`SWEEP_BYTES` frontier bound (128 at order 7,
+    64 from order 8 on); ``mode="orbit"`` sweeps the two sources of
+    :func:`orbit_sources` at once, in one byte per vertex.  The default is
+    exhaustive through order 7 and orbit beyond.  Measured on a 2-core
+    Xeon: exhaustive order 7 in about 0.025 s per graph, orbit mode for all
+    three graphs at orders 8 and 9 in about 0.15 s, exhaustive order 8 in
+    about 4 s per graph.  The witness is the first source in rank order of
+    largest eccentricity, and the lowest-rank vertex at that distance from
+    it, which is what :meth:`DistanceField.farthest` picks.
     """
     if mode not in (None, "exhaustive", "orbit"):
         raise ValueError(f"unknown diameter mode {mode!r}")
@@ -379,7 +406,8 @@ def diameter(n: int, scheme: Scheme | None = None, mode: str | None = None) -> D
     if mode == "orbit":
         batches = [np.array([rank(s) for s in orbit_sources(n)])]
     else:
-        batches = np.split(np.arange(arcs.size), range(SWEEP_WIDTH, arcs.size, SWEEP_WIDTH))
+        width = 64 * max(1, SWEEP_BYTES // (8 * arcs.size))  # sources per sweep
+        batches = np.split(np.arange(arcs.size), range(width, arcs.size, width))
     best = -1
     witness: tuple[Perm, Perm] | None = None
     for sources in batches:
@@ -387,7 +415,7 @@ def diameter(n: int, scheme: Scheme | None = None, mode: str | None = None) -> D
             pass  # keep the last level: its distance and its frontier
         if levels > best:
             best = levels
-            bit, target = _witness(frontier)
-            witness = (unrank(int(sources[bit]), n), unrank(target, n))
+            source, target = _witness(frontier)
+            witness = (unrank(int(sources[source]), n), unrank(target, n))
     assert witness is not None
     return DiameterResult(n, scheme, mode, best, witness[0], witness[1])

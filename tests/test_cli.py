@@ -128,6 +128,7 @@ def test_diameter_lines(capsys):
 @pytest.mark.parametrize("argv,scheme,value,target", [
     ((), None, 9, "1325476"),
     (("--directed",), "fujita", 14, "1342675"),
+    (("--directed", "--scheme", "day-tripathi"), "day-tripathi", 14, "1456723"),
 ])
 def test_diameter_json_documents_order_seven(capsys, argv, scheme, value, target):
     code, out, _ = run(capsys, "diameter", "7", *argv, "--json")
@@ -361,6 +362,14 @@ def test_verify_rejects_orders_outside_three_to_nine(capsys, n):
     code, out, err = run(capsys, "verify", n, "--checks", "split-merge")
     assert code == 2 and out == ""
     assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("n", ["8", "9"])
+def test_verify_rejects_all_sources_past_order_seven(capsys, n):
+    # (n!)^2 pairs: a run that would not end, refused before any sweep
+    code, out, err = run(capsys, "verify", n, "--sources", "all")
+    assert code == 2 and out == ""
+    assert err.startswith("error: sources 'all' at order ") and "use --sources reduced" in err
 
 
 @pytest.mark.parametrize("size", ["0", "-3"])

@@ -434,6 +434,17 @@ def test_reduced_verify_never_builds_the_node_list(monkeypatch, n, checks, sourc
     assert report.ok and report.sources == sources
 
 
+@pytest.mark.parametrize("n", [8, 9])
+@pytest.mark.parametrize("checks", [ROUTE_CHECKS, DISTANCE_CHECKS, ALL_CHECKS])
+def test_verify_rejects_all_sources_past_order_seven(monkeypatch, n, checks):
+    def no_nodes(order):
+        raise AssertionError(f"node list of order {order} built")
+
+    monkeypatch.setattr(harness, "_nodes", no_nodes)
+    with pytest.raises(ValueError, match="use --sources reduced"):
+        verify(n, checks=checks, sources="all")
+
+
 def test_verify_split_merge_sampled():
     report = verify(6, checks=["split-merge"], seed=7, sample_size=500)
     assert report.ok

@@ -12,9 +12,11 @@ from hypothesis import given, settings, strategies as st
 
 from starroute.oracle import (
     MAX_RANK_ORDER,
+    SWEEP_BYTES,
     _InArcs,
     _lehmer,
     _sends,
+    _witness,
     UNREACHABLE,
     bfs,
     diameter,
@@ -302,6 +304,56 @@ def test_distance_fields_every_word_width(scheme):
         if width in WIDTHS:
             levels = list(arcs.sweep(np.arange(width)))
             assert {level.dtype for level in levels} == {np.dtype(WIDTHS[width])}
+
+
+# past one word: two full words, and a partial last word at 100; sources are
+# drawn with repeats (order 5 has 120 vertices), each repeat a bit of its own
+@pytest.mark.parametrize("width", [65, 100, 128])
+@pytest.mark.parametrize("scheme", GRAPHS)
+def test_wide_sweep_levels_match_naive_search(scheme, width):
+    nodes = all_perms(5)
+    arcs = _InArcs.build(move_table(5), _sends(5, scheme))
+    sources = random.Random(width).choices(range(len(nodes)), k=width)
+    expected = [_naive_distances(nodes[r], scheme) for r in sources]
+    levels = 0
+    for d, level in enumerate(arcs.sweep(np.array(sources))):
+        assert level.shape == (len(nodes), 2) and level.dtype == np.uint64
+        for i, dist in enumerate(expected):
+            reached = (level[:, i // 64] >> np.uint64(i % 64)) & np.uint64(1)
+            assert reached.tolist() == [int(dist.get(t) == d) for t in nodes]
+        levels += 1
+    assert levels == 1 + max(max(dist.values()) for dist in expected)
+
+
+@pytest.mark.parametrize("bit", [0, 5, 63])
+def test_witness_reads_past_the_first_word(bit):
+    # word 0 empty, word 1 with one bit set at two ranks
+    frontier = np.zeros((120, 2), dtype=np.uint64)
+    frontier[[90, 37], 1] = np.uint64(1 << bit)
+    assert _witness(frontier) == (64 + bit, 37)
+
+
+class _FirstLevel(Exception):
+    pass
+
+
+# the frontier bound keeps peak memory flat: two words at order 7, one from 8
+@pytest.mark.parametrize("n,words", [(7, 2), (8, 1)])
+def test_exhaustive_frontier_stays_within_the_byte_bound(monkeypatch, n, words):
+    sweep = _InArcs.sweep
+    seen = []
+
+    def first_level(self, sources):
+        seen.append(next(sweep(self, sources)))
+        raise _FirstLevel
+
+    monkeypatch.setattr(_InArcs, "sweep", first_level)
+    with pytest.raises(_FirstLevel):
+        diameter(n, mode="exhaustive")
+    (frontier,) = seen
+    assert frontier.shape == (math.factorial(n), words) and frontier.dtype == np.uint64
+    # one word is the floor, even where one word passes the bound
+    assert frontier.nbytes <= max(SWEEP_BYTES, 8 * math.factorial(n))
 
 
 @pytest.mark.parametrize("n", [4, 5, 6, 7])
