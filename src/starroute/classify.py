@@ -289,6 +289,14 @@ def _count_block(block: np.ndarray, out: np.ndarray) -> tuple[np.ndarray, ...]:
     return cols, moved, same, crossed, label, alternates
 
 
+def _dest_rows(targets: Sequence[Sequence[int]], perms: np.ndarray) -> np.ndarray:
+    """The ``dest`` rows of every node of ``perms`` toward each of ``targets``,
+    an ``(m, n)`` uint8 block: row ``j * len(perms) + v`` is ``perms[v]``
+    toward ``targets[j]``."""
+    tpos = np.array([positions(t) for t in targets], dtype=np.uint8)
+    return tpos[:, perms].reshape(-1, perms.shape[1])
+
+
 def _count_rows(dest: np.ndarray) -> Counts:
     """:func:`_counts` for every row of ``dest``, each field an ``(m,)``
     uint8 array.

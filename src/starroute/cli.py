@@ -365,8 +365,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="all: every ordered pair (default through n=6, route and distance checks "
         "through n=7); reduced: one pair per orbit "
-        "under even relabeling, 2*n! pairs (default from n=7): route checks route every "
-        "node into the two canonical targets, distance checks measure from them",
+        "under even relabeling, 2*n! pairs (default from n=7): every node into the two "
+        "canonical targets, for the route and the distance checks alike",
     )
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--sample-size", type=int, default=SPLIT_MERGE_SAMPLES)

@@ -20,7 +20,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .classify import _ROW_BLOCK, _count_rows, _cycle_cols, crossing_load
+from .classify import _ROW_BLOCK, _count_rows, _cycle_cols, _dest_rows, crossing_load
 from .oracle import (
     MAX_TABLE_ORDER,
     UNREACHABLE,
@@ -127,7 +127,7 @@ def _required_distance(n: int) -> int:
 # rows of the route trees built at once: bounds the columns a group holds.
 # Larger groups run faster below order 7, where a target has few rows, but
 # perfbench's worker keeps every pass's report, so a faster route-sweep
-# reads a higher peak RSS there (ROADMAP items 1 and 5)
+# reads a higher peak RSS there (ROADMAP item 1)
 _GROUP_ROWS = 512
 
 
@@ -210,50 +210,42 @@ def _route_violations(n: int, targets: list[Perm]) -> _Sweep:
     return factorial(n) * len(targets), found, extras
 
 
-def _distance_violations(n: int, sources: list[Perm]) -> _Sweep:
+def _distance_violations(n: int, targets: list[Perm]) -> _Sweep:
     """The population and the violations of every distance check by name,
-    over the pairs from each of ``sources`` to every node.  The targets are
-    the rows of ``move_table(n).perms``, in rank order, so target j's BFS
-    distance is ``dist[j]``; a flagged target is named from its row.
+    over the route family's pairs: every node into each of ``targets``, row
+    ``j * n! + v`` being node v of ``move_table(n).perms`` into target j, as
+    in :class:`routetree.RouteTree`.  BFS distance is symmetric, so row j of an
+    :func:`oracle._distance_blocks` block is every node's distance into j.
 
-    This is the sweep path of the closed forms; ``routing.classic_distance``
-    and ``classic_distance_sets`` serve single pairs.  The pairs of each
-    :func:`oracle._distance_blocks` block, source by source and each
-    source's targets in rank order, go to :func:`classify._count_rows`
-    ``_ROW_BLOCK`` rows at a time.  ``distance-vs-bfs`` compares the
-    kernel's classic distance with BFS and ``set-formula`` compares the
-    half-partition sum ``ull + urr + ulr + url + nonsingleton`` with it, as
-    arrays; a :class:`Violation` is built only for a pair that differs.
+    A block's targets go to :func:`classify._count_rows` as
+    :func:`classify._dest_rows`, at most ``_ROW_BLOCK`` rows (one target at
+    least) at a time.  ``distance-vs-bfs`` compares the kernel's classic
+    distance with BFS and ``set-formula`` the half-partition sum ``ull +
+    urr + ulr + url + nonsingleton`` with it; a :class:`Violation` is built
+    only for a pair that differs.  ``routing.classic_distance`` and
+    ``classic_distance_sets`` serve single pairs.
     """
     found: dict[str, list[Violation]] = {name: [] for name in DISTANCE_CHECKS}
-    # where[j, v - 1]: the position of value v in target j, row j of perms
     perms = move_table(n).perms
     size = len(perms)
-    where = np.empty_like(perms)
-    for lo in range(0, size, _ROW_BLOCK):
-        block = perms[lo : lo + _ROW_BLOCK]
-        np.put_along_axis(where[lo : lo + _ROW_BLOCK], block - 1, np.arange(1, n + 1), axis=1)
-    for batch, block in _distance_blocks(sources):
-        values = np.array(batch, dtype=np.intp) - 1
-        bfs = block.ravel()
-        for start in range(0, len(bfs), _ROW_BLOCK):
-            src, tgt = np.divmod(np.arange(start, min(start + _ROW_BLOCK, len(bfs))), size)
-            rows = _count_rows(where[tgt[:, None], values[src]])
+    per = max(1, _ROW_BLOCK // size)
+    for batch, block in _distance_blocks(targets):
+        for lo in range(0, len(batch), per):
+            group, bfs = batch[lo : lo + per], block[lo : lo + per].ravel()
+
+            def flag(name: str, row: int, observed: int, bound: int | None) -> None:
+                node = tuple(perms[row % size].tolist())
+                found[name].append(Violation(node, group[row // size], observed, bound))
+
+            rows = _count_rows(_dest_rows(group, perms))
             d = rows.distance
-            actual = bfs[start : start + len(d)]
-            for i in np.flatnonzero(d != actual).tolist():
-                bound = None if actual[i] == UNREACHABLE else int(actual[i])
-                found["distance-vs-bfs"].append(
-                    Violation(batch[src[i]], tuple(perms[tgt[i]].tolist()), int(d[i]), bound)
-                )
+            for i in np.flatnonzero(d != bfs).tolist():
+                bound = None if bfs[i] == UNREACHABLE else int(bfs[i])
+                flag("distance-vs-bfs", i, int(d[i]), bound)
             via_sets = rows.ull + rows.urr + rows.ulr + rows.url + rows.nonsingleton
             for i in np.flatnonzero(via_sets != d).tolist():
-                found["set-formula"].append(
-                    Violation(
-                        batch[src[i]], tuple(perms[tgt[i]].tolist()), int(via_sets[i]), int(d[i])
-                    )
-                )
-    return len(sources) * size, found, {}
+                flag("set-formula", i, int(via_sets[i]), int(d[i]))
+    return len(targets) * size, found, {}
 
 
 def _decision(s: Perm, t: Perm) -> tuple[int, str, str]:
@@ -440,12 +432,11 @@ def verify(
 
     ``sources`` is ``"all"`` (every ordered pair, default through n=6 and
     for the route and distance checks allowed through :data:`ALL_SOURCES_ORDER`) or
-    ``"reduced"`` (default from n=7 on): one pair from each orbit of ordered
-    pairs under even relabeling, which the router respects
-    (``router-equivariance`` checks that), 2·n! pairs in all.  The route
-    checks take every node as source into the two canonical targets of
-    :func:`oracle.orbit_sources`; the distance checks take those two as
-    sources toward every node.  Route checks follow the contiguous-half
+    ``"reduced"`` (default from n=7 on): every node into the two canonical
+    targets of :func:`oracle.orbit_sources`, one pair from each orbit of
+    ordered pairs under even relabeling, 2·n! pairs in all.  The router
+    respects that relabeling (``router-equivariance`` checks it).  Both
+    families take the same pairs.  Route checks follow the contiguous-half
     scheme.  ``seed`` and ``sample_size`` control the sampled
     ``router-equivariance`` and ``split-merge`` checks at n >= 6; both are
     exhaustive below.
@@ -459,8 +450,8 @@ def verify(
     """
     if not 3 <= n <= MAX_TABLE_ORDER:
         raise ValueError(f"verify covers orders 3..{MAX_TABLE_ORDER}, got {n}")
-    if sample_size < 1:
-        raise ValueError(f"sample size must be at least 1, got {sample_size}")
+    if not isinstance(sample_size, int) or sample_size < 1:
+        raise ValueError(f"sample size must be an int of at least 1, got {sample_size!r}")
     if isinstance(checks, str):
         raise ValueError(f"checks must be a collection of names, not the string {checks!r}")
     selected = list(ALL_CHECKS) if checks is None else list(checks)

@@ -31,9 +31,9 @@ import numpy as np
 
 # the runaway limit and the decision cases are read through the module
 from . import routing
-from .classify import _ROW_BLOCK, Counts, _count_block, _halves
+from .classify import _ROW_BLOCK, Counts, _count_block, _dest_rows, _halves
 from .oracle import move_table
-from .perm import Perm, positions
+from .perm import Perm
 from .routing import CROSSING_KINDS, MoveKind, PhaseSummary, RouteTrace, RoutingInvariantError
 from .topology import Scheme, boundary, out_links
 
@@ -177,8 +177,7 @@ class RouteTree:
         table = move_table(n)
         self.n, self.targets = n, list(targets)
         self.size = size = len(table.perms)
-        tpos = np.array([positions(t) for t in self.targets], dtype=np.uint8)
-        dest = tpos[:, table.perms].reshape(-1, n)
+        dest = _dest_rows(self.targets, table.perms)
         rows = len(dest)
         self.odd = odd = np.tile(table.odd.view(np.uint8), len(self.targets))
         counts, link, move, case = self._decide(dest, odd)

@@ -1,8 +1,10 @@
 """Acceptance suite: one test per criterion, each printing a PASS line.
 
 The oriented-route sweeps at n = 5, 6 (all ordered pairs) and n = 7
-(every source into the two canonical targets) are shared across criteria
-through module-scoped fixtures, so the n = 6 sweep runs exactly once.  Run
+(every node into the two canonical targets) are shared across criteria
+through module-scoped fixtures, so the n = 6 sweep runs exactly once.
+Under reduced sources the distance checks take the same pairs as the
+route checks: every node into the two canonical targets.  Run
 with ``-v`` (optionally ``-s`` to see the audit lines on passing runs).
 """
 from __future__ import annotations
@@ -74,7 +76,7 @@ def test_criterion_2_distance_formulas_reduced_seven():
     _audit(2, f"n=7 reduced: both closed forms equal BFS on {pairs} pairs")
 
 
-# beyond criterion 2's populations: the same canonical sources at n = 8, 9
+# beyond criterion 2's populations: every node into the same canonical targets at n = 8, 9
 @pytest.mark.parametrize("n", [8, 9])
 def test_distance_formulas_reduced_eight_and_nine(n):
     report = verify(n, checks=DISTANCE_CHECKS, sources="reduced")

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from starroute import harness, routetree, routing
-from starroute.classify import _ROW_BLOCK
+from starroute.classify import _ROW_BLOCK, _dest_rows
 from starroute.harness import (
     ALL_CHECKS,
     DISTANCE_CHECKS,
@@ -23,8 +23,8 @@ from starroute.harness import (
     witness,
 )
 from starroute.classify import crossing_load
-from starroute.oracle import SWEEP_WIDTH, UNREACHABLE
-from starroute.perm import compose, inverse, positions
+from starroute.oracle import UNREACHABLE, move_table, orbit_sources
+from starroute.perm import compose, inverse, parity, positions
 from starroute.routing import (
     MoveKind,
     RoutingInvariantError,
@@ -353,20 +353,74 @@ def test_stretch_bound_reads_the_classic_distance_of_every_pair(monkeypatch):
     assert read == [classic_distance(s, t) for t in nodes for s in nodes]
 
 
+def test_distance_checks_read_the_classic_distance_of_every_pair(monkeypatch):
+    # the distance family's rows are the route trees' rows: by target, then by node
+    nodes = all_perms(5)
+    count_rows = harness._count_rows
+    read = []
+
+    def recording(dest):
+        rows = count_rows(dest)
+        read.extend(rows.distance.tolist())
+        return rows
+
+    monkeypatch.setattr(harness, "_count_rows", recording)
+    assert verify(5, checks=DISTANCE_CHECKS).ok
+    assert read == [classic_distance(s, t) for t in nodes for s in nodes]
+
+
+def test_both_families_read_the_same_reduced_rows(monkeypatch):
+    pick_rows, count_rows = routetree._pick_rows, harness._count_rows
+    seen = {"route": [], "distance": []}
+
+    def route_rows(dest, odd):
+        seen["route"].append(dest.copy())
+        return pick_rows(dest, odd)
+
+    def distance_rows(dest):
+        seen["distance"].append(dest.copy())
+        return count_rows(dest)
+
+    monkeypatch.setattr(routetree, "_pick_rows", route_rows)
+    monkeypatch.setattr(harness, "_count_rows", distance_rows)
+    report = verify(7, checks=["hop-bound", "set-formula"], sources="reduced")
+    assert report.ok and [c.population for c in report.checks] == [2 * 5040] * 2
+    route, distance = (np.concatenate(seen[family]) for family in ("route", "distance"))
+    assert route.shape == (2 * 5040, 7)
+    assert np.array_equal(route, distance)
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_reduced_pairs_hit_each_orbit_exactly_once(n):
+    # (s, t) and (h s, h t) with h even share the dest row and the target's
+    # parity, and two pairs with equal keys are related by h = t' t^-1
+    perms = move_table(n).perms
+
+    def keys(targets):
+        dest = _dest_rows(targets, perms)
+        odd = np.repeat([parity(t) for t in targets], len(perms))
+        return [(row.tobytes(), bool(p)) for row, p in zip(dest, odd)]
+
+    reduced = keys(orbit_sources(n))
+    assert len(set(reduced)) == len(reduced) == 2 * len(perms)
+    assert set(reduced) == set(keys(all_perms(n)))
+
+
 def test_distance_vs_bfs_reports_exactly_the_planted_bfs_entries(monkeypatch):
+    # block entry (j, v) is node v's BFS distance into target j
     nodes = all_perms(4)
-    wrong, lost = (5, 7), (20, 13)  # (source, target) indices
+    wrong, lost = (5, 7), (20, 13)  # (target, node) indices
     blocks = harness._distance_blocks
 
-    def tampered(sources):
-        ((batch, block),) = blocks(sources)  # the 24 order-4 sources sweep at once
+    def tampered(targets):
+        ((batch, block),) = blocks(targets)  # the 24 order-4 targets sweep at once
         block[wrong] += 1
         block[lost] = UNREACHABLE
         yield batch, block
 
     monkeypatch.setattr(harness, "_distance_blocks", tampered)
     report = verify(4, checks=DISTANCE_CHECKS)
-    (s, t), (u, w) = [(nodes[i], nodes[j]) for i, j in (wrong, lost)]
+    (s, t), (u, w) = [(nodes[v], nodes[j]) for j, v in (wrong, lost)]
     assert report.check("distance-vs-bfs").violations == (
         Violation(s, t, classic_distance(s, t), classic_distance(s, t) + 1),
         Violation(u, w, classic_distance(u, w), None),
@@ -375,23 +429,26 @@ def test_distance_vs_bfs_reports_exactly_the_planted_bfs_entries(monkeypatch):
 
 
 def test_set_formula_reports_exactly_a_planted_kernel_row(monkeypatch):
-    # the second block of the first batch starts at pair _ROW_BLOCK
+    # each call takes whole targets' rows, so row j * 5! + v over the calls
+    # in order is node v into target j
     nodes = all_perms(5)
-    assert min(SWEEP_WIDTH, len(nodes)) * len(nodes) > _ROW_BLOCK
+    planted = 1_000  # a row of the second call
     count_rows = harness._count_rows
     calls = []
 
     def tampered(dest):
         rows = count_rows(dest)
         if len(calls) == 1:
-            rows.ulr[0] += 1
+            rows.ulr[planted] += 1
         calls.append(len(dest))
         return rows
 
     monkeypatch.setattr(harness, "_count_rows", tampered)
     report = verify(5, checks=DISTANCE_CHECKS)
-    assert sum(calls) == len(nodes) ** 2 and max(calls) == _ROW_BLOCK
-    s, t = nodes[_ROW_BLOCK // len(nodes)], nodes[_ROW_BLOCK % len(nodes)]
+    assert sum(calls) == len(nodes) ** 2 and max(calls) <= _ROW_BLOCK
+    assert all(rows % len(nodes) == 0 for rows in calls)
+    j, v = divmod(calls[0] + planted, len(nodes))
+    s, t = nodes[v], nodes[j]
     d = classic_distance(s, t)
     assert report.check("set-formula").violations == (Violation(s, t, d + 1, d),)
     assert report.check("distance-vs-bfs").ok
@@ -406,6 +463,13 @@ def test_verify_rejects_a_bare_string_of_checks():
     # a string is a collection of characters, not of check names
     with pytest.raises(ValueError, match="not the string 'hop-bound'"):
         verify(4, checks="hop-bound")
+
+
+@pytest.mark.parametrize("n,checks", [(6, ["split-merge"]), (5, None)])
+def test_verify_rejects_a_sample_size_that_is_not_an_int(n, checks):
+    # at order 5 no check samples, but the size is checked all the same
+    with pytest.raises(ValueError, match="sample size must be an int of at least 1, got 2.5"):
+        verify(n, checks=checks, sample_size=2.5)
 
 
 def test_verify_subset_and_reduced_sources():
