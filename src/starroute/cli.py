@@ -38,7 +38,7 @@ from .harness import (
     verify,
     witness,
 )
-from .oracle import MAX_TABLE_ORDER, diameter, distance
+from .oracle import check_order, diameter, distance
 from .perm import format_perm, parse_perm
 from .routing import RouteTrace, classic_route, oriented_route
 from .topology import Scheme, arc_direction, neighbors
@@ -263,8 +263,7 @@ def _parse_orders(text: str) -> list[int]:
         except ValueError:
             raise ValueError(f"malformed order list {text!r}") from None
         for order in span:
-            if not 3 <= order <= MAX_TABLE_ORDER:
-                raise ValueError(f"table covers orders 3..{MAX_TABLE_ORDER}, got {order}")
+            check_order(order, "table covers orders")
         if span[0] > span[1]:
             raise ValueError(f"reversed range {item!r}")
         spans.append(span)

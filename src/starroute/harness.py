@@ -22,9 +22,9 @@ import numpy as np
 
 from .classify import _ROW_BLOCK, _count_rows, _cycle_cols, _dest_rows, crossing_load
 from .oracle import (
-    MAX_TABLE_ORDER,
     UNREACHABLE,
     _distance_blocks,
+    check_order,
     diameter,
     distance_fields,
     move_table,
@@ -448,9 +448,10 @@ def verify(
     given.  A check's figures are those its family's sweep reports for it,
     as :attr:`CheckResult.figures`.
     """
-    if not 3 <= n <= MAX_TABLE_ORDER:
-        raise ValueError(f"verify covers orders 3..{MAX_TABLE_ORDER}, got {n}")
-    if not isinstance(sample_size, int) or sample_size < 1:
+    check_order(n, "verify covers orders")
+    if isinstance(seed, bool) or not isinstance(seed, int):
+        raise ValueError(f"seed must be an int, got {seed!r}")
+    if isinstance(sample_size, bool) or not isinstance(sample_size, int) or sample_size < 1:
         raise ValueError(f"sample size must be an int of at least 1, got {sample_size!r}")
     if isinstance(checks, str):
         raise ValueError(f"checks must be a collection of names, not the string {checks!r}")
@@ -517,8 +518,7 @@ def witness(n: int, variant: str = "default") -> Perm:
     """
     if variant not in ("default", "even-refined"):
         raise ValueError(f"variant must be 'default' or 'even-refined', not {variant!r}")
-    if not 5 <= n <= MAX_TABLE_ORDER:
-        raise ValueError(f"witness covers orders 5..{MAX_TABLE_ORDER}, got {n}")
+    check_order(n, "witness covers orders", 5)
     if variant == "even-refined" and (n % 2 or n < 8):
         raise ValueError(f"even-refined witness needs even n >= 8, got {n}")
     k = boundary(n).k
@@ -562,8 +562,7 @@ def lower_bound_check(n: int, scheme: Scheme = Scheme.FUJITA) -> LowerBoundRepor
     names the permutation measured.  The bound is on a directed diameter,
     so ``scheme`` must be a :class:`Scheme`.
     """
-    if not 5 <= n <= MAX_TABLE_ORDER:
-        raise ValueError(f"lower_bound_check covers n in 5..{MAX_TABLE_ORDER}, got {n}")
+    check_order(n, "lower_bound_check covers n in", 5)
     if not isinstance(scheme, Scheme):
         raise ValueError(f"the lower bound needs an orientation Scheme, got {scheme!r}")
     variants = ["default"]

@@ -47,6 +47,13 @@ MAX_RANK_ORDER = 12  # rank arithmetic stays within machine ints
 MAX_TABLE_ORDER = 9  # 9! vertices ~ a few MB per table / distance field
 
 
+def check_order(n: int, covers: str, lo: int = 3) -> None:
+    """Raise ValueError unless ``n`` is an int in ``lo..MAX_TABLE_ORDER``;
+    ``covers`` opens the message, as ``"witness covers orders"``."""
+    if not isinstance(n, int) or not lo <= n <= MAX_TABLE_ORDER:
+        raise ValueError(f"{covers} {lo}..{MAX_TABLE_ORDER}, got {n!r}")
+
+
 def rank(p: Sequence[int]) -> int:
     """Lehmer-code rank of ``p`` among all n! permutations, identity first.
 
@@ -139,8 +146,7 @@ def _lexicographic_perms(n: int) -> np.ndarray:
 
 
 def move_table(n: int) -> MoveTable:
-    if not 3 <= n <= MAX_TABLE_ORDER:
-        raise ValueError(f"BFS oracle supports orders 3..{MAX_TABLE_ORDER}, got {n}")
+    check_order(n, "BFS oracle supports orders")
     table = _tables.get(n)
     if table is None:
         perms = _lexicographic_perms(n)
@@ -399,6 +405,7 @@ def diameter(n: int, scheme: Scheme | None = None, mode: str | None = None) -> D
     """
     if mode not in (None, "exhaustive", "orbit"):
         raise ValueError(f"unknown diameter mode {mode!r}")
+    check_order(n, "BFS oracle supports orders")
     if mode is None:
         mode = "exhaustive" if n <= 7 else "orbit"
     sends = _sends(n, scheme)  # checked before the table is built

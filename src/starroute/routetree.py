@@ -9,8 +9,8 @@ node v into target j.  Each column is a numpy array over the rows:
 
 - the counts and the decision of :func:`_pick_rows`, one pass over the
   blocks for :func:`classify._count_rows` and the row kernel of
-  :func:`routing._oriented_pick` (link, move kind and case).  The
-  successor is a gather, ``moves[v, link - 2]``;
+  :func:`routing._oriented_pick` (link, move kind and case, all three
+  from that pass).  The successor is a gather, ``moves[v, link - 2]``;
 - a route DP as path sums, over up to ``routing._runaway_limit(n)`` levels
   outward from the roots: each route's ``sums`` of per-hop indicators
   (``_HOPS``), its ``near`` pointers to the first rows of the route where a
@@ -43,11 +43,6 @@ _SETTLING, _SEEDING, _CROSSING, _FINAL, _PRE_FINAL = range(len(_KINDS))
 _AT_TARGET = len(_KINDS)  # a row already at its target: no hop leaves it
 # a row's case code j is routing.CASES[j]; this one is a target's
 _NO_CASE = len(routing.CASES)
-# the move kind of each case code: a 2.x hop seeds instead when c(1) = t(1),
-# and a 3.2 hop that does not bring t(1) forward is pre-final
-_CASE_MOVE = np.array(
-    [_SETTLING] + [_CROSSING] * 5 + [_FINAL, _FINAL, _SEEDING, _AT_TARGET], dtype=np.uint8
-)
 _NO_PICK = 255  # the case code of a row whose pick set came out empty
 # per move kind code: the hop crosses; the target's entry crosses nothing
 _CROSSES = np.array([kind in CROSSING_KINDS for kind in _KINDS] + [False])
@@ -69,11 +64,19 @@ def _lowest(mask: np.ndarray) -> np.ndarray:
     return rows + 2 - (mask * weight).max(axis=0)
 
 
-def _pick_rows(dest: np.ndarray, odd: np.ndarray) -> tuple[Counts, np.ndarray, np.ndarray]:
+def _pick_rows(
+    dest: np.ndarray, odd: np.ndarray
+) -> tuple[Counts, np.ndarray, np.ndarray, np.ndarray]:
     """:func:`classify._count_rows` and :func:`routing._oriented_pick` for
-    every row of ``dest``, in one pass: the counts, and the link and the
-    decision case (code ``j`` of ``routing.CASES[j]``), each an ``(m,)``
-    uint8 array.  A row already at its target gets link 0 and ``_NO_CASE``.
+    every row of ``dest``, in one pass: the counts, and the link, the move
+    kind (code ``j`` of ``_KINDS[j]``) and the decision case (code ``j`` of
+    ``routing.CASES[j]``), each an ``(m,)`` uint8 array.  A row already at
+    its target gets link 0, ``_AT_TARGET`` and ``_NO_CASE``.
+
+    The move kind follows the value at position 1 (``routing`` docstring),
+    by the first rule that holds: case 1 settles; c(1) = t(1) seeds (only
+    2.x and 4 can have it); the other burn-down hops (2.1-2.5) cross; a 3.2
+    hop whose link is not where t(1) sits is pre-final; the rest are final.
 
     ``dest`` is an ``(m, n)`` uint8 block, one row per (current, target)
     pair, as :func:`classify._count_rows` takes it; ``odd`` is the parity
@@ -92,6 +95,7 @@ def _pick_rows(dest: np.ndarray, odd: np.ndarray) -> tuple[Counts, np.ndarray, n
     here = _halves(pos[1:], k)[:, None]  # the half of each of positions 2..n
     counts = np.empty((7, m), dtype=np.uint8)
     link = np.empty(m, dtype=np.uint8)
+    move = np.empty(m, dtype=np.uint8)
     case = np.empty(m, dtype=np.uint8)
     for lo in range(0, m, _ROW_BLOCK):
         cols, moved, same, crossed, label, alternates = _count_block(
@@ -154,20 +158,15 @@ def _pick_rows(dest: np.ndarray, odd: np.ndarray) -> tuple[Counts, np.ndarray, n
             if not found.all():
                 raise RoutingInvariantError("backward cycle walk found no same-half value")
             choice[2, walk] = found
-        link[lo : lo + r] = choice[code, np.arange(r)]
+        picked = choice[code, np.arange(r)]
+        link[lo : lo + r] = picked
+        move[lo : lo + r] = np.select(
+            [code == _NO_CASE, code == 0, first == 1, code <= 5, (code == 7) & (picked != t1)],
+            [_AT_TARGET, _SETTLING, _SEEDING, _CROSSING, _PRE_FINAL],
+            _FINAL,
+        )
         case[lo : lo + r] = code
-    return Counts(*counts), link, case
-
-
-def _move_rows(dest: np.ndarray, link: np.ndarray, case: np.ndarray) -> np.ndarray:
-    """The move kind code (``_KINDS``) of each row's picked hop, read off
-    its case as :func:`routing._oriented_pick` names it."""
-    move = _CASE_MOVE[case]
-    burn = (case >= 1) & (case <= 5)
-    move[burn & (dest[:, 0] == 1)] = _SEEDING
-    last = np.flatnonzero(case == 7)
-    move[last[dest[last, link[last].astype(np.intp) - 1] != 1]] = _PRE_FINAL
-    return move
+    return Counts(*counts), link, move, case
 
 
 class RouteTree:
@@ -235,11 +234,10 @@ class RouteTree:
     def _decide(
         self, dest: np.ndarray, odd: np.ndarray
     ) -> tuple[Counts, np.ndarray, np.ndarray, np.ndarray]:
-        """Every row's counts and decision: link, move kind code and case
-        code.  One call per tree, so that the decisions can be replaced as a
-        whole."""
-        counts, link, case = _pick_rows(dest, odd)
-        return counts, link, _move_rows(dest, link, case), case
+        """Every row's counts and decision (link, move kind code and case
+        code), as :func:`_pick_rows` gives them.  One call per tree, so that
+        the decisions can be replaced as a whole."""
+        return _pick_rows(dest, odd)
 
     def node(self, row: int) -> Perm:
         """The node that route ``row`` starts from."""

@@ -609,31 +609,24 @@ def _phase_faults(summary: PhaseSummary) -> list[Law]:
         f"{s.alternating[i]} -> {a.alternating[i]}",
     )
 
-    # law (b); it does not apply where the burn-down chain was interrupted
-    quiet = ~extended & (a.ull == 0) & (a.urr == 0) & (np.where(alpha_odd, a.url, a.ulr) == 0)
-    law(
-        quiet & (g.alternating > 1),
-        lambda i: f"chi(gamma) = {g.alternating[i]} > 1 with no burn-down at alpha",
-    )
-    law(quiet & (len2 > 2), lambda i: f"Phase Two has {len2[i]} hops, expected <= 2")
-    law(
-        quiet & (g_x > a_x + 2),
-        lambda i: f"crossed count {a_x[i]} -> {g_x[i]} over Phase Two, expected <= +2",
-    )
-    burning = ~extended & ~quiet
+    # law (b), one law per bound, its limit read from each route's regime:
+    # quiet where alpha has no burn-down and nothing crossed in its reach,
+    # burning otherwise; skipped where the burn-down chain was interrupted
+    quiet = (a.ull == 0) & (a.urr == 0) & (np.where(alpha_odd, a.url, a.ulr) == 0)
     most = np.maximum(a.ull, a.urr).astype(np.int16)
+    chi = np.where(quiet, 1, a.alternating.astype(np.int16) + 1)
     law(
-        burning & (g.alternating > a.alternating.astype(np.int16) + 1),
-        lambda i: f"chi grew {a.alternating[i]} -> {g.alternating[i]} over Phase Two, "
-        "expected <= +1",
+        ~extended & (g.alternating > chi),
+        lambda i: f"chi(gamma) = {g.alternating[i]} > 1 with no burn-down at alpha"
+        if quiet[i]
+        else f"chi grew {a.alternating[i]} -> {g.alternating[i]} over Phase Two, expected <= +1",
     )
+    hops = np.where(quiet, 2, 2 * most + 1)
+    law(~extended & (len2 > hops), lambda i: f"Phase Two has {len2[i]} hops, expected <= {hops[i]}")
+    rise = np.where(quiet, 2, 2 * most)
     law(
-        burning & (len2 > 2 * most + 1),
-        lambda i: f"Phase Two has {len2[i]} hops, expected <= {2 * most[i] + 1}",
-    )
-    law(
-        burning & (g_x > a_x + 2 * most),
-        lambda i: f"crossed count {a_x[i]} -> {g_x[i]} over Phase Two, expected <= +{2 * most[i]}",
+        ~extended & (g_x > a_x + rise),
+        lambda i: f"crossed count {a_x[i]} -> {g_x[i]} over Phase Two, expected <= +{rise[i]}",
     )
 
     law((g.ull > 0) | (g.urr > 0), lambda i: f"gamma still has burn-down {g.ull[i]}+{g.urr[i]}")

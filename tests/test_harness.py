@@ -23,7 +23,7 @@ from starroute.harness import (
     witness,
 )
 from starroute.classify import crossing_load
-from starroute.oracle import UNREACHABLE, move_table, orbit_sources
+from starroute.oracle import UNREACHABLE, diameter, move_table, orbit_sources
 from starroute.perm import compose, inverse, parity, positions
 from starroute.routing import (
     MoveKind,
@@ -139,7 +139,14 @@ def test_verify_order_four_full():
     assert populations["split-merge"] == 1728
     assert all(not c.violations for c in report.checks)
     assert report.check("hop-bound").ok
-    assert report.check("phase-structure").figures["extended"] == 72
+    assert report.check("phase-structure").figures == {
+        "extended": 72,
+        # every decision case fires at order 4, case 2.5 only there
+        "cases": {
+            "1": 216, "2.1": 48, "2.2": 24, "2.3": 36, "2.4": 24, "2.5": 24,
+            "3.1": 48, "3.2": 84, "4": 48,
+        },
+    }
     assert report.check("route-validity").figures == {}
     hash(report)  # a dict of figures leaves the report hashable
     with pytest.raises(KeyError):
@@ -344,9 +351,9 @@ def test_stretch_bound_reads_the_classic_distance_of_every_pair(monkeypatch):
     read = []  # the distances of each route tree's rows: by target, then by node
 
     def recording(dest, odd):
-        counts, link, case = pick_rows(dest, odd)
+        counts, *decision = pick_rows(dest, odd)
         read.extend(counts.distance.tolist())
-        return counts, link, case
+        return counts, *decision
 
     monkeypatch.setattr(routetree, "_pick_rows", recording)
     assert verify(5, checks=["stretch-bound"]).ok
@@ -470,6 +477,38 @@ def test_verify_rejects_a_sample_size_that_is_not_an_int(n, checks):
     # at order 5 no check samples, but the size is checked all the same
     with pytest.raises(ValueError, match="sample size must be an int of at least 1, got 2.5"):
         verify(n, checks=checks, sample_size=2.5)
+
+
+@pytest.mark.parametrize(
+    "kwargs,message",
+    [
+        # no seed would sample from OS entropy, a run that cannot be repeated
+        ({"seed": None}, "seed must be an int, got None"),
+        ({"seed": [1]}, r"seed must be an int, got \[1\]"),
+        ({"seed": True}, "seed must be an int, got True"),
+        ({"sample_size": True}, "sample size must be an int of at least 1, got True"),
+    ],
+)
+def test_verify_rejects_a_seed_or_sample_size_that_is_not_an_int(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        verify(6, checks=["router-equivariance", "split-merge"], **kwargs)
+
+
+@pytest.mark.parametrize(
+    "entry,args,covers",
+    [
+        (verify, (5.0,), "verify covers orders 3..9"),
+        (move_table, (5.0,), "BFS oracle supports orders 3..9"),
+        (diameter, (5.0,), "BFS oracle supports orders 3..9"),
+        (diameter, (5.0, Scheme.FUJITA), "BFS oracle supports orders 3..9"),
+        (diameter_table, ([5.0],), "BFS oracle supports orders 3..9"),
+        (witness, (5.0,), "witness covers orders 5..9"),
+        (lower_bound_check, (5.0,), "lower_bound_check covers n in 5..9"),
+    ],
+)
+def test_an_order_that_is_not_an_int_is_rejected(entry, args, covers):
+    with pytest.raises(ValueError, match=f"{covers}, got 5.0"):
+        entry(*args)
 
 
 def test_verify_subset_and_reduced_sources():

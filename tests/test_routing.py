@@ -3,15 +3,20 @@ from __future__ import annotations
 import dataclasses
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from starroute.classify import Counts
 from starroute.oracle import distance
 from starroute.perm import apply_generator, compose, parity, parse_perm
 from starroute.routing import (
     CROSSING_KINDS,
     MoveKind,
+    PhaseSummary,
     RouteTrace,
+    _fault_texts,
+    _phase_faults,
     check_phase_invariants,
     classic_distance,
     classic_distance_sets,
@@ -217,6 +222,42 @@ def test_phase_check_reports_ragged_columns():
         assert not report.ok
         assert report.violations == ("columns have unequal lengths",)
     assert check_phase_invariants(_tamper(trace, nodes=trace.nodes[:2])).phase_lengths == (0, 1, 4)
+
+
+def test_law_b_texts_in_either_regime():
+    # three routes that break nothing but law (b): a quiet alpha (no
+    # burn-down, nothing crossed in its reach), a burning one with
+    # max(ull, urr) = 1, and the quiet one on an extended route.  Each
+    # starts Phase Two at its source and ends it with its one final crossing
+    # at gamma, whose 3 crossed values Phase Three settles.  The quiet alpha
+    # has chi = 1, so that its chi limit, 1, is not the burning one, chi + 1
+    def counts(*rows):
+        return Counts(*np.array(rows, dtype=np.uint8).T)
+
+    def column(*values):
+        return np.array(values, dtype=np.int16)
+
+    quiet = (0, 0, 0, 0, 1, 1, 1)  # ull, urr, ulr, url, chi, c, distance
+    burning = (1, 0, 0, 0, 1, 1, 1)
+    alpha = counts(quiet, burning, quiet)
+    gamma = counts((0, 0, 3, 0, 2, 0, 3), (0, 0, 3, 0, 3, 0, 3), (0, 0, 3, 0, 2, 0, 3))
+    summary = PhaseSummary(
+        column(6, 7, 6), column(0, 0, 0), column(3, 4, 3), np.array([False, False, True]),
+        column(1, 1, 1), column(2, 3, 2), column(0, 0, 0), column(-1, -1, -1),
+        column(0, 0, 0), alpha, alpha, gamma, column(0, 0, 0), None,
+    )
+    laws = _phase_faults(summary)
+    assert _fault_texts(laws, 0) == [
+        "chi(gamma) = 2 > 1 with no burn-down at alpha",
+        "Phase Two has 3 hops, expected <= 2",
+        "crossed count 0 -> 3 over Phase Two, expected <= +2",
+    ]
+    assert _fault_texts(laws, 1) == [
+        "chi grew 1 -> 3 over Phase Two, expected <= +1",
+        "Phase Two has 4 hops, expected <= 3",
+        "crossed count 0 -> 3 over Phase Two, expected <= +2",
+    ]
+    assert _fault_texts(laws, 2) == []
 
 
 def test_validate_trace_accepts_classic_even_against_arcs():

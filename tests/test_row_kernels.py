@@ -16,7 +16,7 @@ import pytest
 from starroute.classify import _count_rows, _counts
 from starroute.oracle import move_table
 from starroute.perm import parity, positions
-from starroute.routetree import _KINDS, _NO_CASE, _move_rows, _pick_rows
+from starroute.routetree import _KINDS, _NO_CASE, _pick_rows
 from starroute.routing import CASES, _oriented_pick
 from starroute.topology import boundary
 
@@ -49,8 +49,7 @@ def test_row_kernels_match_the_scalar_pick_and_counts(n):
     half = boundary(n).half
     pairs = _pairs(n)
     dest, odd = _rows(n, pairs)
-    counts, link, case = _pick_rows(dest, odd)
-    move = _move_rows(dest, link, case)
+    counts, link, move, case = _pick_rows(dest, odd)
     # the one pass gives the counts of the distance sweep's kernel
     assert all((a == b).all() for a, b in zip(counts, _count_rows(dest)))
     alternating = counts.alternating
