@@ -367,8 +367,21 @@ def build_parser() -> argparse.ArgumentParser:
         "under even relabeling, 2*n! pairs (default from n=7): every node into the two "
         "canonical targets, for the route and the distance checks alike",
     )
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--sample-size", type=int, default=SPLIT_MERGE_SAMPLES)
+    p.add_argument(
+        "--seed",
+        type=int,
+        default=0,
+        help="seed of the samples split-merge and router-equivariance draw from n=6 on "
+        "(default 0); a seed's sample changed when they began to draw permutations "
+        "as arrays",
+    )
+    p.add_argument(
+        "--sample-size",
+        type=int,
+        default=SPLIT_MERGE_SAMPLES,
+        help=f"triples split-merge and pairs router-equivariance draw from n=6 on "
+        f"(default {SPLIT_MERGE_SAMPLES}); both are exhaustive below",
+    )
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_verify)
 

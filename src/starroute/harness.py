@@ -253,6 +253,29 @@ def _decision(s: Perm, t: Perm) -> tuple[int, str, str]:
     return link, case, kind.value
 
 
+# rows split-merge and router-equivariance take at once: bounds memory at any sample size
+_SPLIT_MERGE_ROWS = 1024
+
+
+def _draw(rng: random.Random, m: int, n: int) -> np.ndarray:
+    """``m`` permutations of 1..n as an ``(m, n)`` uint8 block, each row the
+    stable argsort (plus one) of n random 32-bit keys from ``rng.randbytes``."""
+    keys = np.frombuffer(rng.randbytes(4 * m * n), dtype="<u4").reshape(m, n)
+    return (np.argsort(keys, axis=1, kind="stable") + 1).astype(np.uint8)
+
+
+def _drawn_pairs(n: int, seed: int, sample_size: int) -> Iterator[tuple[Perm, Perm]]:
+    """``sample_size`` pairs (s, t), s != t, from ``random.Random(seed)``: per
+    ``_SPLIT_MERGE_ROWS`` rows t and then s by :func:`_draw`, s redrawn where s = t."""
+    rng = random.Random(seed)
+    for lo in range(0, sample_size, _SPLIT_MERGE_ROWS):
+        m = min(_SPLIT_MERGE_ROWS, sample_size - lo)
+        t, s = _draw(rng, m, n), _draw(rng, m, n)
+        while (same := np.flatnonzero((s == t).all(axis=1))).size:
+            s[same] = _draw(rng, same.size, n)
+        yield from zip(map(tuple, s.tolist()), map(tuple, t.tolist()))
+
+
 def _equivariance_violations(n: int, seed: int, sample_size: int) -> _Sweep:
     """Router equivariance under even relabeling, the property that lets
     ``sources="reduced"`` route into two canonical targets only.
@@ -262,23 +285,14 @@ def _equivariance_violations(n: int, seed: int, sample_size: int) -> _Sweep:
     t.  The decision (link, case, move kind) at node s toward t must equal
     the one at h^-1 s = c t^-1 s toward c.  Every node and target is
     compared through order 5; from order 6 on, ``sample_size`` (node,
-    target) pairs drawn from ``seed``.
+    target) pairs from :func:`_drawn_pairs`.
     """
-
-    def sampled() -> Iterator[tuple[Perm, Perm]]:
-        rng = random.Random(seed)
-        for _ in range(sample_size):
-            t = s = tuple(rng.sample(range(1, n + 1), n))
-            while s == t:
-                s = tuple(rng.sample(range(1, n + 1), n))
-            yield s, t
-
     if n <= 5:
         nodes = _nodes(n)
         population = len(nodes) * (len(nodes) - 1)
         pairs: Iterable[tuple[Perm, Perm]] = ((s, t) for t in nodes for s in nodes if s != t)
     else:
-        population, pairs = sample_size, sampled()
+        population, pairs = sample_size, _drawn_pairs(n, seed, sample_size)
     canonical = orbit_sources(n)
     found: list[Violation] = []
     for s, t in pairs:
@@ -360,42 +374,31 @@ def _split_merge_rows(dest: np.ndarray, link: np.ndarray) -> np.ndarray:
     return broken.any(axis=0) | (cycles != 1 + (first == other))
 
 
-def _split_merge_triples(n: int, seed: int, sample_size: int) -> Iterator[list[int]]:
-    """The (c, t, link) triples of the split/merge check, each as one row
-    ``c + t + [link]``: through order 5 every triple, c and then t in rank
-    order and links ascending; beyond, ``sample_size`` triples, each from
-    two shuffles of 1..n and ``randint(2, n)`` of ``random.Random(seed)``."""
-    if n <= 5:
-        nodes = _nodes(n)
-        for c in nodes:
-            for t in nodes:
-                for link in range(2, n + 1):
-                    yield [*c, *t, link]
-        return
-    values = list(range(1, n + 1))
+def _split_merge_blocks(n: int, seed: int, sample_size: int) -> Iterator[tuple[np.ndarray, ...]]:
+    """The split/merge check's (c, t, link) rows, ``_SPLIT_MERGE_ROWS`` at a
+    time: through order 5 every triple, c then t in rank order, links ascending;
+    beyond, ``sample_size`` from ``random.Random(seed)``, c and t by :func:`_draw`
+    and the link 1 + the first entry of a drawn permutation of 1..n-1."""
     rng = random.Random(seed)
-    for _ in range(sample_size):
-        c = values[:]
-        t = values[:]
-        rng.shuffle(c)
-        rng.shuffle(t)
-        yield c + t + [rng.randint(2, n)]
-
-
-# triples drawn and evaluated at once by the split/merge sweep: bounds its
-# arrays whatever the sample size
-_SPLIT_MERGE_ROWS = 1024
+    nodes = np.array(_nodes(n), dtype=np.uint8) if n <= 5 else None
+    size = sample_size if nodes is None else len(nodes) ** 2 * (n - 1)
+    for lo in range(0, size, _SPLIT_MERGE_ROWS):
+        m = min(_SPLIT_MERGE_ROWS, size - lo)
+        if nodes is None:
+            yield _draw(rng, m, n), _draw(rng, m, n), _draw(rng, m, n - 1)[:, 0] + 1
+        else:
+            pair, link = np.divmod(np.arange(lo, lo + m), n - 1)
+            yield nodes[pair // len(nodes)], nodes[pair % len(nodes)], (link + 2).astype(np.uint8)
 
 
 def _split_merge_violations(n: int, seed: int, sample_size: int) -> _Sweep:
     """The split/merge law for one hop from c toward t: every (c, t, link)
     through order 5, ``sample_size`` triples drawn from ``seed`` beyond.
 
-    The triples of :func:`_split_merge_triples` are drawn
-    ``_SPLIT_MERGE_ROWS`` at a time, each block just before it is used, so
-    memory does not grow with the sample size.  A block becomes ``dest``
-    rows, and :func:`_split_merge_rows` applies the law to them at once: it
-    labels the cycles before and after the hop with
+    Each block of :func:`_split_merge_blocks` is drawn just before it is
+    used, so memory does not grow with the sample size.  A block becomes
+    ``dest`` rows, and :func:`_split_merge_rows` applies the law to them at
+    once: it labels the cycles before and after the hop with
     :func:`classify._cycle_cols`, names the cycles after it by their
     positions before (the τ = (1 link) relabelling), and flags a row where a
     cycle off the two at positions 1 and ``link`` changes, a cycle reaches
@@ -404,18 +407,14 @@ def _split_merge_violations(n: int, seed: int, sample_size: int) -> _Sweep:
     per-triple reference, so violations read and come in the same order as
     from a loop over the triples.
     """
-    population = factorial(n) ** 2 * (n - 1) if n <= 5 else sample_size
+    population = 0
     found: list[Violation] = []
-    triples = _split_merge_triples(n, seed, sample_size)
-    while drawn := list(itertools.islice(triples, _SPLIT_MERGE_ROWS)):
-        block = np.array(drawn, dtype=np.uint8)
-        c, t, link = block[:, :n], block[:, n:-1], block[:, -1]
-        # where[i, v - 1]: the position of value v in t, so dest = where at c
-        where = np.empty_like(t)
-        np.put_along_axis(where, t - 1, np.arange(1, n + 1, dtype=np.uint8), axis=1)
-        dest = np.take_along_axis(where, c.astype(np.intp) - 1, axis=1)
+    for c, t, link in _split_merge_blocks(n, seed, sample_size):
+        population += len(link)
+        # argsort(t)[v - 1] + 1: the position of value v in t, so dest is that at c
+        dest = np.take_along_axis(np.argsort(t, axis=1) + 1, c - 1, axis=1).astype(np.uint8)
         for i in np.flatnonzero(_split_merge_rows(dest, link)).tolist():
-            s, d, hop = tuple(drawn[i][:n]), tuple(drawn[i][n:-1]), drawn[i][-1]
+            s, d, hop = tuple(c[i].tolist()), tuple(t[i].tolist()), int(link[i])
             problem = _split_merge_problem(s, d, hop)
             found.append(Violation(s, d, f"link {hop}: {problem}", "split/merge law"))
     return population, {"split-merge": found}, {}
@@ -438,8 +437,8 @@ def verify(
     respects that relabeling (``router-equivariance`` checks it).  Both
     families take the same pairs.  Route checks follow the contiguous-half
     scheme.  ``seed`` and ``sample_size`` control the sampled
-    ``router-equivariance`` and ``split-merge`` checks at n >= 6; both are
-    exhaustive below.
+    ``router-equivariance`` and ``split-merge`` checks at n >= 6, whose rows
+    :func:`_draw` takes from ``random.Random(seed)``; both are exhaustive below.
 
     The route checks (:data:`ROUTE_CHECKS`) are one sweep and the distance
     checks (:data:`DISTANCE_CHECKS`) another: selecting any check of a family

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import gc
 import itertools
 import json
 import random
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -609,12 +611,65 @@ def test_split_merge_rows_match_the_reference_on_every_triple(n):
     assert got == want and not any(got)
 
 
+def _triples(blocks):
+    """The (c, t, link) triples of ``_split_merge_blocks`` blocks, as tuples."""
+    for c, t, link in blocks:
+        yield from zip(map(tuple, c.tolist()), map(tuple, t.tolist()), link.tolist())
+
+
 @pytest.mark.parametrize("n", [6, 7, 8, 9])
 def test_split_merge_rows_match_the_reference_on_seeded_samples(n):
     for seed in (0, 1):
-        triples = harness._split_merge_triples(n, seed, 10_000)
-        got, want = _flags((tuple(r[:n]), tuple(r[n:-1]), r[-1]) for r in triples)
+        got, want = _flags(_triples(harness._split_merge_blocks(n, seed, 10_000)))
         assert len(got) == 10_000 and got == want
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8, 9])
+def test_every_drawn_row_is_a_permutation(n):
+    rows = harness._draw(random.Random(n), 2_000, n)
+    assert rows.shape == (2_000, n) and rows.dtype == np.uint8
+    assert (np.sort(rows, axis=1) == np.arange(1, n + 1)).all()
+
+
+def test_draws_hit_every_permutation_evenly():
+    # 24 000 draws at order 4: 1 000 expected per permutation, standard
+    # deviation about 31; the band is about five deviations each way
+    rows = harness._draw(random.Random(0), 24_000, 4)
+    counts = Counter(map(tuple, rows.tolist()))
+    assert set(counts) == set(all_perms(4))
+    assert all(850 <= k <= 1_150 for k in counts.values()), sorted(counts.values())
+
+
+@pytest.mark.parametrize("n", [6, 7, 8, 9])
+def test_drawn_links_cover_two_to_n(n):
+    links = np.concatenate([link for _, _, link in harness._split_merge_blocks(n, 0, 5_000)])
+    assert links.dtype == np.uint8 and set(links.tolist()) == set(range(2, n + 1))
+
+
+def test_a_seed_repeats_its_population_and_two_seeds_differ():
+    def blocks(seed):
+        return np.vstack([np.column_stack(b) for b in harness._split_merge_blocks(7, seed, 3_000)])
+
+    def pairs(seed):
+        return list(harness._drawn_pairs(7, seed, 3_000))
+
+    assert np.array_equal(blocks(5), blocks(5)) and not np.array_equal(blocks(5), blocks(6))
+    assert pairs(-3) == pairs(-3) != pairs(4)
+
+
+def test_drawn_pairs_redraw_a_node_equal_to_its_target():
+    # at order 3 a sixth of the first draws of s equal t
+    pairs = list(harness._drawn_pairs(3, 0, 3_000))
+    assert len(pairs) == 3_000 and all(s != t for s, t in pairs)
+    assert {s for s, _ in pairs} == {t for _, t in pairs} == set(all_perms(3))
+
+
+def test_the_exhaustive_blocks_list_the_triples_in_rank_order():
+    # c, then t in rank order, links ascending; the seed and sample size are
+    # not read
+    triples = list(_triples(harness._split_merge_blocks(4, 0, 1)))
+    assert triples == list(_every_triple(4))
+    assert [len(b[0]) for b in harness._split_merge_blocks(4, 0, 1)] == [1024, 704]
 
 
 @pytest.mark.parametrize(
@@ -636,21 +691,19 @@ def test_a_planted_fault_flags_the_same_rows_on_both_sides(monkeypatch, fault, n
 @pytest.mark.parametrize("size", [500, 2_500])  # one block, and several
 def test_split_merge_keeps_the_seeded_population(monkeypatch, size):
     def per_sample(n, seed, sample_size):
-        # the per-sample loop the block law replaced
+        # a per-triple loop over the rows the sweep draws: per block, c,
+        # then t, then the links from one more than a drawn permutation's
+        # first entry
         found = []
-        values = list(range(1, n + 1))
         rng = random.Random(seed)
-        for _ in range(sample_size):
-            c = values[:]
-            t = values[:]
-            rng.shuffle(c)
-            rng.shuffle(t)
-            link = rng.randint(2, n)
-            problem = harness._split_merge_problem(tuple(c), tuple(t), link)
-            if problem:
-                found.append(
-                    Violation(tuple(c), tuple(t), f"link {link}: {problem}", "split/merge law")
-                )
+        for lo in range(0, sample_size, harness._SPLIT_MERGE_ROWS):
+            m = min(harness._SPLIT_MERGE_ROWS, sample_size - lo)
+            cs, ts = harness._draw(rng, m, n).tolist(), harness._draw(rng, m, n).tolist()
+            links = (harness._draw(rng, m, n - 1)[:, 0] + 1).tolist()
+            for c, t, link in zip(map(tuple, cs), map(tuple, ts), links):
+                problem = harness._split_merge_problem(c, t, link)
+                if problem:
+                    found.append(Violation(c, t, f"link {link}: {problem}", "split/merge law"))
         return found
 
     monkeypatch.setattr(harness, "apply_generator", _three_cycle)
@@ -670,6 +723,28 @@ def test_split_merge_memory_does_not_grow_with_the_sample():
             tracemalloc.stop()
 
     verify(6, checks=["split-merge"], sample_size=10)  # the caches a first call fills
+    small, large = peak(4_096), peak(40_960)
+    assert large <= 1.1 * small, (small, large)
+
+
+def test_router_equivariance_memory_does_not_grow_with_the_sample():
+    def peak(size):
+        # a full collection empties the interpreter's free list of 6-tuples,
+        # and the per-pair tuples that refill it would be counted in one peak
+        # but not the other: collection is off while tracing, and the list is
+        # filled (at most 2 000 tuples) before
+        gc.disable()
+        spare = [tuple(range(i, i + 6)) for i in range(4_000)]
+        del spare
+        tracemalloc.start()
+        try:
+            verify(6, checks=["router-equivariance"], sample_size=size)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            gc.enable()
+
+    verify(6, checks=["router-equivariance"], sample_size=10)  # the caches a first call fills
     small, large = peak(4_096), peak(40_960)
     assert large <= 1.1 * small, (small, large)
 
