@@ -25,7 +25,7 @@ from .oracle import (
     UNREACHABLE,
     _distance_blocks,
     check_order,
-    diameter,
+    diameters,
     distance_fields,
     move_table,
     orbit_sources,
@@ -598,13 +598,12 @@ def diameter_table(ns: Iterable[int], mode: str | None = None) -> list[DiameterR
 
     ``lower``/``upper`` are the proven directed brackets for the
     contiguous-half scheme (blank below n=5, where they do not apply).
-    ``mode`` takes the default of :func:`oracle.diameter`.
+    ``mode`` takes the default of :func:`oracle.diameter`; in orbit mode
+    the three graphs of an order share one sweep (:func:`oracle.diameters`).
     """
     rows = []
     for n in ns:
-        und, fuj, day = (
-            diameter(n, scheme, mode) for scheme in (None, Scheme.FUJITA, Scheme.DAY_TRIPATHI)
-        )
+        und, fuj, day = diameters(n, (None, Scheme.FUJITA, Scheme.DAY_TRIPATHI), mode)
         lower = None if n < 5 else _required_distance(n)
         upper = None if n < 5 else hop_cap(n)
         rows.append(DiameterRow(n, und.value, fuj.value, day.value, lower, upper, und.mode))

@@ -14,15 +14,19 @@ uint64 words.  Each level pulls whole rows along in-arcs, one gather per
 in-arc column into buffers allocated once per sweep, so a wider row follows
 more sources for the same number of numpy calls.  An orientation is a send
 set, the links even vertices send on (None undirected), and :class:`_InArcs`
-turns it into rank columns of move-table entries.  Every entry point names
-its graph with one value, ``scheme``: None for the undirected star graph, a
-:class:`Scheme` for that orientation.  :func:`diameter` keeps only the level
-count and the last frontier of each sweep, and batches an exhaustive run by
-the byte bound :data:`SWEEP_BYTES`: 128 sources per sweep at order 7, 64
-from order 8 on.  :func:`distance_fields` sweeps 64 sources at a time and
-writes each level into one byte per vertex and source.  On a 2-core Xeon a
-one-source directed order-9 field takes about 0.1 s and all 720 order-6
-distance fields about 0.03 s.
+turns the send sets of the graphs one sweep carries into rank columns of
+move-table entries, each masked by the graphs that enter over it.  Every
+entry point names its graph with one value, ``scheme``: None for the
+undirected star graph, a :class:`Scheme` for that orientation.
+:func:`diameters` keeps only each graph's last level and frontier.  In orbit
+mode one sweep carries every graph asked for, two sources each, so the
+undirected graph and both orientations share one byte per vertex, six bits of
+it, over the move table's own columns; an exhaustive run sweeps one graph at
+a time, batched by the byte bound :data:`SWEEP_BYTES`: 128 sources per sweep
+at order 7, 64 from order 8 on.  :func:`distance_fields` sweeps 64 sources
+at a time and writes each level into one byte per vertex and source.  On a
+2-core Xeon a one-source directed order-9 field takes about 0.1 s and all
+720 order-6 distance fields about 0.03 s.
 
 Everything here is deliberately independent of the routing formulas it is
 used to check: vertex parity comes from Lehmer digit sums and each scheme's
@@ -243,38 +247,67 @@ def _sends(n: int, scheme: Scheme | None) -> frozenset[int] | None:
 
 @dataclass(frozen=True)
 class _InArcs:
-    """In-arcs of every vertex, as full-length rank columns, for bit-parallel BFS.
+    """In-arcs of every vertex in the graphs of one sweep, as full-length rank
+    columns, for bit-parallel BFS.
 
     The vertex that enters ``v`` over link ``j`` is ``moves[v, j - 2]``.
-    Even vertices send on the send set L and odd ones on the other links, and
-    every generator flips parity, so an even vertex is entered over the links
-    outside L and an odd one over L.  Column i holds each vertex's i-th
-    in-arc under its own parity; undirected (L None) it is the move-table
-    column itself, a view.  Where the parities' in-degrees differ, the
-    shorter side is padded with the vertex's own rank, whose frontier bits
-    are already cleared from its ``unseen`` word.  So a directed level takes
-    ceil((n-1)/2) gathers, not the n-1 of a per-vertex link mask.
+    Under a send set L, even vertices send on L and odd ones on the other
+    links, and every generator flips parity, so an even vertex is entered
+    over the links outside L and an odd one over L; undirected (L None) a
+    vertex is entered over every link.  For each parity the build lists the
+    union of the graphs' in-links, in link order, and column i pairs the
+    i-th even in-link with the i-th odd in-link: the move-table column itself,
+    a view, where the two are one link.  Where the parities' in-degrees
+    differ, the shorter side is padded with the vertex's own rank, whose
+    frontier bits are already cleared from its ``unseen`` word.  So one
+    directed graph takes ceil((n-1)/2) gathers a level, not the n-1 of a
+    per-vertex link mask, and the undirected graph with both orientations
+    takes n-1 between them.
+
+    Graph g of the build owns ``share`` source bits, from bit g * share on.
+    A column's masks are, per parity, the bits of the graphs that enter a
+    vertex of that parity over its link (every bit on a padded side).
+    Columns with the same masks form one group, gathered and ORed before one
+    mask op; a group whose masks hold every bit needs none.  With one graph
+    that is every column, so its sweep runs the gathers of that graph alone.
     """
 
     size: int
-    columns: list[np.ndarray]
+    odd: np.ndarray  # (n!,) bool, the move table's parities
+    groups: list[tuple[tuple[int, int] | None, list[np.ndarray]]]  # (even, odd) masks, columns
 
     @classmethod
-    def build(cls, table: MoveTable, sends: frozenset[int] | None) -> _InArcs:
+    def build(
+        cls, table: MoveTable, sends: Sequence[frozenset[int] | None], share: int = 1
+    ) -> _InArcs:
         size = len(table.odd)
-        by_link = {link: table.moves[:, link - 2] for link in range(2, table.n + 1)}
-        even_in = [col for link, col in by_link.items() if sends is None or link not in sends]
-        odd_in = [col for link, col in by_link.items() if sends is None or link in sends]
-        own = np.arange(size, dtype=table.moves.dtype)
-        columns = [
-            even if even is odd else np.where(table.odd, odd, even)
-            for even, odd in zip_longest(even_in, odd_in, fillvalue=own)
-        ]
-        return cls(size, columns)
+        full = (1 << share * len(sends)) - 1
+        # per parity: each link some graph enters over, with those graphs' bits
+        in_links: tuple[list[tuple[int, int]], ...] = ([], [])
+        for link in range(2, table.n + 1):
+            for odd, entered in enumerate(in_links):
+                mask = sum(
+                    ((1 << share) - 1) << (g * share)
+                    for g, links in enumerate(sends)
+                    if links is None or (link in links) == odd
+                )
+                if mask:
+                    entered.append((link, mask))
+        column = {link: table.moves[:, link - 2] for link in range(2, table.n + 1)}
+        if len(in_links[0]) != len(in_links[1]):
+            column[None] = np.arange(size, dtype=table.moves.dtype)
+        groups: dict[tuple[int, int] | None, list[np.ndarray]] = {None: []}
+        for (even, even_mask), (odd, odd_mask) in zip_longest(*in_links, fillvalue=(None, full)):
+            masks = None if even_mask == odd_mask == full else (even_mask, odd_mask)
+            groups.setdefault(masks, []).append(
+                column[even] if even == odd else np.where(table.odd, column[odd], column[even])
+            )
+        return cls(size, table.odd, [(masks, cols) for masks, cols in groups.items() if cols])
 
     def sweep(self, sources: np.ndarray) -> Iterator[np.ndarray]:
         """BFS from any number of source ranks at once, bit i of the row for
-        ``sources[i]``.
+        ``sources[i]``; a build of several graphs takes one word, graph g's
+        sources at its bits.
 
         The frontier is an (n!, words) array of the narrowest unsigned word
         with a bit per source (:func:`_word`): one word per vertex up to 64
@@ -287,6 +320,11 @@ class _InArcs:
         sources.  Each level gathers whole rows into buffers allocated once
         per sweep, so a yielded frontier is overwritten two levels on; copy
         it to keep it.
+
+        Every arc flips parity, so level d + 1 of source i lies on vertices
+        of parity ``odd[i] ^ (d + 1) % 2``: a group's two parity masks come
+        down to one word per level, bit i taken from the mask of the parity
+        source i's vertices have there.
         """
         word = _word(len(sources))
         bits = np.iinfo(word).bits
@@ -295,18 +333,41 @@ class _InArcs:
         np.bitwise_or.at(
             frontier, (sources, index // bits), np.left_shift(word(1), (index % bits).astype(word))
         )
+        groups = self.groups
+        if any(masks for masks, _ in groups):
+            odd = sum(1 << int(i) for i in np.flatnonzero(self.odd[sources]))
+            even = (1 << len(sources)) - 1 ^ odd
+            groups = [
+                (
+                    None if masks is None else (
+                        word(masks[0] & odd | masks[1] & even),  # even levels
+                        word(masks[0] & even | masks[1] & odd),  # odd levels
+                    ),
+                    columns,
+                )
+                for masks, columns in groups
+            ]
         unseen = ~frontier
         pulled, gathered = np.empty_like(frontier), np.empty_like(frontier)
+        grouped = np.empty_like(frontier) if len(groups) > 1 else None
+        level = 0
         while frontier.any():
             yield frontier
-            # take(mode="clip") skips the bounds check of fancy indexing
-            # (every column holds valid ranks) and is about twice as fast
-            np.take(frontier, self.columns[0], axis=0, mode="clip", out=pulled)
-            for column in self.columns[1:]:
-                pulled |= np.take(frontier, column, axis=0, mode="clip", out=gathered)
+            for g, (masks, columns) in enumerate(groups):
+                into = grouped if g else pulled
+                # take(mode="clip") skips the bounds check of fancy indexing
+                # (every column holds valid ranks) and is about twice as fast
+                np.take(frontier, columns[0], axis=0, mode="clip", out=into)
+                for column in columns[1:]:
+                    into |= np.take(frontier, column, axis=0, mode="clip", out=gathered)
+                if masks is not None:
+                    into &= masks[level & 1]
+                if g:
+                    pulled |= into
             pulled &= unseen
             unseen ^= pulled
             frontier, pulled = pulled, frontier
+            level += 1
 
 
 def _distance_blocks(
@@ -323,7 +384,7 @@ def _distance_blocks(
         return
     if any(len(s) != n for s in sources):
         raise ValueError(f"order mismatch among sources: {sorted({len(s) for s in sources})}")
-    arcs = _InArcs.build(move_table(n), sends)
+    arcs = _InArcs.build(move_table(n), [sends])
     for lo in range(0, len(sources), SWEEP_WIDTH):
         batch = sources[lo : lo + SWEEP_WIDTH]
         block = np.full((len(batch), arcs.size), UNREACHABLE, dtype=np.uint8)
@@ -388,41 +449,94 @@ def orbit_sources(n: int) -> tuple[Perm, Perm]:
     return ident, (2, 1) + ident[2:]
 
 
-def diameter(n: int, scheme: Scheme | None = None, mode: str | None = None) -> DiameterResult:
-    """Largest finite BFS distance over the chosen source set, undirected
-    or under ``scheme``.
+def _last_levels(
+    arcs: _InArcs, sources: np.ndarray, graphs: int = 1
+) -> list[tuple[int, np.ndarray]]:
+    """Each graph's largest eccentricity over one sweep of ``sources``, graph
+    g's sources being the g-th of ``graphs`` equal shares, with the frontier
+    of that level cut to the graph's bits, for :func:`_witness`.
 
-    ``mode="exhaustive"`` sweeps every source in rank order, as many per
-    sweep as fit the :data:`SWEEP_BYTES` frontier bound (128 at order 7,
-    64 from order 8 on); ``mode="orbit"`` sweeps the two sources of
-    :func:`orbit_sources` at once, in one byte per vertex.  The default is
-    exhaustive through order 7 and orbit beyond.  Measured on a 2-core
-    Xeon: exhaustive order 7 in about 0.025 s per graph, orbit mode for all
-    three graphs at orders 8 and 9 in about 0.15 s, exhaustive order 8 in
-    about 4 s per graph.  The witness is the first source in rank order of
-    largest eccentricity, and the lowest-rank vertex at that distance from
-    it, which is what :meth:`DistanceField.farthest` picks.
+    A lone graph's last level is the sweep's.  Several graphs' are read from
+    the OR of each level's rows: a graph whose bits first come up empty at
+    level d ended at d - 1, whose frontier the sweep has not yet overwritten.
+    """
+    word = _word(len(sources))
+    share = len(sources) // graphs
+    owned = [word(((1 << share) - 1) << (g * share)) for g in range(graphs)] if graphs > 1 else []
+    ended: dict[int, tuple[int, np.ndarray]] = {}
+    for level, frontier in enumerate(arcs.sweep(sources)):
+        if owned:
+            reached = np.bitwise_or.reduce(frontier, axis=0)
+            for g, bits in enumerate(owned):
+                if g not in ended and not (reached & bits).any():
+                    ended[g] = level - 1, previous & bits
+            previous = frontier
+    if not owned:
+        return [(level, frontier)]
+    return [ended.get(g) or (level, frontier & bits) for g, bits in enumerate(owned)]
+
+
+def diameters(
+    n: int, schemes: Sequence[Scheme | None], mode: str | None = None
+) -> tuple[DiameterResult, ...]:
+    """:func:`diameter` of each graph of ``schemes``, named once each, in order.
+
+    In orbit mode one sweep carries every graph's two orbit sources, graph g
+    on bits 2g and 2g + 1: the undirected graph and both orientations share
+    one byte per vertex, over the move table's own columns, each masked by
+    the graphs that enter over it.  An exhaustive run sweeps one graph at a
+    time, since a full word gains nothing from sharing and one directed
+    graph's paired columns take half the gathers.
     """
     if mode not in (None, "exhaustive", "orbit"):
         raise ValueError(f"unknown diameter mode {mode!r}")
     check_order(n, "BFS oracle supports orders")
     if mode is None:
         mode = "exhaustive" if n <= 7 else "orbit"
-    sends = _sends(n, scheme)  # checked before the table is built
-    arcs = _InArcs.build(move_table(n), sends)
+    sends = [_sends(n, scheme) for scheme in schemes]  # checked before the table is built
+    if not schemes or len(set(schemes)) < len(schemes):
+        raise ValueError(
+            f"diameters takes one or more graphs, each named once, got {tuple(schemes)!r}"
+        )
+    table = move_table(n)
+    size = len(table.odd)
     if mode == "orbit":
-        batches = [np.array([rank(s) for s in orbit_sources(n)])]
+        orbit = [rank(s) for s in orbit_sources(n)]
+        arcs = _InArcs.build(table, sends, len(orbit))
+        runs = [(range(len(sends)), arcs, [np.array(orbit * len(sends))])]
     else:
-        width = 64 * max(1, SWEEP_BYTES // (8 * arcs.size))  # sources per sweep
-        batches = np.split(np.arange(arcs.size), range(width, arcs.size, width))
-    best = -1
-    witness: tuple[Perm, Perm] | None = None
-    for sources in batches:
-        for levels, frontier in enumerate(arcs.sweep(sources)):
-            pass  # keep the last level: its distance and its frontier
-        if levels > best:
-            best = levels
-            source, target = _witness(frontier)
-            witness = (unrank(int(sources[source]), n), unrank(target, n))
-    assert witness is not None
-    return DiameterResult(n, scheme, mode, best, witness[0], witness[1])
+        width = 64 * max(1, SWEEP_BYTES // (8 * size))  # sources per sweep
+        batches = np.split(np.arange(size), range(width, size, width))
+        runs = (([g], _InArcs.build(table, [graph]), batches) for g, graph in enumerate(sends))
+    best = [-1] * len(sends)
+    witness: list[tuple[Perm, Perm]] = [((), ())] * len(sends)
+    for graphs, arcs, batches in runs:
+        for sources in batches:
+            for g, (levels, frontier) in zip(graphs, _last_levels(arcs, sources, len(graphs))):
+                if levels > best[g]:
+                    best[g] = levels
+                    source, target = _witness(frontier)
+                    witness[g] = (unrank(int(sources[source]), n), unrank(target, n))
+    return tuple(
+        DiameterResult(n, scheme, mode, value, *pair)
+        for scheme, value, pair in zip(schemes, best, witness)
+    )
+
+
+def diameter(n: int, scheme: Scheme | None = None, mode: str | None = None) -> DiameterResult:
+    """Largest finite BFS distance over the chosen source set, undirected
+    or under ``scheme``: one graph of :func:`diameters`.
+
+    ``mode="exhaustive"`` sweeps every source in rank order, as many per
+    sweep as fit the :data:`SWEEP_BYTES` frontier bound (128 at order 7,
+    64 from order 8 on); ``mode="orbit"`` sweeps the two sources of
+    :func:`orbit_sources` at once, in one byte per vertex.  The default is
+    exhaustive through order 7 and orbit beyond.  Measured on a 2-core
+    Xeon: exhaustive order 7 in about 0.025 s per graph, exhaustive order 8
+    in about 4 s per graph; orbit mode for all three graphs at orders 8 and
+    9 in about 0.21 s one graph at a time, and 0.12 s in the shared sweep of
+    :func:`diameters`.  The witness is the first source in rank order of
+    largest eccentricity, and the lowest-rank vertex at that distance from
+    it, which is what :meth:`DistanceField.farthest` picks.
+    """
+    return diameters(n, (scheme,), mode)[0]

@@ -749,6 +749,23 @@ def test_router_equivariance_memory_does_not_grow_with_the_sample():
     assert large <= 1.1 * small, (small, large)
 
 
+def test_shared_orbit_table_peak_is_within_one_orientations():
+    # the shared sweep reads the move table's own columns: no n!-long column
+    # per orientation, so three graphs peak no higher than one directed run
+    def peak(call):
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    move_table(8)  # the table a first call builds
+    shared = peak(lambda: diameter_table([8], "orbit"))
+    fujita = peak(lambda: diameter(8, Scheme.FUJITA, "orbit"))
+    assert shared <= fujita, (shared, fujita)
+
+
 def test_diameter_table_frozen_rows():
     rows = diameter_table([3, 4, 5])
     assert [(r.n, r.undirected, r.fujita, r.daytripathi) for r in rows] == [

@@ -20,6 +20,7 @@ from starroute.oracle import (
     UNREACHABLE,
     bfs,
     diameter,
+    diameters,
     distance,
     distance_fields,
     move_table,
@@ -233,6 +234,7 @@ S5 = (1, 2, 3, 4, 5)
     pytest.param(lambda: list(distance_fields([S5], 1)), id="distance-fields-int"),
     pytest.param(lambda: list(distance_fields([], True)), id="distance-fields-empty"),
     pytest.param(lambda: diameter(5, True), id="diameter-bool"),
+    pytest.param(lambda: diameters(5, (None, True)), id="diameters-bool"),
 ])
 def test_only_none_or_a_scheme_names_a_graph(call):
     with pytest.raises(ValueError, match="scheme must be None"):
@@ -294,7 +296,7 @@ WIDTHS = {1: np.uint8, 2: np.uint8, 8: np.uint8, 9: np.uint16, 16: np.uint16,
 @pytest.mark.parametrize("scheme", GRAPHS)
 def test_distance_fields_every_word_width(scheme):
     nodes = all_perms(5)
-    arcs = _InArcs.build(move_table(5), _sends(5, scheme))
+    arcs = _InArcs.build(move_table(5), [_sends(5, scheme)])
     for width in [*WIDTHS, 65]:
         sources = random.Random(width).sample(nodes, width)
         fields = distance_fields(sources, scheme)
@@ -312,7 +314,7 @@ def test_distance_fields_every_word_width(scheme):
 @pytest.mark.parametrize("scheme", GRAPHS)
 def test_wide_sweep_levels_match_naive_search(scheme, width):
     nodes = all_perms(5)
-    arcs = _InArcs.build(move_table(5), _sends(5, scheme))
+    arcs = _InArcs.build(move_table(5), [_sends(5, scheme)])
     sources = random.Random(width).choices(range(len(nodes)), k=width)
     expected = [_naive_distances(nodes[r], scheme) for r in sources]
     levels = 0
@@ -356,27 +358,87 @@ def test_exhaustive_frontier_stays_within_the_byte_bound(monkeypatch, n, words):
     assert frontier.nbytes <= max(SWEEP_BYTES, 8 * math.factorial(n))
 
 
+# each graph alone, and the three in one build, two source bits each
+BUILDS = [pytest.param((scheme,), id=str(scheme)) for scheme in GRAPHS] + [
+    pytest.param(tuple(GRAPHS), id="shared")
+]
+
+
 @pytest.mark.parametrize("n", [4, 5, 6, 7])
-@pytest.mark.parametrize("scheme", GRAPHS)
-def test_in_arc_columns_match_topology(n, scheme):
+@pytest.mark.parametrize("graphs", BUILDS)
+def test_in_arc_columns_match_topology(n, graphs):
     table = move_table(n)
-    sends = _sends(n, scheme)
-    arcs = _InArcs.build(table, sends)
-    columns = np.stack(arcs.columns, axis=1)
+    arcs = _InArcs.build(table, [_sends(n, scheme) for scheme in graphs], 2)
+    full = (1 << 2 * len(graphs)) - 1
+    # each column with its (even, odd) masks; a group without masks takes every bit
+    masked = [(masks or (full, full), column) for masks, group in arcs.groups for column in group]
+    columns = np.stack([column for _, column in masked], axis=1)
     nodes = all_perms(n)
     index = {p: i for i, p in enumerate(nodes)}
+    # one graph's columns are in link order; a shared build's follow its groups
+    order = list if len(graphs) == 1 else sorted
     pads = 0
     for v, p in enumerate(nodes):
-        arcs_in = neighbors(p) if scheme is None else in_neighbors(p, scheme)
-        row = columns[v].tolist()
-        assert [u for u in row if u != v] == [index[q] for _, q in arcs_in]
-        assert len(row) == len(arcs_in) + row.count(v)
+        row, odd = columns[v].tolist(), int(table.odd[v])
         pads += row.count(v)
-    # a vertex pads with its own rank only where the parities' in-degrees differ
-    assert (pads > 0) == (sends is not None and 2 * len(sends) != n - 1)
-    # undirected, the columns are the move table's own, so no n!-long copy is made
-    shared = [np.shares_memory(column, table.moves) for column in arcs.columns]
-    assert shared == [scheme is None] * len(arcs.columns)
+        for g, scheme in enumerate(graphs):
+            owned = 0b11 << 2 * g
+            # a mask holds both of a graph's source bits or neither
+            assert {masks[odd] & owned for masks, _ in masked} <= {0, owned}
+            entered = [u for u, (masks, _) in zip(row, masked) if masks[odd] & owned]
+            arcs_in = neighbors(p) if scheme is None else in_neighbors(p, scheme)
+            assert order(u for u in entered if u != v) == order(index[q] for _, q in arcs_in)
+            assert len(entered) == len(arcs_in) + entered.count(v)
+    shared = [np.shares_memory(column, table.moves) for _, column in masked]
+    if len(graphs) == 1:
+        (scheme,) = graphs
+        # one graph needs no mask, and a directed one pairs its parities' in-links
+        assert [masks for masks, _ in arcs.groups] == [None]
+        assert len(columns[0]) == (n - 1 if scheme is None else -(-(n - 1) // 2))
+        # a vertex pads with its own rank only where the parities' in-degrees differ
+        assert (pads > 0) == (scheme is not None and 2 * len(_sends(n, scheme)) != n - 1)
+        # undirected, the columns are the move table's own, so no n!-long copy is made
+        assert shared == [scheme is None] * len(shared)
+    else:
+        # every link enters both parities in some graph: the table's own columns
+        assert len(columns[0]) == n - 1 and all(shared) and pads == 0
+
+
+# a graph's share of the sources: one bit, two (the orbit layout), and five,
+# which takes the three graphs' sources past one byte
+@pytest.mark.parametrize("share", [1, 2, 5])
+def test_shared_sweep_levels_match_naive_search(share):
+    nodes = all_perms(5)
+    arcs = _InArcs.build(move_table(5), [_sends(5, scheme) for scheme in GRAPHS], share)
+    # sources of both parities, repeats allowed, so every mask is read at both parities
+    sources = random.Random(share).choices(range(len(nodes)), k=3 * share)
+    expected = [
+        _naive_distances(nodes[r], GRAPHS[i // share]) for i, r in enumerate(sources)
+    ]
+    levels = 0
+    for d, level in enumerate(arcs.sweep(np.array(sources))):
+        assert level.shape == (len(nodes), 1)
+        for i, dist in enumerate(expected):
+            reached = (level[:, 0] >> i) & 1
+            assert reached.tolist() == [int(dist.get(t) == d) for t in nodes]
+        levels += 1
+    assert levels == 1 + max(max(dist.values()) for dist in expected)
+
+
+SHARED_RUNS = [(n, mode) for n in range(3, 8) for mode in ("exhaustive", "orbit")]
+
+
+@pytest.mark.parametrize("n,mode", SHARED_RUNS + [(8, "orbit"), (9, "orbit")])
+def test_shared_diameters_equal_one_graph_runs(n, mode):
+    # value, witness source and target, and mode, field by field
+    one_graph = tuple(diameter(n, scheme, mode) for scheme in GRAPHS)
+    assert diameters(n, tuple(GRAPHS), mode) == one_graph
+
+
+@pytest.mark.parametrize("schemes", [(), (None, None), (Scheme.FUJITA, None, Scheme.FUJITA)])
+def test_diameters_take_each_graph_once(schemes):
+    with pytest.raises(ValueError, match="one or more graphs, each named once"):
+        diameters(5, schemes)
 
 
 def _outgoing(n, scheme):
@@ -426,7 +488,7 @@ def test_fujita_and_day_tripathi_are_one_graph(n):
 def _send_set_diameter(n, sends, mode):
     """The diameter of the parity-link orientation whose even vertices send
     on ``sends``, from every source or from the two orbit sources."""
-    arcs = _InArcs.build(move_table(n), sends)
+    arcs = _InArcs.build(move_table(n), [sends])
     if mode == "orbit":
         batches = [np.array([rank(s) for s in orbit_sources(n)])]
     else:
