@@ -12,7 +12,11 @@ word per vertex, uint8 up to 8 sources, so the two-source orbit sweep and the
 one-source :func:`bfs` move one byte per vertex; beyond 64 it is a row of
 uint64 words.  Each level pulls whole rows along in-arcs, one gather per
 in-arc column into buffers allocated once per sweep, so a wider row follows
-more sources for the same number of numpy calls.  An orientation is a send
+more sources for the same number of numpy calls.  A move-table column is a
+permutation of Lehmer blocks (:func:`_blocks`): link j moves whole blocks of
+(n - j)! consecutive ranks, so its gather takes n!/(n - j)! block rows, 72
+at link 2 of order 9, and only the last two links and the paired columns of
+a directed graph gather row by row.  An orientation is a send
 set, the links even vertices send on (None undirected), and :class:`_InArcs`
 turns the send sets of the graphs one sweep carries into rank columns of
 move-table entries, each masked by the graphs that enter over it.  Every
@@ -25,8 +29,10 @@ it, over the move table's own columns; an exhaustive run sweeps one graph at
 a time, batched by the byte bound :data:`SWEEP_BYTES`: 128 sources per sweep
 at order 7, 64 from order 8 on.  :func:`distance_fields` sweeps 64 sources
 at a time and writes each level into one byte per vertex and source.  On a
-2-core Xeon a one-source directed order-9 field takes about 0.1 s and all
-720 order-6 distance fields about 0.03 s.
+2-core Xeon a one-source order-9 field takes about 0.06 s undirected, over
+block gathers, and about 0.1 s directed, over its row-by-row paired
+columns; all 720 order-6 distance fields take about 0.04 s, most of it
+writing the levels out.
 
 Everything here is deliberately independent of the routing formulas it is
 used to check: vertex parity comes from Lehmer digit sums and each scheme's
@@ -245,10 +251,26 @@ def _sends(n: int, scheme: Scheme | None) -> frozenset[int] | None:
     return frozenset(links[: n // 2] if scheme is Scheme.FUJITA else links[::2])
 
 
+def _blocks(table: MoveTable, link: int) -> tuple[np.ndarray, int]:
+    """The move-table column of ``link`` as a permutation of Lehmer blocks.
+
+    Swapping positions 1 and j leaves the Lehmer digits of positions
+    j+1..n unchanged.  They are the rank modulo b = (n - j)!, and the
+    higher digits depend only on the block ``v // b``.  So ``moves[v, j - 2]
+    == index[v // b] * b + v % b`` with ``index = moves[::b, j - 2] // b``, a
+    permutation of the n!/b blocks, and a gather moves whole blocks of b
+    rows.  The last two links have b = 1: their index is the column itself,
+    a view, so no n!-long copy is made.
+    """
+    moves, b = table.moves[:, link - 2], factorial(table.n - link)
+    return (moves, 1) if b == 1 else (moves[::b] // b, b)
+
+
 @dataclass(frozen=True)
 class _InArcs:
-    """In-arcs of every vertex in the graphs of one sweep, as full-length rank
-    columns, for bit-parallel BFS.
+    """In-arcs of every vertex in the graphs of one sweep, as rank columns
+    for bit-parallel BFS, each an ``(index, b)`` pair: rank v is entered from
+    ``index[v // b] * b + v % b``, so a gather moves blocks of b rows.
 
     The vertex that enters ``v`` over link ``j`` is ``moves[v, j - 2]``.
     Under a send set L, even vertices send on L and odd ones on the other
@@ -256,8 +278,11 @@ class _InArcs:
     over the links outside L and an odd one over L; undirected (L None) a
     vertex is entered over every link.  For each parity the build lists the
     union of the graphs' in-links, in link order, and column i pairs the
-    i-th even in-link with the i-th odd in-link: the move-table column itself,
-    a view, where the two are one link.  Where the parities' in-degrees
+    i-th even in-link with the i-th odd in-link.  Where the two are one link
+    the column is the move-table column as Lehmer blocks (:func:`_blocks`):
+    n!/b entries, or at the last two links, where b = 1, the column itself,
+    a view.  Two links make an n!-long ``np.where`` column with b = 1, since
+    parity is not a property of a block.  Where the parities' in-degrees
     differ, the shorter side is padded with the vertex's own rank, whose
     frontier bits are already cleared from its ``unseen`` word.  So one
     directed graph takes ceil((n-1)/2) gathers a level, not the n-1 of a
@@ -274,7 +299,8 @@ class _InArcs:
 
     size: int
     odd: np.ndarray  # (n!,) bool, the move table's parities
-    groups: list[tuple[tuple[int, int] | None, list[np.ndarray]]]  # (even, odd) masks, columns
+    # (even, odd) masks, and columns as (block index, block size b)
+    groups: list[tuple[tuple[int, int] | None, list[tuple[np.ndarray, int]]]]
 
     @classmethod
     def build(
@@ -296,11 +322,13 @@ class _InArcs:
         column = {link: table.moves[:, link - 2] for link in range(2, table.n + 1)}
         if len(in_links[0]) != len(in_links[1]):
             column[None] = np.arange(size, dtype=table.moves.dtype)
-        groups: dict[tuple[int, int] | None, list[np.ndarray]] = {None: []}
+        groups: dict[tuple[int, int] | None, list[tuple[np.ndarray, int]]] = {None: []}
         for (even, even_mask), (odd, odd_mask) in zip_longest(*in_links, fillvalue=(None, full)):
             masks = None if even_mask == odd_mask == full else (even_mask, odd_mask)
             groups.setdefault(masks, []).append(
-                column[even] if even == odd else np.where(table.odd, column[odd], column[even])
+                _blocks(table, even)
+                if even == odd
+                else (np.where(table.odd, column[odd], column[even]), 1)
             )
         return cls(size, table.odd, [(masks, cols) for masks, cols in groups.items() if cols])
 
@@ -319,7 +347,10 @@ class _InArcs:
         levels after level 0 is the largest finite eccentricity among the
         sources.  Each level gathers whole rows into buffers allocated once
         per sweep, so a yielded frontier is overwritten two levels on; copy
-        it to keep it.
+        it to keep it.  A column ``(index, b)`` is one ``np.take`` over the
+        frontier viewed as (n!/b, b * words) rows, one row per Lehmer block:
+        at order 9 that is 72 rows at link 2 and n! only at links 8 and 9
+        and in a directed graph's paired columns.
 
         Every arc flips parity, so level d + 1 of source i lies on vertices
         of parity ``odd[i] ^ (d + 1) % 2``: a group's two parity masks come
@@ -350,16 +381,23 @@ class _InArcs:
         unseen = ~frontier
         pulled, gathered = np.empty_like(frontier), np.empty_like(frontier)
         grouped = np.empty_like(frontier) if len(groups) > 1 else None
+        words = frontier.shape[1]
         level = 0
         while frontier.any():
             yield frontier
             for g, (masks, columns) in enumerate(groups):
                 into = grouped if g else pulled
-                # take(mode="clip") skips the bounds check of fancy indexing
-                # (every column holds valid ranks) and is about twice as fast
-                np.take(frontier, columns[0], axis=0, mode="clip", out=into)
-                for column in columns[1:]:
-                    into |= np.take(frontier, column, axis=0, mode="clip", out=gathered)
+                for i, (index, b) in enumerate(columns):
+                    out = gathered if i else into
+                    # whole blocks of b rows; take(mode="clip") skips the
+                    # bounds check of fancy indexing (every index is valid)
+                    # and is about twice as fast
+                    np.take(
+                        frontier.reshape(-1, b * words), index, axis=0, mode="clip",
+                        out=out.reshape(-1, b * words),
+                    )
+                    if i:
+                        into |= gathered
                 if masks is not None:
                     into &= masks[level & 1]
                 if g:
@@ -531,10 +569,13 @@ def diameter(n: int, scheme: Scheme | None = None, mode: str | None = None) -> D
     sweep as fit the :data:`SWEEP_BYTES` frontier bound (128 at order 7,
     64 from order 8 on); ``mode="orbit"`` sweeps the two sources of
     :func:`orbit_sources` at once, in one byte per vertex.  The default is
-    exhaustive through order 7 and orbit beyond.  Measured on a 2-core
-    Xeon: exhaustive order 7 in about 0.025 s per graph, exhaustive order 8
-    in about 4 s per graph; orbit mode for all three graphs at orders 8 and
-    9 in about 0.21 s one graph at a time, and 0.12 s in the shared sweep of
+    exhaustive through order 7 and orbit beyond.  The undirected graph's
+    columns, and every column of a shared sweep, gather whole Lehmer blocks
+    (:func:`_blocks`); a directed graph swept alone gathers its paired
+    columns node by node.  Measured on a 2-core Xeon: exhaustive order 7 in
+    about 0.03 s per graph, exhaustive order 8 in about 3 s undirected and
+    4 s directed; orbit mode for all three graphs at orders 8 and 9 in about
+    0.15 s one graph at a time, and 0.05 s in the shared sweep of
     :func:`diameters`.  The witness is the first source in rank order of
     largest eccentricity, and the lowest-rank vertex at that distance from
     it, which is what :meth:`DistanceField.farthest` picks.

@@ -364,6 +364,33 @@ BUILDS = [pytest.param((scheme,), id=str(scheme)) for scheme in GRAPHS] + [
 ]
 
 
+def _ranks(index, b):
+    """The n! ranks a (block index, b) column stands for: rank v maps to
+    index[v // b] * b + v % b."""
+    return (index.astype(np.int64)[:, None] * b + np.arange(b)).ravel()
+
+
+@pytest.mark.parametrize("n", range(3, 10))
+def test_link_columns_are_block_permutations(n):
+    # swapping positions 1 and j keeps the Lehmer digits of j+1..n, the
+    # rank modulo b = (n - j)!, so each column permutes blocks of b ranks
+    table = move_table(n)
+    size = math.factorial(n)
+    v = np.arange(size)
+    arcs = _InArcs.build(table, [None])
+    ((masks, columns),) = arcs.groups
+    assert masks is None and len(columns) == n - 1
+    for link, (index, b) in zip(range(2, n + 1), columns):
+        assert b == math.factorial(n - link)
+        moves = table.moves[:, link - 2]
+        blocks = moves[::b] // b
+        assert (moves == blocks[v // b] * b + v % b).all()
+        assert sorted(blocks.tolist()) == list(range(size // b))
+        assert index.tolist() == blocks.tolist()
+        # the last two links gather the move table's own column
+        assert np.shares_memory(index, table.moves) == (b == 1)
+
+
 @pytest.mark.parametrize("n", [4, 5, 6, 7])
 @pytest.mark.parametrize("graphs", BUILDS)
 def test_in_arc_columns_match_topology(n, graphs):
@@ -372,7 +399,7 @@ def test_in_arc_columns_match_topology(n, graphs):
     full = (1 << 2 * len(graphs)) - 1
     # each column with its (even, odd) masks; a group without masks takes every bit
     masked = [(masks or (full, full), column) for masks, group in arcs.groups for column in group]
-    columns = np.stack([column for _, column in masked], axis=1)
+    columns = np.stack([_ranks(*column) for _, column in masked], axis=1)
     nodes = all_perms(n)
     index = {p: i for i, p in enumerate(nodes)}
     # one graph's columns are in link order; a shared build's follow its groups
@@ -389,7 +416,11 @@ def test_in_arc_columns_match_topology(n, graphs):
             arcs_in = neighbors(p) if scheme is None else in_neighbors(p, scheme)
             assert order(u for u in entered if u != v) == order(index[q] for _, q in arcs_in)
             assert len(entered) == len(arcs_in) + entered.count(v)
-    shared = [np.shares_memory(column, table.moves) for _, column in masked]
+    # a move-table column is its own view (b = 1) or one entry per block (b > 1)
+    shared = [
+        np.shares_memory(ix, table.moves) if b == 1 else len(ix) * b == len(nodes)
+        for _, (ix, b) in masked
+    ]
     if len(graphs) == 1:
         (scheme,) = graphs
         # one graph needs no mask, and a directed one pairs its parities' in-links
