@@ -12,27 +12,27 @@ word per vertex, uint8 up to 8 sources, so the two-source orbit sweep and the
 one-source :func:`bfs` move one byte per vertex; beyond 64 it is a row of
 uint64 words.  Each level pulls whole rows along in-arcs, one gather per
 in-arc column into buffers allocated once per sweep, so a wider row follows
-more sources for the same number of numpy calls.  A move-table column is a
+more sources for the same number of numpy calls.  Each link's column is a
 permutation of Lehmer blocks (:func:`_blocks`): link j moves whole blocks of
 (n - j)! consecutive ranks, so its gather takes n!/(n - j)! block rows, 72
-at link 2 of order 9, and only the last two links and the paired columns of
-a directed graph gather row by row.  An orientation is a send
-set, the links even vertices send on (None undirected), and :class:`_InArcs`
-turns the send sets of the graphs one sweep carries into rank columns of
-move-table entries, each masked by the graphs that enter over it.  Every
-entry point names its graph with one value, ``scheme``: None for the
-undirected star graph, a :class:`Scheme` for that orientation.
+at link 2 of order 9, and only the last two links gather row by row.  An
+orientation is a send set, the links even vertices send on (None
+undirected), and :class:`_InArcs` groups the link columns by the graphs
+that enter an even and an odd vertex over them; each level masks a group
+by the graphs whose sources' frontier has that parity, and skips it where
+none has.  Every entry point names its graph with one value, ``scheme``:
+None for the undirected star graph, a :class:`Scheme` for that orientation.
 :func:`diameters` keeps only each graph's last level and frontier.  In orbit
 mode one sweep carries every graph asked for, two sources each, so the
 undirected graph and both orientations share one byte per vertex, six bits of
 it, over the move table's own columns; an exhaustive run sweeps one graph at
-a time, batched by the byte bound :data:`SWEEP_BYTES`: 128 sources per sweep
-at order 7, 64 from order 8 on.  :func:`distance_fields` sweeps 64 sources
-at a time and writes each level into one byte per vertex and source.  On a
-2-core Xeon a one-source order-9 field takes about 0.06 s undirected, over
-block gathers, and about 0.1 s directed, over its row-by-row paired
-columns; all 720 order-6 distance fields take about 0.04 s, most of it
-writing the levels out.
+a time, the even ranks and then the odd ones, batched by the byte bound
+:data:`SWEEP_BYTES`: 128 sources per sweep at order 7, 64 from order 8 on.
+:func:`distance_fields` sweeps 64 sources at a time and writes each level
+into one byte per vertex and source.  On a 2-core Xeon a one-source order-9
+field takes about 0.05 s, undirected or directed (one source has one
+parity, so a directed level gathers only its in-links); all 720 order-6
+distance fields take about 0.03 s, most of it writing the levels out.
 
 Everything here is deliberately independent of the routing formulas it is
 used to check: vertex parity comes from Lehmer digit sums and each scheme's
@@ -42,7 +42,6 @@ send set is re-derived from the orientation rules (:func:`_sends`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import zip_longest
 from math import factorial
 from typing import Iterator, Sequence
 
@@ -269,73 +268,52 @@ def _blocks(table: MoveTable, link: int) -> tuple[np.ndarray, int]:
 @dataclass(frozen=True)
 class _InArcs:
     """In-arcs of every vertex in the graphs of one sweep, as rank columns
-    for bit-parallel BFS, each an ``(index, b)`` pair: rank v is entered from
-    ``index[v // b] * b + v % b``, so a gather moves blocks of b rows.
+    for bit-parallel BFS, one per link, each the ``(index, b)`` pair of
+    :func:`_blocks`: rank v is entered from ``index[v // b] * b + v % b``,
+    so a gather moves blocks of b rows.
 
     The vertex that enters ``v`` over link ``j`` is ``moves[v, j - 2]``.
     Under a send set L, even vertices send on L and odd ones on the other
     links, and every generator flips parity, so an even vertex is entered
     over the links outside L and an odd one over L; undirected (L None) a
-    vertex is entered over every link.  For each parity the build lists the
-    union of the graphs' in-links, in link order, and column i pairs the
-    i-th even in-link with the i-th odd in-link.  Where the two are one link
-    the column is the move-table column as Lehmer blocks (:func:`_blocks`):
-    n!/b entries, or at the last two links, where b = 1, the column itself,
-    a view.  Two links make an n!-long ``np.where`` column with b = 1, since
-    parity is not a property of a block.  Where the parities' in-degrees
-    differ, the shorter side is padded with the vertex's own rank, whose
-    frontier bits are already cleared from its ``unseen`` word.  So one
-    directed graph takes ceil((n-1)/2) gathers a level, not the n-1 of a
-    per-vertex link mask, and the undirected graph with both orientations
-    takes n-1 between them.
-
-    Graph g of the build owns ``share`` source bits, from bit g * share on.
-    A column's masks are, per parity, the bits of the graphs that enter a
-    vertex of that parity over its link (every bit on a padded side).
-    Columns with the same masks form one group, gathered and ORed before one
-    mask op; a group whose masks hold every bit needs none.  With one graph
-    that is every column, so its sweep runs the gathers of that graph alone.
+    vertex is entered over every link.  Parity is not a property of a
+    Lehmer block, so a column serves both parities, and the build groups
+    the columns by the pair (graphs that enter an even vertex over the link,
+    graphs that enter an odd one).  The undirected graph has one group; a
+    directed graph alone has two, its even and its odd in-links; the
+    undirected graph with both orientations has at most four.  The sweep
+    turns each group into one mask per level (:meth:`sweep`).
     """
 
     size: int
     odd: np.ndarray  # (n!,) bool, the move table's parities
-    # (even, odd) masks, and columns as (block index, block size b)
-    groups: list[tuple[tuple[int, int] | None, list[tuple[np.ndarray, int]]]]
+    graphs: int
+    # (graphs entering an even vertex, graphs entering an odd one) over
+    # each column, and the columns as (block index, block size b)
+    groups: list[tuple[tuple[frozenset[int], frozenset[int]], list[tuple[np.ndarray, int]]]]
 
     @classmethod
-    def build(
-        cls, table: MoveTable, sends: Sequence[frozenset[int] | None], share: int = 1
-    ) -> _InArcs:
-        size = len(table.odd)
-        full = (1 << share * len(sends)) - 1
-        # per parity: each link some graph enters over, with those graphs' bits
-        in_links: tuple[list[tuple[int, int]], ...] = ([], [])
+    def build(cls, table: MoveTable, sends: Sequence[frozenset[int] | None]) -> _InArcs:
+        groups: dict[tuple[frozenset[int], frozenset[int]], list[tuple[np.ndarray, int]]] = {}
         for link in range(2, table.n + 1):
-            for odd, entered in enumerate(in_links):
-                mask = sum(
-                    ((1 << share) - 1) << (g * share)
-                    for g, links in enumerate(sends)
-                    if links is None or (link in links) == odd
-                )
-                if mask:
-                    entered.append((link, mask))
-        column = {link: table.moves[:, link - 2] for link in range(2, table.n + 1)}
-        if len(in_links[0]) != len(in_links[1]):
-            column[None] = np.arange(size, dtype=table.moves.dtype)
-        groups: dict[tuple[int, int] | None, list[tuple[np.ndarray, int]]] = {None: []}
-        for (even, even_mask), (odd, odd_mask) in zip_longest(*in_links, fillvalue=(None, full)):
-            masks = None if even_mask == odd_mask == full else (even_mask, odd_mask)
-            groups.setdefault(masks, []).append(
-                _blocks(table, even)
-                if even == odd
-                else (np.where(table.odd, column[odd], column[even]), 1)
+            # the graphs that enter an even, and an odd, vertex over the link
+            entered = tuple(
+                frozenset(g for g, ls in enumerate(sends) if ls is None or (link in ls) == odd)
+                for odd in (False, True)
             )
-        return cls(size, table.odd, [(masks, cols) for masks, cols in groups.items() if cols])
+            groups.setdefault(entered, []).append(_blocks(table, link))
+        return cls(len(table.odd), table.odd, len(sends), list(groups.items()))
+
+    def owned(self, width: int) -> list[int]:
+        """Each graph's source bits in a sweep of ``width`` sources: graph g
+        owns an equal share of them, from bit g * share on."""
+        share = width // self.graphs
+        return [((1 << share) - 1) << (g * share) for g in range(self.graphs)]
 
     def sweep(self, sources: np.ndarray) -> Iterator[np.ndarray]:
         """BFS from any number of source ranks at once, bit i of the row for
-        ``sources[i]``; a build of several graphs takes one word, graph g's
-        sources at its bits.
+        ``sources[i]``; in a build of several graphs graph g's sources sit at
+        its bits (:meth:`owned`).
 
         The frontier is an (n!, words) array of the narrowest unsigned word
         with a bit per source (:func:`_word`): one word per vertex up to 64
@@ -349,13 +327,15 @@ class _InArcs:
         per sweep, so a yielded frontier is overwritten two levels on; copy
         it to keep it.  A column ``(index, b)`` is one ``np.take`` over the
         frontier viewed as (n!/b, b * words) rows, one row per Lehmer block:
-        at order 9 that is 72 rows at link 2 and n! only at links 8 and 9
-        and in a directed graph's paired columns.
+        at order 9 that is 72 rows at link 2 and n! only at links 8 and 9.
 
         Every arc flips parity, so level d + 1 of source i lies on vertices
-        of parity ``odd[i] ^ (d + 1) % 2``: a group's two parity masks come
-        down to one word per level, bit i taken from the mask of the parity
-        source i's vertices have there.
+        of parity ``odd[i] ^ (d + 1) % 2``: a group comes down to one mask row
+        per level parity, one word per frontier word, bit i set when source
+        i's graph enters that parity over the group's links.  A level skips a
+        group whose row is all zero and ANDs no row that is all ones, so one
+        directed graph swept from sources of one parity gathers only the
+        in-links of each level's parity, with no mask op.
         """
         word = _word(len(sources))
         bits = np.iinfo(word).bits
@@ -364,28 +344,28 @@ class _InArcs:
         np.bitwise_or.at(
             frontier, (sources, index // bits), np.left_shift(word(1), (index % bits).astype(word))
         )
-        groups = self.groups
-        if any(masks for masks, _ in groups):
-            odd = sum(1 << int(i) for i in np.flatnonzero(self.odd[sources]))
-            even = (1 << len(sources)) - 1 ^ odd
-            groups = [
-                (
-                    None if masks is None else (
-                        word(masks[0] & odd | masks[1] & even),  # even levels
-                        word(masks[0] & even | masks[1] & odd),  # odd levels
-                    ),
-                    columns,
-                )
-                for masks, columns in groups
-            ]
+        words = frontier.shape[1]
+        full = (1 << len(sources)) - 1
+        odd = int.from_bytes(np.packbits(self.odd[sources], bitorder="little").tobytes(), "little")
+        even = full ^ odd
+        owned = self.owned(len(sources))
+        # per level parity: each group the level gathers, with its mask row
+        # (None where it holds every bit)
+        levels: tuple[list[tuple[np.ndarray | None, list[tuple[np.ndarray, int]]]], ...] = ([], [])
+        for entered, columns in self.groups:
+            into_even, into_odd = (sum(owned[g] for g in graphs) for graphs in entered)
+            masks = (into_even & odd | into_odd & even, into_even & even | into_odd & odd)
+            for gathers, mask in zip(levels, masks):
+                if mask:
+                    row = [mask >> (bits * w) & (1 << bits) - 1 for w in range(words)]
+                    gathers.append((None if mask == full else np.array(row, dtype=word), columns))
         unseen = ~frontier
         pulled, gathered = np.empty_like(frontier), np.empty_like(frontier)
-        grouped = np.empty_like(frontier) if len(groups) > 1 else None
-        words = frontier.shape[1]
+        grouped = np.empty_like(frontier) if max(map(len, levels)) > 1 else None
         level = 0
         while frontier.any():
             yield frontier
-            for g, (masks, columns) in enumerate(groups):
+            for g, (mask, columns) in enumerate(levels[level & 1]):
                 into = grouped if g else pulled
                 for i, (index, b) in enumerate(columns):
                     out = gathered if i else into
@@ -398,8 +378,8 @@ class _InArcs:
                     )
                     if i:
                         into |= gathered
-                if masks is not None:
-                    into &= masks[level & 1]
+                if mask is not None:
+                    into &= mask
                 if g:
                     pulled |= into
             pulled &= unseen
@@ -487,20 +467,17 @@ def orbit_sources(n: int) -> tuple[Perm, Perm]:
     return ident, (2, 1) + ident[2:]
 
 
-def _last_levels(
-    arcs: _InArcs, sources: np.ndarray, graphs: int = 1
-) -> list[tuple[int, np.ndarray]]:
-    """Each graph's largest eccentricity over one sweep of ``sources``, graph
-    g's sources being the g-th of ``graphs`` equal shares, with the frontier
-    of that level cut to the graph's bits, for :func:`_witness`.
+def _last_levels(arcs: _InArcs, sources: np.ndarray) -> list[tuple[int, np.ndarray]]:
+    """Each graph's largest eccentricity over one sweep of ``sources``, each
+    graph of ``arcs`` owning its share of them (:meth:`_InArcs.owned`), with
+    the frontier of that level cut to the graph's bits, for :func:`_witness`.
 
     A lone graph's last level is the sweep's.  Several graphs' are read from
     the OR of each level's rows: a graph whose bits first come up empty at
     level d ended at d - 1, whose frontier the sweep has not yet overwritten.
     """
     word = _word(len(sources))
-    share = len(sources) // graphs
-    owned = [word(((1 << share) - 1) << (g * share)) for g in range(graphs)] if graphs > 1 else []
+    owned = [word(bits) for bits in arcs.owned(len(sources))] if arcs.graphs > 1 else []
     ended: dict[int, tuple[int, np.ndarray]] = {}
     for level, frontier in enumerate(arcs.sweep(sources)):
         if owned:
@@ -523,8 +500,13 @@ def diameters(
     on bits 2g and 2g + 1: the undirected graph and both orientations share
     one byte per vertex, over the move table's own columns, each masked by
     the graphs that enter over it.  An exhaustive run sweeps one graph at a
-    time, since a full word gains nothing from sharing and one directed
-    graph's paired columns take half the gathers.
+    time, since a full word gains nothing from sharing: the even ranks and
+    then the odd ones, each in rank order, so every sweep's sources have one
+    parity and a directed graph gathers only each level's in-links.  Even
+    translations are automorphisms (:func:`orbit_sources`), so all even
+    vertices have one eccentricity and all odd vertices another: the first
+    source of largest eccentricity in rank order, rank 0 or the lowest odd
+    rank, is the first source of its parity's first sweep.
     """
     if mode not in (None, "exhaustive", "orbit"):
         raise ValueError(f"unknown diameter mode {mode!r}")
@@ -540,17 +522,20 @@ def diameters(
     size = len(table.odd)
     if mode == "orbit":
         orbit = [rank(s) for s in orbit_sources(n)]
-        arcs = _InArcs.build(table, sends, len(orbit))
-        runs = [(range(len(sends)), arcs, [np.array(orbit * len(sends))])]
+        runs = [(range(len(sends)), _InArcs.build(table, sends), [np.array(orbit * len(sends))])]
     else:
         width = 64 * max(1, SWEEP_BYTES // (8 * size))  # sources per sweep
-        batches = np.split(np.arange(size), range(width, size, width))
+        batches = [
+            part[lo : lo + width]
+            for part in (np.flatnonzero(~table.odd), np.flatnonzero(table.odd))
+            for lo in range(0, len(part), width)
+        ]
         runs = (([g], _InArcs.build(table, [graph]), batches) for g, graph in enumerate(sends))
     best = [-1] * len(sends)
     witness: list[tuple[Perm, Perm]] = [((), ())] * len(sends)
     for graphs, arcs, batches in runs:
         for sources in batches:
-            for g, (levels, frontier) in zip(graphs, _last_levels(arcs, sources, len(graphs))):
+            for g, (levels, frontier) in zip(graphs, _last_levels(arcs, sources)):
                 if levels > best[g]:
                     best[g] = levels
                     source, target = _witness(frontier)
@@ -565,19 +550,19 @@ def diameter(n: int, scheme: Scheme | None = None, mode: str | None = None) -> D
     """Largest finite BFS distance over the chosen source set, undirected
     or under ``scheme``: one graph of :func:`diameters`.
 
-    ``mode="exhaustive"`` sweeps every source in rank order, as many per
-    sweep as fit the :data:`SWEEP_BYTES` frontier bound (128 at order 7,
-    64 from order 8 on); ``mode="orbit"`` sweeps the two sources of
-    :func:`orbit_sources` at once, in one byte per vertex.  The default is
-    exhaustive through order 7 and orbit beyond.  The undirected graph's
-    columns, and every column of a shared sweep, gather whole Lehmer blocks
-    (:func:`_blocks`); a directed graph swept alone gathers its paired
-    columns node by node.  Measured on a 2-core Xeon: exhaustive order 7 in
-    about 0.03 s per graph, exhaustive order 8 in about 3 s undirected and
-    4 s directed; orbit mode for all three graphs at orders 8 and 9 in about
-    0.15 s one graph at a time, and 0.05 s in the shared sweep of
-    :func:`diameters`.  The witness is the first source in rank order of
-    largest eccentricity, and the lowest-rank vertex at that distance from
-    it, which is what :meth:`DistanceField.farthest` picks.
+    ``mode="exhaustive"`` sweeps every source, the even ranks and then the
+    odd ones, as many per sweep as fit the :data:`SWEEP_BYTES` frontier
+    bound (128 at order 7, 64 from order 8 on); ``mode="orbit"`` sweeps the
+    two sources of :func:`orbit_sources` at once, in one byte per vertex.
+    The default is exhaustive through order 7 and orbit beyond.  Every
+    column gathers whole Lehmer blocks (:func:`_blocks`), and a directed
+    level gathers only the in-links of the parities its sources' frontier
+    lies on.  Measured on a 2-core Xeon: exhaustive order 7 in about 0.03 s
+    per graph, exhaustive order 8 in about 3 s undirected and 2 s directed;
+    orbit mode for all three graphs at orders 8 and 9 in about 0.1 s one
+    graph at a time, and 0.045 s in the shared sweep of :func:`diameters`.
+    The witness is the first source in rank order of largest eccentricity,
+    and the lowest-rank vertex at that distance from it, which is what
+    :meth:`DistanceField.farthest` picks.
     """
     return diameters(n, (scheme,), mode)[0]

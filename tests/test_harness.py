@@ -3,6 +3,7 @@ from __future__ import annotations
 import gc
 import itertools
 import json
+import math
 import random
 import tracemalloc
 from collections import Counter
@@ -749,9 +750,10 @@ def test_router_equivariance_memory_does_not_grow_with_the_sample():
     assert large <= 1.1 * small, (small, large)
 
 
-def test_shared_orbit_table_peak_is_within_one_orientations():
-    # the shared sweep reads the move table's own columns: no n!-long column
-    # per orientation, so three graphs peak no higher than one directed run
+def test_one_graph_directed_sweep_holds_no_full_length_column():
+    # every in-arc column is a view of the move table or one entry per
+    # Lehmer block, so a directed orbit sweep peaks within one int32 per
+    # vertex of the undirected one; an n!-long index column would pass that
     def peak(call):
         tracemalloc.start()
         try:
@@ -761,9 +763,9 @@ def test_shared_orbit_table_peak_is_within_one_orientations():
             tracemalloc.stop()
 
     move_table(8)  # the table a first call builds
-    shared = peak(lambda: diameter_table([8], "orbit"))
+    undirected = peak(lambda: diameter(8, None, "orbit"))
     fujita = peak(lambda: diameter(8, Scheme.FUJITA, "orbit"))
-    assert shared <= fujita, (shared, fujita)
+    assert fujita <= undirected + 4 * math.factorial(8), (fujita, undirected)
 
 
 def test_diameter_table_frozen_rows():

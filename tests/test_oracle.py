@@ -14,6 +14,7 @@ from starroute.oracle import (
     MAX_RANK_ORDER,
     SWEEP_BYTES,
     _InArcs,
+    _blocks,
     _lehmer,
     _sends,
     _witness,
@@ -377,9 +378,9 @@ def test_link_columns_are_block_permutations(n):
     table = move_table(n)
     size = math.factorial(n)
     v = np.arange(size)
-    arcs = _InArcs.build(table, [None])
-    ((masks, columns),) = arcs.groups
-    assert masks is None and len(columns) == n - 1
+    # the undirected graph enters both parities over every link: one group
+    ((entered, columns),) = _InArcs.build(table, [None]).groups
+    assert entered == ({0}, {0}) and len(columns) == n - 1
     for link, (index, b) in zip(range(2, n + 1), columns):
         assert b == math.factorial(n - link)
         moves = table.moves[:, link - 2]
@@ -395,52 +396,41 @@ def test_link_columns_are_block_permutations(n):
 @pytest.mark.parametrize("graphs", BUILDS)
 def test_in_arc_columns_match_topology(n, graphs):
     table = move_table(n)
-    arcs = _InArcs.build(table, [_sends(n, scheme) for scheme in graphs], 2)
-    full = (1 << 2 * len(graphs)) - 1
-    # each column with its (even, odd) masks; a group without masks takes every bit
-    masked = [(masks or (full, full), column) for masks, group in arcs.groups for column in group]
-    columns = np.stack([_ranks(*column) for _, column in masked], axis=1)
+    arcs = _InArcs.build(table, [_sends(n, scheme) for scheme in graphs])
+    assert arcs.graphs == len(graphs)
+    # one column per link, each the link's Lehmer-block column, with the
+    # (even, odd) graph sets of its group
+    columns = [(entered, column) for entered, group in arcs.groups for column in group]
+    blocks = {link: _blocks(table, link) for link in range(2, n + 1)}
+    links = []
+    for _, (index, b) in columns:
+        (link,) = [j for j, (ix, c) in blocks.items() if c == b and np.array_equal(ix, index)]
+        links.append(link)
+        # a move-table view (b = 1) or one entry per block (b > 1): no n!-long copy
+        assert np.shares_memory(index, table.moves) if b == 1 else len(index) * b == len(table.odd)
+    assert sorted(links) == list(range(2, n + 1))
+    ranks = np.stack([_ranks(*column) for _, column in columns], axis=1)
     nodes = all_perms(n)
     index = {p: i for i, p in enumerate(nodes)}
-    # one graph's columns are in link order; a shared build's follow its groups
-    order = list if len(graphs) == 1 else sorted
-    pads = 0
     for v, p in enumerate(nodes):
-        row, odd = columns[v].tolist(), int(table.odd[v])
-        pads += row.count(v)
+        row, odd = ranks[v].tolist(), int(table.odd[v])
         for g, scheme in enumerate(graphs):
-            owned = 0b11 << 2 * g
-            # a mask holds both of a graph's source bits or neither
-            assert {masks[odd] & owned for masks, _ in masked} <= {0, owned}
-            entered = [u for u, (masks, _) in zip(row, masked) if masks[odd] & owned]
+            # graph g enters v over exactly the columns whose group names it at v's parity
+            entered = sorted(u for u, (into, _) in zip(row, columns) if g in into[odd])
             arcs_in = neighbors(p) if scheme is None else in_neighbors(p, scheme)
-            assert order(u for u in entered if u != v) == order(index[q] for _, q in arcs_in)
-            assert len(entered) == len(arcs_in) + entered.count(v)
-    # a move-table column is its own view (b = 1) or one entry per block (b > 1)
-    shared = [
-        np.shares_memory(ix, table.moves) if b == 1 else len(ix) * b == len(nodes)
-        for _, (ix, b) in masked
-    ]
+            assert entered == sorted(index[q] for _, q in arcs_in)
     if len(graphs) == 1:
-        (scheme,) = graphs
-        # one graph needs no mask, and a directed one pairs its parities' in-links
-        assert [masks for masks, _ in arcs.groups] == [None]
-        assert len(columns[0]) == (n - 1 if scheme is None else -(-(n - 1) // 2))
-        # a vertex pads with its own rank only where the parities' in-degrees differ
-        assert (pads > 0) == (scheme is not None and 2 * len(_sends(n, scheme)) != n - 1)
-        # undirected, the columns are the move table's own, so no n!-long copy is made
-        assert shared == [scheme is None] * len(shared)
-    else:
-        # every link enters both parities in some graph: the table's own columns
-        assert len(columns[0]) == n - 1 and all(shared) and pads == 0
+        # one group undirected; a directed graph's even in-links and its odd ones
+        assert len(arcs.groups) == (1 if graphs[0] is None else 2)
 
 
 # a graph's share of the sources: one bit, two (the orbit layout), and five,
-# which takes the three graphs' sources past one byte
+# which takes the three graphs' sources past one byte; the sweep reads each
+# graph's share from the number of sources
 @pytest.mark.parametrize("share", [1, 2, 5])
 def test_shared_sweep_levels_match_naive_search(share):
     nodes = all_perms(5)
-    arcs = _InArcs.build(move_table(5), [_sends(5, scheme) for scheme in GRAPHS], share)
+    arcs = _InArcs.build(move_table(5), [_sends(5, scheme) for scheme in GRAPHS])
     # sources of both parities, repeats allowed, so every mask is read at both parities
     sources = random.Random(share).choices(range(len(nodes)), k=3 * share)
     expected = [
@@ -454,6 +444,50 @@ def test_shared_sweep_levels_match_naive_search(share):
             assert reached.tolist() == [int(dist.get(t) == d) for t in nodes]
         levels += 1
     assert levels == 1 + max(max(dist.values()) for dist in expected)
+
+
+def _exhaustive(n, scheme):
+    diameter(n, scheme, "exhaustive")
+
+
+def _one_source(n, scheme):
+    bfs(unrank(1, n), scheme)  # an odd source
+
+
+# one-graph directed sweeps from sources of one parity: every batch of an
+# exhaustive run, and one-source bfs over Lehmer-block columns at order 8
+@pytest.mark.parametrize(
+    "run,n,parities", [(_exhaustive, 5, {0, 1}), (_exhaustive, 7, {0, 1}), (_one_source, 8, {1})]
+)
+@pytest.mark.parametrize("scheme", list(Scheme))
+def test_one_parity_sweeps_gather_each_level_in_links(monkeypatch, run, n, parities, scheme):
+    sends = _sends(n, scheme)
+    # an even vertex is entered over the links outside the send set, an odd one over it
+    in_degree = (n - 1 - len(sends), len(sends))
+    take, sweep = np.take, _InArcs.sweep
+    calls, swept = [0], []
+
+    def counted_take(*args, **kwargs):
+        calls[0] += 1
+        return take(*args, **kwargs)
+
+    def counted_sweep(self, sources):
+        (odd,) = set(self.odd[sources].tolist())  # one parity per sweep
+        marks = []
+        for frontier in sweep(self, sources):
+            marks.append(calls[0])
+            yield frontier
+        marks.append(calls[0])
+        # level d pulls level d + 1, on vertices of parity odd ^ (d + 1) % 2
+        gathers = np.diff(marks).tolist()
+        assert gathers == [in_degree[(odd + d + 1) % 2] for d in range(len(gathers))]
+        swept.append(odd)
+
+    monkeypatch.setattr(np, "take", counted_take)
+    monkeypatch.setattr(_InArcs, "sweep", counted_sweep)
+    run(n, scheme)
+    # an exhaustive run sweeps the even ranks, then the odd ones
+    assert swept == sorted(swept) and set(swept) == parities
 
 
 SHARED_RUNS = [(n, mode) for n in range(3, 8) for mode in ("exhaustive", "orbit")]
