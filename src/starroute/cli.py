@@ -30,6 +30,7 @@ from .classify import classify
 from .harness import (
     ALL_CHECKS,
     SPLIT_MERGE_SAMPLES,
+    UNSAMPLED_ORDER,
     CheckResult,
     VerificationReport,
     diameter_table,
@@ -371,16 +372,16 @@ def build_parser() -> argparse.ArgumentParser:
         "--seed",
         type=int,
         default=0,
-        help="seed of the samples split-merge and router-equivariance draw from n=6 on "
-        "(default 0); a seed's sample changed when they began to draw permutations "
-        "as arrays",
+        help="seed of the samples split-merge and router-equivariance draw beyond "
+        f"n={UNSAMPLED_ORDER} (default 0); a seed's sample changed when they began to "
+        "draw permutations as arrays",
     )
     p.add_argument(
         "--sample-size",
         type=int,
         default=SPLIT_MERGE_SAMPLES,
-        help=f"triples split-merge and pairs router-equivariance draw from n=6 on "
-        f"(default {SPLIT_MERGE_SAMPLES}); both are exhaustive below",
+        help=f"triples split-merge and pairs router-equivariance draw beyond n={UNSAMPLED_ORDER} "
+        f"(default {SPLIT_MERGE_SAMPLES}); both are exhaustive through it",
     )
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_verify)

@@ -59,6 +59,7 @@ SPLIT_MERGE_SAMPLES = 10_000
 # the largest order a route or distance check sweeps every ordered pair at:
 # (n!)^2 pairs, 2.5e7 at order 7 and 1.6e9 at order 8
 ALL_SOURCES_ORDER = 7
+UNSAMPLED_ORDER = 5  # split-merge and router-equivariance take every row through it
 
 
 @dataclass(frozen=True)
@@ -284,10 +285,10 @@ def _equivariance_violations(n: int, seed: int, sample_size: int) -> _Sweep:
     :func:`oracle.orbit_sources`, so h = t c^-1 is even and relabels c to
     t.  The decision (link, case, move kind) at node s toward t must equal
     the one at h^-1 s = c t^-1 s toward c.  Every node and target is
-    compared through order 5; from order 6 on, ``sample_size`` (node,
-    target) pairs from :func:`_drawn_pairs`.
+    compared through :data:`UNSAMPLED_ORDER`; beyond, ``sample_size``
+    (node, target) pairs from :func:`_drawn_pairs`.
     """
-    if n <= 5:
+    if n <= UNSAMPLED_ORDER:
         nodes = _nodes(n)
         population = len(nodes) * (len(nodes) - 1)
         pairs: Iterable[tuple[Perm, Perm]] = ((s, t) for t in nodes for s in nodes if s != t)
@@ -376,11 +377,12 @@ def _split_merge_rows(dest: np.ndarray, link: np.ndarray) -> np.ndarray:
 
 def _split_merge_blocks(n: int, seed: int, sample_size: int) -> Iterator[tuple[np.ndarray, ...]]:
     """The split/merge check's (c, t, link) rows, ``_SPLIT_MERGE_ROWS`` at a
-    time: through order 5 every triple, c then t in rank order, links ascending;
-    beyond, ``sample_size`` from ``random.Random(seed)``, c and t by :func:`_draw`
-    and the link 1 + the first entry of a drawn permutation of 1..n-1."""
+    time: through :data:`UNSAMPLED_ORDER` every triple, c then t in rank order,
+    links ascending; beyond, ``sample_size`` from ``random.Random(seed)``, c
+    and t by :func:`_draw` and the link 1 + the first entry of a drawn
+    permutation of 1..n-1."""
     rng = random.Random(seed)
-    nodes = np.array(_nodes(n), dtype=np.uint8) if n <= 5 else None
+    nodes = np.array(_nodes(n), dtype=np.uint8) if n <= UNSAMPLED_ORDER else None
     size = sample_size if nodes is None else len(nodes) ** 2 * (n - 1)
     for lo in range(0, size, _SPLIT_MERGE_ROWS):
         m = min(_SPLIT_MERGE_ROWS, size - lo)
@@ -437,8 +439,9 @@ def verify(
     respects that relabeling (``router-equivariance`` checks it).  Both
     families take the same pairs.  Route checks follow the contiguous-half
     scheme.  ``seed`` and ``sample_size`` control the sampled
-    ``router-equivariance`` and ``split-merge`` checks at n >= 6, whose rows
-    :func:`_draw` takes from ``random.Random(seed)``; both are exhaustive below.
+    ``router-equivariance`` and ``split-merge`` checks above
+    :data:`UNSAMPLED_ORDER`, whose rows :func:`_draw` takes from
+    ``random.Random(seed)``; both are exhaustive through it.
 
     The route checks (:data:`ROUTE_CHECKS`) are one sweep and the distance
     checks (:data:`DISTANCE_CHECKS`) another: selecting any check of a family

@@ -1,8 +1,9 @@
 """Exact distances on the star graph by brute-force breadth-first search.
 
 Vertices are indexed by Lehmer-code rank (lexicographic order of one-line
-notation, identity = 0).  For each order a move table is built once: row r,
-column j holds the rank of vertex r after swapping positions 1 and j+2.
+notation, identity = 0).  For each order a move table is built once, each
+link j held as a permutation of Lehmer blocks: swapping positions 1 and j
+moves whole blocks of (n - j)! consecutive ranks (:class:`MoveTable`).
 
 One search runs over that table: the bit-parallel multi-source BFS of
 Akiba, Iwata & Yoshida (SIGMOD 2013).  It follows any number of sources at
@@ -12,10 +13,9 @@ word per vertex, uint8 up to 8 sources, so the two-source orbit sweep and the
 one-source :func:`bfs` move one byte per vertex; beyond 64 it is a row of
 uint64 words.  Each level pulls whole rows along in-arcs, one gather per
 in-arc column into buffers allocated once per sweep, so a wider row follows
-more sources for the same number of numpy calls.  Each link's column is a
-permutation of Lehmer blocks (:func:`_blocks`): link j moves whole blocks of
-(n - j)! consecutive ranks, so its gather takes n!/(n - j)! block rows, 72
-at link 2 of order 9, and only the last two links gather row by row.  An
+more sources for the same number of numpy calls.  Each link's column is
+the move table's block index, so its gather takes n!/(n - j)! block rows,
+72 at link 2 of order 9, and only the last two links gather row by row.  An
 orientation is a send set, the links even vertices send on (None
 undirected), and :class:`_InArcs` groups the link columns by the graphs
 that enter an even and an odd vertex over them; each level masks a group
@@ -25,9 +25,9 @@ None for the undirected star graph, a :class:`Scheme` for that orientation.
 :func:`diameters` keeps only each graph's last level and frontier.  In orbit
 mode one sweep carries every graph asked for, two sources each, so the
 undirected graph and both orientations share one byte per vertex, six bits of
-it, over the move table's own columns; an exhaustive run sweeps one graph at
-a time, the even ranks and then the odd ones, batched by the byte bound
-:data:`SWEEP_BYTES`: 128 sources per sweep at order 7, 64 from order 8 on.
+it, over the move table's own block indexes; an exhaustive run sweeps one
+graph at a time, the even ranks and then the odd ones, batched by the byte
+bound :data:`SWEEP_BYTES`: 128 sources per sweep at order 7, 64 from 8 on.
 :func:`distance_fields` sweeps 64 sources at a time and writes each level
 into one byte per vertex and source.  On a 2-core Xeon a one-source order-9
 field takes about 0.05 s, undirected or directed (one source has one
@@ -53,7 +53,7 @@ from .topology import Scheme
 UNREACHABLE = 0xFF
 
 MAX_RANK_ORDER = 12  # rank arithmetic stays within machine ints
-MAX_TABLE_ORDER = 9  # 9! vertices ~ a few MB per table / distance field
+MAX_TABLE_ORDER = 9  # 9! vertices: 11.5 MB per move table, 363 kB per distance field
 
 
 def check_order(n: int, covers: str, lo: int = 3) -> None:
@@ -109,26 +109,40 @@ def _lehmer(columns: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     Digit i counts the later positions holding a smaller value; the rank is
     the sum of digit i times (n-1-i)!, and the parity is the digit sum mod 2
     (it equals the inversion count).  One pass over the position pairs, with
-    uint8 digits and an int32 rank (9! < 2**31).
+    uint8 digits and an intp rank, the index type ``np.take`` reads.
     """
     n, m = len(columns), len(columns[0])
-    ranks = np.zeros(m, dtype=np.int32)
+    ranks = np.zeros(m, dtype=np.intp)
     digit_sum = np.zeros(m, dtype=np.uint8)
     for i in range(n - 1):
         digit = np.zeros(m, dtype=np.uint8)
         for later in columns[i + 1 :]:
             digit += later < columns[i]
-        ranks += digit.astype(np.int32) * factorial(n - 1 - i)
+        ranks += digit.astype(np.intp) * factorial(n - 1 - i)
         digit_sum += digit
     return ranks, (digit_sum & 1).astype(bool)
 
 
 @dataclass(frozen=True)
 class MoveTable:
+    """Every vertex of order ``n`` and its links, each held once.  Swapping
+    positions 1 and j keeps the Lehmer digits of positions j+1..n, the rank
+    modulo b = (n - j)!, and the higher digits depend only on the block
+    ``v // b``.  So link j takes rank v to ``index[v // b] * b + v % b``,
+    ``links[j - 2] == (index, b)``, with ``index`` a permutation of the n!/b
+    blocks: n!-long only at the last two links, where b = 1."""
+
     n: int
     perms: np.ndarray  # (n!, n) uint8, row r = unrank(r)
-    moves: np.ndarray  # (n!, n-1) int32, column j = generator j+2, column-major
+    links: tuple[tuple[np.ndarray, int], ...]  # (intp block index, b) of links 2..n
     odd: np.ndarray  # (n!,) bool, True at odd vertices
+
+    def step(self, ranks: np.ndarray, link: int) -> np.ndarray:
+        """The rank each of ``ranks`` moves to over ``link``, one of 2..n."""
+        if not 2 <= link <= self.n:
+            raise ValueError(f"a link of order {self.n} lies in 2..{self.n}, got {link!r}")
+        index, b = self.links[link - 2]
+        return index[ranks // b] * b + ranks % b
 
 
 _tables: dict[int, MoveTable] = {}
@@ -159,20 +173,19 @@ def move_table(n: int) -> MoveTable:
     table = _tables.get(n)
     if table is None:
         perms = _lexicographic_perms(n)
-        # column-major: the sweeps gather along whole columns
-        moves = np.empty((len(perms), n - 1), dtype=np.int32, order="F")
+        links = []
         for link in range(2, n + 1):
-            columns = list(perms.T)  # views: the swap copies no row
+            b = factorial(n - link)
+            # views of each block's first row: the swap copies no row, and
+            # the swapped first row of a block ranks at a multiple of b
+            columns = list(perms[::b].T)
             columns[0], columns[link - 1] = columns[link - 1], columns[0]
-            moves[:, link - 2], neighbour_odd = _lehmer(columns)
-        table = MoveTable(
-            n=n,
-            perms=perms,
-            moves=moves,
-            # every generator is a transposition: a vertex has the
-            # opposite parity of its neighbours
-            odd=~neighbour_odd,
-        )
+            index, neighbour_odd = _lehmer(columns)
+            index //= b
+            links.append((index, b))
+        # every generator is a transposition: a vertex has the opposite
+        # parity of its neighbours, read at the last link, where b = 1
+        table = MoveTable(n, perms, tuple(links), ~neighbour_odd)
         _tables[n] = table
     return table
 
@@ -250,29 +263,14 @@ def _sends(n: int, scheme: Scheme | None) -> frozenset[int] | None:
     return frozenset(links[: n // 2] if scheme is Scheme.FUJITA else links[::2])
 
 
-def _blocks(table: MoveTable, link: int) -> tuple[np.ndarray, int]:
-    """The move-table column of ``link`` as a permutation of Lehmer blocks.
-
-    Swapping positions 1 and j leaves the Lehmer digits of positions
-    j+1..n unchanged.  They are the rank modulo b = (n - j)!, and the
-    higher digits depend only on the block ``v // b``.  So ``moves[v, j - 2]
-    == index[v // b] * b + v % b`` with ``index = moves[::b, j - 2] // b``, a
-    permutation of the n!/b blocks, and a gather moves whole blocks of b
-    rows.  The last two links have b = 1: their index is the column itself,
-    a view, so no n!-long copy is made.
-    """
-    moves, b = table.moves[:, link - 2], factorial(table.n - link)
-    return (moves, 1) if b == 1 else (moves[::b] // b, b)
-
-
 @dataclass(frozen=True)
 class _InArcs:
     """In-arcs of every vertex in the graphs of one sweep, as rank columns
-    for bit-parallel BFS, one per link, each the ``(index, b)`` pair of
-    :func:`_blocks`: rank v is entered from ``index[v // b] * b + v % b``,
-    so a gather moves blocks of b rows.
+    for bit-parallel BFS, one per link: the move table's ``(index, b)``,
+    held with no copy.  Every generator is an involution, so rank v is
+    entered over link j from the rank it moves to, ``index[v // b] * b +
+    v % b``, and a gather moves blocks of b rows.
 
-    The vertex that enters ``v`` over link ``j`` is ``moves[v, j - 2]``.
     Under a send set L, even vertices send on L and odd ones on the other
     links, and every generator flips parity, so an even vertex is entered
     over the links outside L and an odd one over L; undirected (L None) a
@@ -295,13 +293,13 @@ class _InArcs:
     @classmethod
     def build(cls, table: MoveTable, sends: Sequence[frozenset[int] | None]) -> _InArcs:
         groups: dict[tuple[frozenset[int], frozenset[int]], list[tuple[np.ndarray, int]]] = {}
-        for link in range(2, table.n + 1):
+        for link, column in enumerate(table.links, 2):
             # the graphs that enter an even, and an odd, vertex over the link
             entered = tuple(
                 frozenset(g for g, ls in enumerate(sends) if ls is None or (link in ls) == odd)
                 for odd in (False, True)
             )
-            groups.setdefault(entered, []).append(_blocks(table, link))
+            groups.setdefault(entered, []).append(column)
         return cls(len(table.odd), table.odd, len(sends), list(groups.items()))
 
     def owned(self, width: int) -> list[int]:
@@ -498,7 +496,7 @@ def diameters(
 
     In orbit mode one sweep carries every graph's two orbit sources, graph g
     on bits 2g and 2g + 1: the undirected graph and both orientations share
-    one byte per vertex, over the move table's own columns, each masked by
+    one byte per vertex, over the move table's own block indexes, each masked by
     the graphs that enter over it.  An exhaustive run sweeps one graph at a
     time, since a full word gains nothing from sharing: the even ranks and
     then the odd ones, each in rank order, so every sweep's sources have one
@@ -554,13 +552,11 @@ def diameter(n: int, scheme: Scheme | None = None, mode: str | None = None) -> D
     odd ones, as many per sweep as fit the :data:`SWEEP_BYTES` frontier
     bound (128 at order 7, 64 from order 8 on); ``mode="orbit"`` sweeps the
     two sources of :func:`orbit_sources` at once, in one byte per vertex.
-    The default is exhaustive through order 7 and orbit beyond.  Every
-    column gathers whole Lehmer blocks (:func:`_blocks`), and a directed
-    level gathers only the in-links of the parities its sources' frontier
-    lies on.  Measured on a 2-core Xeon: exhaustive order 7 in about 0.03 s
-    per graph, exhaustive order 8 in about 3 s undirected and 2 s directed;
-    orbit mode for all three graphs at orders 8 and 9 in about 0.1 s one
-    graph at a time, and 0.045 s in the shared sweep of :func:`diameters`.
+    The default is exhaustive through order 7 and orbit beyond.  Measured
+    on a 2-core Xeon: exhaustive order 7 in about 0.02 s per graph,
+    exhaustive order 8 in about 1.7 s undirected and 1.4 s directed; orbit
+    mode for all three graphs at orders 8 and 9 in about 0.065 s one graph
+    at a time, and 0.03 s in the shared sweep of :func:`diameters`.
     The witness is the first source in rank order of largest eccentricity,
     and the lowest-rank vertex at that distance from it, which is what
     :meth:`DistanceField.farthest` picks.

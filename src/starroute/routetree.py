@@ -10,7 +10,7 @@ node v into target j.  Each column is a numpy array over the rows:
 - the counts and the decision of :func:`_pick_rows`, one pass over the
   blocks for :func:`classify._count_rows` and the row kernel of
   :func:`routing._oriented_pick` (link, move kind and case, all three
-  from that pass).  The successor is a gather, ``moves[v, link - 2]``;
+  from that pass).  The successor is ``move_table(n).step`` over the link;
 - a route DP as path sums, over up to ``routing._runaway_limit(n)`` levels
   outward from the roots: each route's ``sums`` of per-hop indicators
   (``_HOPS``), its ``near`` pointers to the first rows of the route where a
@@ -188,13 +188,11 @@ class RouteTree:
 
         # successor row, within the block of the row's target; the roots point
         # past the end, where depth holds no level
-        base = np.repeat(np.arange(0, rows, size, dtype=np.int32), size)
-        hop = np.maximum(link.astype(np.int32) - 2, 0) * size
-        hop += np.arange(rows, dtype=np.int32)
-        hop -= base
-        self.nxt = nxt = table.moves.ravel(order="F")[hop] + base
-        nxt[root] = rows
-        del base, hop
+        self.nxt = nxt = np.full(rows, rows)
+        for j in range(2, n + 1):
+            at = np.flatnonzero(link == j)
+            node = at % size
+            nxt[at] = table.step(node, j) + at - node
 
         # each row's own hop indicators; the load past the end is a root's, 0
         load = np.zeros(rows + 1, dtype=np.uint8)

@@ -751,9 +751,9 @@ def test_router_equivariance_memory_does_not_grow_with_the_sample():
 
 
 def test_one_graph_directed_sweep_holds_no_full_length_column():
-    # every in-arc column is a view of the move table or one entry per
-    # Lehmer block, so a directed orbit sweep peaks within one int32 per
-    # vertex of the undirected one; an n!-long index column would pass that
+    # every in-arc column is the move table's own block index, so a directed
+    # orbit sweep peaks within one int32 per vertex of the undirected one; an
+    # n!-long intp index copy would pass that
     def peak(call):
         tracemalloc.start()
         try:

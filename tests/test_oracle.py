@@ -4,17 +4,18 @@ import functools
 import itertools
 import math
 import random
+import tracemalloc
 from collections import deque
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from starroute import oracle
 from starroute.oracle import (
     MAX_RANK_ORDER,
     SWEEP_BYTES,
     _InArcs,
-    _blocks,
     _lehmer,
     _sends,
     _witness,
@@ -81,17 +82,20 @@ def test_unrank_rejects_the_orders_rank_rejects(n):
 def test_move_table_matches_generator_action():
     table = move_table(4)
     assert table.perms.shape == (24, 4)
-    assert table.moves.shape == (24, 3)
+    assert len(table.links) == 3
     for r in (0, 5, 17, 23):
         p = unrank(r, 4)
         for link in (2, 3, 4):
-            q_rank = int(table.moves[r, link - 2])
+            q_rank = int(table.step(r, link))
             assert unrank(q_rank, 4) == tuple(
                 p[link - 1] if i == 0 else (p[0] if i == link - 1 else p[i])
                 for i in range(4)
             )
     assert not table.odd[0]
     assert bool(table.odd[rank((2, 1, 3, 4))])
+    for link in (0, 1, 5):
+        with pytest.raises(ValueError, match="lies in 2..4"):
+            table.step(0, link)
 
 
 @pytest.mark.parametrize("n", range(3, 10))
@@ -100,15 +104,33 @@ def test_move_table_rows_follow_unrank(n):
     # the Lehmer-digit parity of the table against perm.parity
     table = move_table(n)
     size = math.factorial(n)
-    assert table.perms.shape == (size, n) and table.moves.shape == (size, n - 1)
+    assert table.perms.shape == (size, n) and len(table.links) == n - 1
     ranks = range(size) if n <= 6 else random.Random(n).sample(range(size), 300)
     for r in ranks:
         p = unrank(r, n)
         assert tuple(table.perms[r].tolist()) == p
         assert bool(table.odd[r]) == bool(parity(p))
-        assert table.moves[r].tolist() == [
-            rank(apply_generator(p, link)) for link in range(2, n + 1)
+    for link in range(2, n + 1):
+        assert table.step(np.array(ranks), link).tolist() == [
+            rank(apply_generator(unrank(r, n), link)) for r in ranks
         ]
+
+
+def test_move_table_holds_each_link_once(monkeypatch):
+    # a fresh order-8 table holds its rows, its parities and one intp entry
+    # per Lehmer block of each link, and no second form of any link
+    monkeypatch.setattr(oracle, "_tables", {})
+    n = 8
+    size = math.factorial(n)
+    blocks = sum(size // math.factorial(n - link) for link in range(2, n + 1))
+    tracemalloc.start()
+    try:
+        table = move_table(n)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held <= size * n + size + 8 * blocks + 16 * 1024, held
+    assert table.perms.nbytes + table.odd.nbytes == size * (n + 1)
 
 
 @functools.cache
@@ -378,18 +400,18 @@ def test_link_columns_are_block_permutations(n):
     table = move_table(n)
     size = math.factorial(n)
     v = np.arange(size)
-    # the undirected graph enters both parities over every link: one group
+    # the undirected graph enters both parities over every link: one group,
+    # each column the table's own index
     ((entered, columns),) = _InArcs.build(table, [None]).groups
-    assert entered == ({0}, {0}) and len(columns) == n - 1
-    for link, (index, b) in zip(range(2, n + 1), columns):
-        assert b == math.factorial(n - link)
-        moves = table.moves[:, link - 2]
-        blocks = moves[::b] // b
-        assert (moves == blocks[v // b] * b + v % b).all()
-        assert sorted(blocks.tolist()) == list(range(size // b))
-        assert index.tolist() == blocks.tolist()
-        # the last two links gather the move table's own column
-        assert np.shares_memory(index, table.moves) == (b == 1)
+    assert entered == ({0}, {0}) and columns == list(table.links)
+    for link, (index, b) in zip(range(2, n + 1), table.links):
+        assert b == math.factorial(n - link) and index.dtype == np.intp
+        assert sorted(index.tolist()) == list(range(size // b))
+        if n <= 7:
+            # each rank steps to its swapped row's rank
+            swapped = list(table.perms.T)
+            swapped[0], swapped[link - 1] = swapped[link - 1], swapped[0]
+            assert (table.step(v, link) == _lehmer(swapped)[0]).all()
 
 
 @pytest.mark.parametrize("n", [4, 5, 6, 7])
@@ -401,13 +423,11 @@ def test_in_arc_columns_match_topology(n, graphs):
     # one column per link, each the link's Lehmer-block column, with the
     # (even, odd) graph sets of its group
     columns = [(entered, column) for entered, group in arcs.groups for column in group]
-    blocks = {link: _blocks(table, link) for link in range(2, n + 1)}
     links = []
     for _, (index, b) in columns:
-        (link,) = [j for j, (ix, c) in blocks.items() if c == b and np.array_equal(ix, index)]
+        # the move table's own index, no copy
+        (link,) = [j for j, (ix, c) in enumerate(table.links, 2) if ix is index and c == b]
         links.append(link)
-        # a move-table view (b = 1) or one entry per block (b > 1): no n!-long copy
-        assert np.shares_memory(index, table.moves) if b == 1 else len(index) * b == len(table.odd)
     assert sorted(links) == list(range(2, n + 1))
     ranks = np.stack([_ranks(*column) for _, column in columns], axis=1)
     nodes = all_perms(n)
@@ -535,6 +555,7 @@ def test_fujita_and_day_tripathi_are_one_graph(n):
     fujita, day_tripathi = _outgoing(n, Scheme.FUJITA), _outgoing(n, Scheme.DAY_TRIPATHI)
     assert (fujita != day_tripathi).any()  # the identity relabelling does not do it
     odd = table.odd.view(np.uint8)
+    v = np.arange(len(table.perms))
     for s in (searched, library):
         # row v of relabelled is v∘s: (v∘s)(p) = v(s(p))
         relabelled = table.perms[:, [p - 1 for p in s]]
@@ -544,8 +565,8 @@ def test_fujita_and_day_tripathi_are_one_graph(n):
         for link in range(2, n + 1):
             image_link = s.index(link) + 1  # s^-1(link)
             # the edge at v over link is the edge at v∘s over s^-1(link) ...
-            ends = relabelled[table.moves[:, link - 2]]
-            assert (ends == table.perms[table.moves[image, image_link - 2]]).all()
+            ends = relabelled[table.step(v, link)]
+            assert (ends == table.perms[table.step(image, image_link)]).all()
             # ... and both schemes direct it the same way
             assert (fujita[odd, link] == day_tripathi[odd, image_link]).all()
 
