@@ -29,6 +29,8 @@ from typing import Sequence
 from .classify import classify
 from .harness import (
     ALL_CHECKS,
+    ALL_SOURCES_DEFAULT_ORDER,
+    ALL_SOURCES_ORDER,
     SPLIT_MERGE_SAMPLES,
     UNSAMPLED_ORDER,
     CheckResult,
@@ -39,7 +41,7 @@ from .harness import (
     verify,
     witness,
 )
-from .oracle import check_order, diameter, distance
+from .oracle import EXHAUSTIVE_DEFAULT_ORDER, check_order, diameter, distance
 from .perm import format_perm, parse_perm
 from .routing import RouteTrace, classic_route, oriented_route
 from .topology import Scheme, arc_direction, neighbors
@@ -136,10 +138,7 @@ def _trace_json(trace: RouteTrace) -> dict:
 
 def _cmd_route(args: argparse.Namespace) -> int:
     s, t = parse_perm(args.source), parse_perm(args.target)
-    if args.classic:
-        trace = classic_route(s, t)
-    else:
-        trace = oriented_route(s, t)
+    trace = classic_route(s, t) if args.classic else oriented_route(s, t)
     if args.json:
         print(json.dumps(_trace_json(trace), indent=2))
         return 0
@@ -315,6 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Routing and diameter experiments on oriented star graphs.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    mode_help = f"default: exhaustive through n={EXHAUSTIVE_DEFAULT_ORDER}, orbit beyond"
 
     p = sub.add_parser("neighbors", help="list the neighbors of a node with arc directions")
     p.add_argument("perm", help="node permutation, e.g. 12345")
@@ -347,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("n", type=int)
     p.add_argument("--directed", action="store_true")
     _scheme_arg(p)
-    p.add_argument("--mode", choices=["exhaustive", "orbit"], default=None)
+    p.add_argument("--mode", choices=["exhaustive", "orbit"], default=None, help=mode_help)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_diameter)
 
@@ -363,10 +363,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--sources",
         choices=["all", "reduced"],
         default=None,
-        help="all: every ordered pair (default through n=6, route and distance checks "
-        "through n=7); reduced: one pair per orbit "
-        "under even relabeling, 2*n! pairs (default from n=7): every node into the two "
-        "canonical targets, for the route and the distance checks alike",
+        help=f"all: every ordered pair (default through n={ALL_SOURCES_DEFAULT_ORDER}; route and "
+        f"distance checks through n={ALL_SOURCES_ORDER}); reduced: one pair per orbit under even "
+        "relabeling, 2*n! pairs, every node into the two canonical targets (default beyond)",
     )
     p.add_argument(
         "--seed",
@@ -388,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("table", help="diameter table across orders")
     p.add_argument("orders", help="orders, e.g. 6 or 3..7 or 5,7,9")
-    p.add_argument("--mode", choices=["exhaustive", "orbit"], default=None)
+    p.add_argument("--mode", choices=["exhaustive", "orbit"], default=None, help=mode_help)
     p.add_argument("--format", choices=["text", "csv", "json"], default="text")
     p.set_defaults(func=_cmd_table)
 

@@ -9,7 +9,6 @@ measures both orientation schemes side by side.
 
 from __future__ import annotations
 
-import itertools
 import json
 import random
 import time
@@ -59,6 +58,7 @@ SPLIT_MERGE_SAMPLES = 10_000
 # the largest order a route or distance check sweeps every ordered pair at:
 # (n!)^2 pairs, 2.5e7 at order 7 and 1.6e9 at order 8
 ALL_SOURCES_ORDER = 7
+ALL_SOURCES_DEFAULT_ORDER = 6  # verify takes every ordered pair by default through it
 UNSAMPLED_ORDER = 5  # split-merge and router-equivariance take every row through it
 
 
@@ -111,7 +111,7 @@ class VerificationReport:
 def _nodes(n: int) -> list[Perm]:
     """Every node of order ``n`` as a tuple, in rank order: n! tuples, so
     built only where a check enumerates them."""
-    return [tuple(p) for p in itertools.permutations(range(1, n + 1))]
+    return list(map(tuple, move_table(n).perms.tolist()))
 
 
 def hop_cap(n: int) -> int:
@@ -382,7 +382,7 @@ def _split_merge_blocks(n: int, seed: int, sample_size: int) -> Iterator[tuple[n
     and t by :func:`_draw` and the link 1 + the first entry of a drawn
     permutation of 1..n-1."""
     rng = random.Random(seed)
-    nodes = np.array(_nodes(n), dtype=np.uint8) if n <= UNSAMPLED_ORDER else None
+    nodes = move_table(n).perms if n <= UNSAMPLED_ORDER else None
     size = sample_size if nodes is None else len(nodes) ** 2 * (n - 1)
     for lo in range(0, size, _SPLIT_MERGE_ROWS):
         m = min(_SPLIT_MERGE_ROWS, size - lo)
@@ -431,17 +431,16 @@ def verify(
 ) -> VerificationReport:
     """Run the named checks over ordered node pairs of the order-``n`` graph.
 
-    ``sources`` is ``"all"`` (every ordered pair, default through n=6 and
-    for the route and distance checks allowed through :data:`ALL_SOURCES_ORDER`) or
-    ``"reduced"`` (default from n=7 on): every node into the two canonical
-    targets of :func:`oracle.orbit_sources`, one pair from each orbit of
-    ordered pairs under even relabeling, 2·n! pairs in all.  The router
-    respects that relabeling (``router-equivariance`` checks it).  Both
+    ``sources`` is ``"all"`` (every ordered pair, default through
+    :data:`ALL_SOURCES_DEFAULT_ORDER` and for the route and distance checks allowed
+    through :data:`ALL_SOURCES_ORDER`) or ``"reduced"`` (the default beyond): every
+    node into the two canonical targets of :func:`oracle.orbit_sources`, one pair
+    from each orbit of ordered pairs under even relabeling, 2·n! pairs in all.  The
+    router respects that relabeling (``router-equivariance`` checks it).  Both
     families take the same pairs.  Route checks follow the contiguous-half
-    scheme.  ``seed`` and ``sample_size`` control the sampled
-    ``router-equivariance`` and ``split-merge`` checks above
-    :data:`UNSAMPLED_ORDER`, whose rows :func:`_draw` takes from
-    ``random.Random(seed)``; both are exhaustive through it.
+    scheme.  ``seed`` and ``sample_size`` control the sampled ``router-equivariance``
+    and ``split-merge`` checks above :data:`UNSAMPLED_ORDER`, whose rows
+    :func:`_draw` takes from ``random.Random(seed)``; both are exhaustive through it.
 
     The route checks (:data:`ROUTE_CHECKS`) are one sweep and the distance
     checks (:data:`DISTANCE_CHECKS`) another: selecting any check of a family
@@ -467,7 +466,7 @@ def verify(
     if duplicates:
         raise ValueError(f"duplicate checks {duplicates}")
     if sources is None:
-        sources = "all" if n <= 6 else "reduced"
+        sources = "all" if n <= ALL_SOURCES_DEFAULT_ORDER else "reduced"
     if sources not in ("all", "reduced"):
         raise ValueError(f"sources must be 'all' or 'reduced', not {sources!r}")
     if sources == "reduced":

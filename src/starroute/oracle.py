@@ -54,6 +54,7 @@ UNREACHABLE = 0xFF
 
 MAX_RANK_ORDER = 12  # rank arithmetic stays within machine ints
 MAX_TABLE_ORDER = 9  # 9! vertices: 11.5 MB per move table, 363 kB per distance field
+EXHAUSTIVE_DEFAULT_ORDER = 7  # diameters sweeps every source by default through it
 
 
 def check_order(n: int, covers: str, lo: int = 3) -> None:
@@ -510,7 +511,7 @@ def diameters(
         raise ValueError(f"unknown diameter mode {mode!r}")
     check_order(n, "BFS oracle supports orders")
     if mode is None:
-        mode = "exhaustive" if n <= 7 else "orbit"
+        mode = "exhaustive" if n <= EXHAUSTIVE_DEFAULT_ORDER else "orbit"
     sends = [_sends(n, scheme) for scheme in schemes]  # checked before the table is built
     if not schemes or len(set(schemes)) < len(schemes):
         raise ValueError(
@@ -552,7 +553,7 @@ def diameter(n: int, scheme: Scheme | None = None, mode: str | None = None) -> D
     odd ones, as many per sweep as fit the :data:`SWEEP_BYTES` frontier
     bound (128 at order 7, 64 from order 8 on); ``mode="orbit"`` sweeps the
     two sources of :func:`orbit_sources` at once, in one byte per vertex.
-    The default is exhaustive through order 7 and orbit beyond.  Measured
+    The default is exhaustive through :data:`EXHAUSTIVE_DEFAULT_ORDER`, orbit beyond.  Measured
     on a 2-core Xeon: exhaustive order 7 in about 0.02 s per graph,
     exhaustive order 8 in about 1.7 s undirected and 1.4 s directed; orbit
     mode for all three graphs at orders 8 and 9 in about 0.065 s one graph

@@ -245,9 +245,9 @@ class RouteTree:
         return self.targets[row // self.size]
 
     def summary(self) -> PhaseSummary:
-        """The phase summary of every row's route, from its sums and the
-        depths of the rows it points to.  The roots have length 0 and the
-        rows that no level reached length -1, so neither breaks a law."""
+        """The phase summary of every row's route, from its sums and the depths of the rows it
+        points to.  The roots have length 0 and the rows that no level reached length -1, so
+        neither breaks a law.  ``inside`` counts an extended route's settling run too."""
         depth, length = self.depth, self.depth[:-1]
         crossings, finals, prefinals, fallbacks = self.sums[:, :4].T
         crossed, extended = crossings > 0, fallbacks > 0
@@ -262,7 +262,7 @@ class RouteTree:
             length, len1, end2, extended,
             finals, np.where(finals > 0, length - depth[first_final], -1),
             prefinals, np.where(prefinals > 0, length - depth[first_prefinal], -1),
-            np.where(crossed & ~extended, inside, 0),
+            np.where(crossed, inside, 0),
             self.counts,
             *(Counts._make(col[at] for col in self.counts) for at in (alpha, gamma)),
             self.odd[alpha], self.trace,

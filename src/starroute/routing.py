@@ -453,8 +453,8 @@ class PhaseSummary(NamedTuple):
     final_hop: np.ndarray  # hop of the first final crossing, -1 without one
     prefinals: np.ndarray
     prefinal_hop: np.ndarray  # hop of the first pre-final crossing, -1 without one
-    # non-crossing hops strictly inside Phase Two; the law that reads them is
-    # skipped on extended routes, so they count none
+    # non-crossing hops strictly inside Phase Two: law (d) forbids them on a
+    # chain route, and on an extended one they are its settling run
     inside: np.ndarray
     source: Counts  # the counts of s, alpha and gamma
     alpha: Counts
@@ -499,12 +499,14 @@ def check_phase_invariants(trace: RouteTrace) -> PhaseReport:
        crossing when any crossing occurs, as the last of Phase Two, with a
        pre-final crossing (at most one) directly before it.
 
-    Laws (b) and the all-crossing part of (d) describe an uninterrupted
-    burn-down chain; they are skipped (``extended=True`` in the report) when
-    a 2.4/2.5 hop had to displace a crossed value mid-chain, which hands the
-    front to a settling run before the chain resumes.  Laws (a), (c) and the
-    rest of (d) hold either way.  Phase Three holds no crossing move by
-    construction: Phase Two ends at the last crossing-kind move.
+    A route is extended (``extended=True`` in the report) when a 2.4/2.5 hop
+    displaced a crossed value mid-chain, handing the front to a settling
+    run, the non-crossing hops inside Phase Two, before the chain resumes.
+    Law (b)'s length leaves that run out, and only the all-crossing part of
+    (d) is skipped there.  Law (b) on extended routes is verified on every
+    pair of each supported order (one per orbit from order 7 on), not
+    proved.  Phase Three holds no crossing move: Phase Two ends at the last
+    crossing-kind move.
 
     The check reads the stored columns only: one scan of ``moves`` finds the
     phase boundaries, the final and the pre-final crossings, and the counts
@@ -530,10 +532,7 @@ def _extended(cases: Sequence[str]) -> bool:
 
 def _inside_hops(trace: RouteTrace) -> list[tuple[int, MoveKind]]:
     """``(hop, kind)`` of each non-crossing hop strictly inside Phase Two of
-    ``trace``, hops numbered from 0.  None on an extended route: the law
-    that reads them is skipped there."""
-    if _extended(trace.cases):
-        return []
+    ``trace``, hops numbered from 0."""
     len1, end2, *_ = _scan_moves(trace.moves)
     inner = enumerate(trace.moves[len1 + 1 : end2], len1 + 1)
     return [(j, kind) for j, kind in inner if kind not in CROSSING_KINDS]
@@ -544,7 +543,6 @@ def _phase_summary(trace: RouteTrace) -> PhaseSummary:
     moves, nodes, t = trace.moves, trace.nodes, trace.target
     tpos, half = positions(t), boundary(len(t)).half
     len1, end2, finals, prefinals = _scan_moves(moves)
-    extended = _extended(trace.cases)
     s_counts = _set_counts(nodes[0], tpos, half)
     a_counts = _set_counts(nodes[len1], tpos, half) if len1 else s_counts
     g_counts = _set_counts(nodes[end2], tpos, half) if end2 > len1 else a_counts
@@ -568,7 +566,7 @@ def _phase_summary(trace: RouteTrace) -> PhaseSummary:
     )[:, None]
     s, a, g = map(Counts._make, rows[9:].reshape(3, len(Counts._fields), 1))
     return PhaseSummary(
-        *rows[:3], np.array([extended]), *rows[3:8], s, a, g, rows[8], lambda i: trace
+        *rows[:3], np.array([_extended(trace.cases)]), *rows[3:8], s, a, g, rows[8], lambda i: trace
     )
 
 
@@ -611,21 +609,22 @@ def _phase_faults(summary: PhaseSummary) -> list[Law]:
 
     # law (b), one law per bound, its limit read from each route's regime:
     # quiet where alpha has no burn-down and nothing crossed in its reach,
-    # burning otherwise; skipped where the burn-down chain was interrupted
+    # burning otherwise; the length leaves out an extended route's settling run
     quiet = (a.ull == 0) & (a.urr == 0) & (np.where(alpha_odd, a.url, a.ulr) == 0)
     most = np.maximum(a.ull, a.urr).astype(np.int16)
     chi = np.where(quiet, 1, a.alternating.astype(np.int16) + 1)
     law(
-        ~extended & (g.alternating > chi),
+        g.alternating > chi,
         lambda i: f"chi(gamma) = {g.alternating[i]} > 1 with no burn-down at alpha"
         if quiet[i]
         else f"chi grew {a.alternating[i]} -> {g.alternating[i]} over Phase Two, expected <= +1",
     )
     hops = np.where(quiet, 2, 2 * most + 1)
-    law(~extended & (len2 > hops), lambda i: f"Phase Two has {len2[i]} hops, expected <= {hops[i]}")
+    limit = hops + np.where(extended, inside, 0)
+    law(len2 > limit, lambda i: f"Phase Two has {len2[i]} hops, expected <= {limit[i]}")
     rise = np.where(quiet, 2, 2 * most)
     law(
-        ~extended & (g_x > a_x + rise),
+        g_x > a_x + rise,
         lambda i: f"crossed count {a_x[i]} -> {g_x[i]} over Phase Two, expected <= +{rise[i]}",
     )
 
@@ -636,7 +635,7 @@ def _phase_faults(summary: PhaseSummary) -> list[Law]:
     )
 
     law(
-        inside > 0,
+        ~extended & (inside > 0),
         lambda i: "; ".join(
             f"hop {j + 1} inside Phase Two is {kind.value}"
             for j, kind in _inside_hops(route(i))

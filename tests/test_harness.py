@@ -298,6 +298,31 @@ def test_route_checks_report_exactly_the_pairs_through_a_tampered_pick(
     assert [_summary(r) for r in subset.checks] == [_summary(report.check(name)) for name in checks]
 
 
+def test_law_b_covers_a_route_a_fallback_hop_extends(monkeypatch):
+    # (1, 3, 4, 2) takes link 3 as a crossing move, where it seeds over link
+    # 2.  Its own route then settles twice inside Phase Two.  So does the
+    # route from (2, 3, 4, 1), which passes it after a case-2.5 fallback hop:
+    # there the two settling hops are its settling run, which law (d) allows,
+    # and 4 of its 6 Phase Two hops are left for law (b)'s bound of 3
+    source = (2, 3, 4, 1)
+    assert check_phase_invariants(oriented_route(source, T4)).extended
+    tamper_picks(
+        monkeypatch,
+        T4,
+        lambda node, decision: (3, MoveKind.CROSSING, decision[2])
+        if node == (1, 3, 4, 2)
+        else decision,
+    )
+    result = verify(4, checks=["phase-structure"]).check("phase-structure")
+    assert {v.source: v.observed for v in result.violations} == {
+        (1, 3, 4, 2): "Phase Two has 5 hops, expected <= 3; hop 2 inside Phase Two is settling; "
+        "hop 3 inside Phase Two is settling",
+        source: "Phase Two has 6 hops, expected <= 5",
+    }
+    report = check_phase_invariants(oriented_route(source, T4))
+    assert report.extended and report.violations == ("Phase Two has 6 hops, expected <= 5",)
+
+
 def test_routes_past_the_runaway_limit_fail_route_validity_only(monkeypatch):
     lengths = {(s, t): len(_routed_nodes(s, t)) for t in all_perms(4) for s in all_perms(4)}
     # with a limit of 5 hops, every longer route counts as a runaway: its

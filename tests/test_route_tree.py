@@ -85,7 +85,9 @@ def _compare_tree(n: int, t: tuple[int, ...], sources=None) -> Counter:
             incoming=incoming,
             rise=rise,
             phase=not report.ok,
-            inside=bool(summary.inside[row]),
+            # a non-crossing hop inside a chain route's Phase Two, where law (d)
+            # reads it; an extended route's settling run lies there by definition
+            inside=bool(summary.inside[row]) and not summary.extended[row],
             hop=length > cutoff,
             stretch=length > 4 * distance + 4,
             cap=length > hop_cap(n),

@@ -227,10 +227,14 @@ def test_phase_check_reports_ragged_columns():
 def test_law_b_texts_in_either_regime():
     # three routes that break nothing but law (b): a quiet alpha (no
     # burn-down, nothing crossed in its reach), a burning one with
-    # max(ull, urr) = 1, and the quiet one on an extended route.  Each
-    # starts Phase Two at its source and ends it with its one final crossing
-    # at gamma, whose 3 crossed values Phase Three settles.  The quiet alpha
-    # has chi = 1, so that its chi limit, 1, is not the burning one, chi + 1
+    # max(ull, urr) = 1, and the quiet one on an extended route, which law
+    # (b) covers too.  Each starts Phase Two at its source and ends it with
+    # its one final crossing at gamma, whose 3 crossed values Phase Three
+    # settles.  The quiet alpha has chi = 1, so that its chi limit, 1, is
+    # not the burning one, chi + 1.  Two more quiet extended routes have 4
+    # Phase Two hops and gamma with 2 crossed values: the length bound
+    # leaves out their settling run, of 2 hops on the first and 1 on the
+    # second, so it allows them 4 and 3 hops, and law (d) does not read it
     def counts(*rows):
         return Counts(*np.array(rows, dtype=np.uint8).T)
 
@@ -239,25 +243,33 @@ def test_law_b_texts_in_either_regime():
 
     quiet = (0, 0, 0, 0, 1, 1, 1)  # ull, urr, ulr, url, chi, c, distance
     burning = (1, 0, 0, 0, 1, 1, 1)
-    alpha = counts(quiet, burning, quiet)
-    gamma = counts((0, 0, 3, 0, 2, 0, 3), (0, 0, 3, 0, 3, 0, 3), (0, 0, 3, 0, 2, 0, 3))
+    alpha = counts(quiet, burning, quiet, quiet, quiet)
+    settled = (0, 0, 2, 0, 1, 0, 2)
+    gamma = counts(
+        (0, 0, 3, 0, 2, 0, 3), (0, 0, 3, 0, 3, 0, 3), (0, 0, 3, 0, 2, 0, 3), settled, settled
+    )
     summary = PhaseSummary(
-        column(6, 7, 6), column(0, 0, 0), column(3, 4, 3), np.array([False, False, True]),
-        column(1, 1, 1), column(2, 3, 2), column(0, 0, 0), column(-1, -1, -1),
-        column(0, 0, 0), alpha, alpha, gamma, column(0, 0, 0), None,
+        column(6, 7, 6, 6, 6), column(0, 0, 0, 0, 0), column(3, 4, 3, 4, 4),
+        np.array([False, False, True, True, True]),
+        column(1, 1, 1, 1, 1), column(2, 3, 2, 3, 3), column(0, 0, 0, 0, 0),
+        column(-1, -1, -1, -1, -1), column(0, 0, 0, 2, 1), alpha, alpha, gamma,
+        column(0, 0, 0, 0, 0), None,
     )
     laws = _phase_faults(summary)
-    assert _fault_texts(laws, 0) == [
+    quiet_texts = [
         "chi(gamma) = 2 > 1 with no burn-down at alpha",
         "Phase Two has 3 hops, expected <= 2",
         "crossed count 0 -> 3 over Phase Two, expected <= +2",
     ]
+    assert _fault_texts(laws, 0) == quiet_texts
     assert _fault_texts(laws, 1) == [
         "chi grew 1 -> 3 over Phase Two, expected <= +1",
         "Phase Two has 4 hops, expected <= 3",
         "crossed count 0 -> 3 over Phase Two, expected <= +2",
     ]
-    assert _fault_texts(laws, 2) == []
+    assert _fault_texts(laws, 2) == quiet_texts
+    assert _fault_texts(laws, 3) == []
+    assert _fault_texts(laws, 4) == ["Phase Two has 4 hops, expected <= 3"]
 
 
 def test_validate_trace_accepts_classic_even_against_arcs():
