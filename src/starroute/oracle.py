@@ -20,8 +20,13 @@ orientation is a send set, the links even vertices send on (None
 undirected), and :class:`_InArcs` groups the link columns by the graphs
 that enter an even and an odd vertex over them; each level masks a group
 by the graphs whose sources' frontier has that parity, and skips it where
-none has.  Every entry point names its graph with one value, ``scheme``:
-None for the undirected star graph, a :class:`Scheme` for that orientation.
+none has.  A level pulls in one of three forms, chosen by counting rows
+against n! (:meth:`_InArcs.sweep`): into the neighbours of the frontier's
+rows while those are few (the sparse head), over all n! rows (the dense
+middle), and into the rows still holding an unseen source bit once those
+are few (the sparse tail).  Every entry point names its graph with one
+value, ``scheme``: None for the undirected star graph, a :class:`Scheme` for
+that orientation.
 :func:`diameters` keeps only each graph's last level and frontier.  In orbit
 mode one sweep carries every graph asked for, two sources each, so the
 undirected graph and both orientations share one byte per vertex, six bits of
@@ -30,9 +35,9 @@ graph at a time, the even ranks and then the odd ones, batched by the byte
 bound :data:`SWEEP_BYTES`: 128 sources per sweep at order 7, 64 from 8 on.
 :func:`distance_fields` sweeps 64 sources at a time and writes each level
 into one byte per vertex and source.  On a 2-core Xeon a one-source order-9
-field takes about 0.05 s, undirected or directed (one source has one
-parity, so a directed level gathers only its in-links); all 720 order-6
-distance fields take about 0.03 s, most of it writing the levels out.
+field takes about 0.04 s undirected and 0.03 s directed (one source has one
+parity, so a directed level gathers only its in-links), most of it writing
+the levels out; all 720 order-6 distance fields take about 0.03 s.
 
 Everything here is deliberately independent of the routing formulas it is
 used to check: vertex parity comes from Lehmer digit sums and each scheme's
@@ -239,6 +244,16 @@ SWEEP_WIDTH = 64  # sources per distance block: one (width, n!) byte block each
 # n!-row arrays of a sweep raised a diameter process's peak RSS by 0.7-0.9 MB
 # more; at order 8, 2 words took 4.7 s to 3.6 s but cost 1.5 MB of peak.
 SWEEP_BYTES = 96 * 1024
+# A sweep level pulls into a list of rows, not all n! of them, while the
+# list is at most 1/SPARSE_SHARE of n!: at the head the frontier's rows times
+# the level's in-link columns, at the tail the rows still holding an unseen
+# source bit (:meth:`_InArcs.sweep`).  Measured per level on a 2-core Xeon at
+# order 9, against about 1.2 ms dense, a sparse level took 0.1-0.8 ms below
+# 1/20 of n!, about as long near 1/11, and 1.8 ms or more from 1/9 up; 16, 24
+# and 32 timed alike on the orbit sweeps.  32 keeps every exhaustive batch
+# at order 7 (128 or 88 sources) and every distance block at order 6 (64 or
+# 16 sources) dense from the start.
+SPARSE_SHARE = 32
 _WORDS = (np.uint8, np.uint16, np.uint32, np.uint64)
 
 
@@ -335,6 +350,27 @@ class _InArcs:
         group whose row is all zero and ANDs no row that is all ones, so one
         directed graph swept from sources of one parity gathers only the
         in-links of each level's parity, with no mask op.
+
+        Each level takes one of three forms, all with the same group masks
+        and all yielding the full frontier, zero off the rows they pull into
+        (direction-optimizing BFS, Beamer, Asanovic & Patterson, SC 2012):
+
+        - sparse head (top-down), while the frontier's rows times the
+          level's in-link columns are at most n!/:data:`SPARSE_SHARE`: the
+          frontier rows' neighbours over those columns are marked, one
+          byte per row, and the level gathers only into the marked rows;
+        - dense middle: every column over all n! rows, block by block;
+        - sparse tail (bottom-up), from the first level after the head at
+          which the rows still holding an unseen source bit are at most
+          n!/:data:`SPARSE_SHARE`: the level gathers only into those rows,
+          and their list shrinks level by level.
+
+        A sparse level gathers a column row by row, at the ranks its rows
+        move to (:func:`_moved`).  A sweep whose sources times the first
+        level's in-link columns already exceed the share carries many sources
+        per vertex, such as an exhaustive batch at order 7 or a 64-source
+        distance block at order 6: it runs every level dense and counts no
+        rows.
         """
         word = _word(len(sources))
         bits = np.iinfo(word).bits
@@ -344,6 +380,11 @@ class _InArcs:
             frontier, (sources, index // bits), np.left_shift(word(1), (index % bits).astype(word))
         )
         words = frontier.shape[1]
+
+        def row(mask: int) -> np.ndarray:
+            """``mask`` as one row of frontier words."""
+            return np.array([mask >> bits * w & (1 << bits) - 1 for w in range(words)], dtype=word)
+
         full = (1 << len(sources)) - 1
         odd = int.from_bytes(np.packbits(self.odd[sources], bitorder="little").tobytes(), "little")
         even = full ^ odd
@@ -356,35 +397,115 @@ class _InArcs:
             masks = (into_even & odd | into_odd & even, into_even & even | into_odd & odd)
             for gathers, mask in zip(levels, masks):
                 if mask:
-                    row = [mask >> (bits * w) & (1 << bits) - 1 for w in range(words)]
-                    gathers.append((None if mask == full else np.array(row, dtype=word), columns))
+                    gathers.append((None if mask == full else row(mask), columns))
+        in_links = [sum(len(columns) for _, columns in gathers) for gathers in levels]
         unseen = ~frontier
         pulled, gathered = np.empty_like(frontier), np.empty_like(frontier)
         grouped = np.empty_like(frontier) if max(map(len, levels)) > 1 else None
+        # the sparse forms' row lists: the head's frontier rows while it
+        # lasts, then the tail's rows still holding an unseen bit; many
+        # sources per vertex keep nearly every row unseen to the last levels,
+        # so a sweep that starts dense keeps none
+        def few(rows: int) -> bool:
+            """Whether ``rows`` are within a sparse level's share of n!."""
+            return rows * SPARSE_SHARE <= self.size
+
+        head = tail = None
+        sparse = few(len(sources) * in_links[0])
+        if sparse:
+            head = sources  # level 0's rows, a repeated source marking twice
+            # a bit no graph owns, such as a high bit of a partial last word,
+            # is never reached: cleared, a row holds an unseen bit only while
+            # some source can still reach it
+            unseen &= row(sum(owned))
+        # one bool per row for the head's marks and the tail's count: the
+        # gather buffer's first n! bytes, which a level reads before it gathers
+        # (np.flatnonzero reads a bool array several times faster than uint8)
+        mark = gathered.reshape(-1).view(bool)[: self.size]
         level = 0
         while frontier.any():
             yield frontier
-            for g, (mask, columns) in enumerate(levels[level & 1]):
-                into = grouped if g else pulled
-                for i, (index, b) in enumerate(columns):
-                    out = gathered if i else into
-                    # whole blocks of b rows; take(mode="clip") skips the
-                    # bounds check of fancy indexing (every index is valid)
-                    # and is about twice as fast
-                    np.take(
-                        frontier.reshape(-1, b * words), index, axis=0, mode="clip",
-                        out=out.reshape(-1, b * words),
-                    )
+            parity = level & 1
+            rows = tail
+            if sparse and tail is None:
+                if head is not None and few(len(head) * in_links[parity]):
+                    # top-down: a row is reached only from a frontier row
+                    mark.fill(0)
+                    for _, columns in levels[parity]:
+                        for column in columns:
+                            mark[_moved(head, *column)] = True
+                    rows = np.flatnonzero(mark)
+                else:
+                    head = None
+                    # bottom-up once few rows are left to reach
+                    unreached = _held(unseen, out=mark)
+                    if few(np.count_nonzero(unreached)):
+                        rows = tail = np.flatnonzero(unreached)
+            pull, gather, group = pulled, gathered, grouped
+            if rows is not None:
+                # a sparse level pulls into the first len(rows) rows of each buffer
+                pull, gather = pulled[: len(rows)], gathered[: len(rows)]
+                group = None if grouped is None else grouped[: len(rows)]
+            for g, (mask, columns) in enumerate(levels[parity]):
+                into = group if g else pull
+                for i, column in enumerate(columns):
+                    out = gather if i else into
+                    if rows is None:
+                        # whole blocks of b rows; take(mode="clip") skips the
+                        # bounds check of fancy indexing (every index is valid)
+                        # and is about twice as fast
+                        index, b = column
+                        np.take(
+                            frontier.reshape(-1, b * words), index, axis=0, mode="clip",
+                            out=out.reshape(-1, b * words),
+                        )
+                    else:
+                        np.take(frontier, _moved(rows, *column), axis=0, mode="clip", out=out)
                     if i:
-                        into |= gathered
+                        into |= gather
                 if mask is not None:
                     into &= mask
                 if g:
-                    pulled |= into
-            pulled &= unseen
-            unseen ^= pulled
+                    pull |= into
+            if rows is None:
+                pulled &= unseen
+                unseen ^= pulled
+            else:
+                left = unseen[rows]
+                new = left & pull
+                left ^= new
+                unseen[rows] = left
+                # a full frontier again, zero off the level's rows
+                pulled.fill(0)
+                pulled[rows] = new
+                if tail is None:
+                    head = rows[_held(new)]
+                else:
+                    tail = rows[_held(left)]
             frontier, pulled = pulled, frontier
             level += 1
+
+
+def _moved(ranks: np.ndarray, index: np.ndarray, b: int) -> np.ndarray:
+    """The ranks ``ranks`` move to over the link whose column is ``(index, b)``."""
+    if b == 1:
+        return index[ranks]
+    # index[q] * b + ranks % b, with one integer division
+    q = ranks // b
+    moved = index[q]
+    moved -= q
+    moved *= b
+    moved += ranks
+    return moved
+
+
+def _held(rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """True at each row of an (m, words) array that holds a set bit,
+    written into the bool array ``out`` if given."""
+    held = np.not_equal(rows[:, 0], 0, out=out)
+    for w in range(1, rows.shape[1]):
+        held |= rows[:, w] != 0
+    return held
 
 
 def _distance_blocks(
@@ -554,10 +675,10 @@ def diameter(n: int, scheme: Scheme | None = None, mode: str | None = None) -> D
     bound (128 at order 7, 64 from order 8 on); ``mode="orbit"`` sweeps the
     two sources of :func:`orbit_sources` at once, in one byte per vertex.
     The default is exhaustive through :data:`EXHAUSTIVE_DEFAULT_ORDER`, orbit beyond.  Measured
-    on a 2-core Xeon: exhaustive order 7 in about 0.02 s per graph,
-    exhaustive order 8 in about 1.7 s undirected and 1.4 s directed; orbit
-    mode for all three graphs at orders 8 and 9 in about 0.065 s one graph
-    at a time, and 0.03 s in the shared sweep of :func:`diameters`.
+    on a 2-core Xeon: exhaustive order 7 in about 0.025 s per graph,
+    exhaustive order 8 in about 2.0 s undirected and 1.9 s directed; orbit
+    mode for all three graphs at orders 8 and 9 in about 0.05 s one graph
+    at a time, and 0.026 s in the shared sweep of :func:`diameters`.
     The witness is the first source in rank order of largest eccentricity,
     and the lowest-rank vertex at that distance from it, which is what
     :meth:`DistanceField.farthest` picks.

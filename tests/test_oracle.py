@@ -4,6 +4,7 @@ import functools
 import itertools
 import math
 import random
+import re
 import tracemalloc
 from collections import deque
 
@@ -474,8 +475,49 @@ def _one_source(n, scheme):
     bfs(unrank(1, n), scheme)  # an odd source
 
 
+def _record_gathers(monkeypatch):
+    """Wrap ``np.take`` and :meth:`_InArcs.sweep`: each sweep run appends
+    ``(sources, pulls)``, ``pulls[d]`` the rows of each gather that level d
+    made from its frontier, one entry per column: n! for a dense column, the
+    rows a sparse one pulls into."""
+    take, sweep = np.take, _InArcs.sweep
+    sweeps, current = [], [None]
+
+    def counted_take(a, indices, *args, **kwargs):
+        frontier = current[0]
+        if frontier is not None and np.may_share_memory(a, frontier):
+            # a dense column gathers blocks of n! / len(a) rows
+            sweeps[-1][1][-1].append(len(indices) * len(frontier) // len(a))
+        return take(a, indices, *args, **kwargs)
+
+    def counted_sweep(self, sources):
+        sweeps.append((sources, []))
+        for frontier in sweep(self, sources):
+            current[0] = frontier
+            sweeps[-1][1].append([])
+            yield frontier
+        current[0] = None
+
+    monkeypatch.setattr(np, "take", counted_take)
+    monkeypatch.setattr(_InArcs, "sweep", counted_sweep)
+    return sweeps
+
+
+def _forms(pulls, size):
+    """Each level's form, D where it gathered every column over all ``size``
+    rows and S where it gathered every column over fewer."""
+    forms = "".join(
+        "D" if all(rows == size for rows in gathers)
+        else "S" if all(rows < size for rows in gathers) else "?"
+        for gathers in pulls
+    )
+    assert "?" not in forms, pulls
+    return forms
+
+
 # one-graph directed sweeps from sources of one parity: every batch of an
-# exhaustive run, and one-source bfs over Lehmer-block columns at order 8
+# exhaustive run, and one-source bfs at order 8, whose first and last levels
+# are sparse
 @pytest.mark.parametrize(
     "run,n,parities", [(_exhaustive, 5, {0, 1}), (_exhaustive, 7, {0, 1}), (_one_source, 8, {1})]
 )
@@ -484,30 +526,117 @@ def test_one_parity_sweeps_gather_each_level_in_links(monkeypatch, run, n, parit
     sends = _sends(n, scheme)
     # an even vertex is entered over the links outside the send set, an odd one over it
     in_degree = (n - 1 - len(sends), len(sends))
-    take, sweep = np.take, _InArcs.sweep
-    calls, swept = [0], []
-
-    def counted_take(*args, **kwargs):
-        calls[0] += 1
-        return take(*args, **kwargs)
-
-    def counted_sweep(self, sources):
-        (odd,) = set(self.odd[sources].tolist())  # one parity per sweep
-        marks = []
-        for frontier in sweep(self, sources):
-            marks.append(calls[0])
-            yield frontier
-        marks.append(calls[0])
-        # level d pulls level d + 1, on vertices of parity odd ^ (d + 1) % 2
-        gathers = np.diff(marks).tolist()
-        assert gathers == [in_degree[(odd + d + 1) % 2] for d in range(len(gathers))]
-        swept.append(odd)
-
-    monkeypatch.setattr(np, "take", counted_take)
-    monkeypatch.setattr(_InArcs, "sweep", counted_sweep)
+    table = move_table(n)
+    sweeps = _record_gathers(monkeypatch)
     run(n, scheme)
+    swept = []
+    for sources, pulls in sweeps:
+        (odd,) = set(table.odd[sources].tolist())  # one parity per sweep
+        # level d pulls level d + 1, on vertices of parity odd ^ (d + 1) % 2,
+        # in any form
+        assert [len(gathers) for gathers in pulls] == [
+            in_degree[(odd + d + 1) % 2] for d in range(len(pulls))
+        ]
+        swept.append(odd)
     # an exhaustive run sweeps the even ranks, then the odd ones
     assert swept == sorted(swept) and set(swept) == parities
+    if run is _one_source:
+        assert re.fullmatch("S+D+SS+", _forms(pulls, math.factorial(n)))
+
+
+# many sources per vertex: the exhaustive batches at order 7 (128 sources,
+# 88 in the last of each parity) and the order-6 distance blocks (64, then 16)
+@pytest.mark.parametrize("scheme", GRAPHS)
+def test_many_source_sweeps_take_only_dense_levels(monkeypatch, scheme):
+    sweeps = _record_gathers(monkeypatch)
+    diameter(7, scheme, "exhaustive")
+    fields = list(distance_fields(all_perms(6), scheme))
+    widths = [len(sources) for sources, _ in sweeps]
+    assert widths == [128] * 19 + [88] + [128] * 19 + [88] + [64] * 11 + [16]
+    assert len(fields) == 720
+    for sources, pulls in sweeps:
+        size = math.factorial(7 if len(sources) in (128, 88) else 6)
+        assert set(_forms(pulls, size)) == {"D"}
+
+
+def _reference_distances(table, sends, source):
+    """Distances from rank ``source`` by a level-synchronous search over
+    :meth:`MoveTable.step`, each vertex sending on the links of the send set
+    ``sends`` (every link undirected); -1 where unreachable."""
+    dist = np.full(len(table.odd), -1)
+    dist[source] = 0
+    frontier, d = np.array([source]), 0
+    while len(frontier):
+        d += 1
+        reached = []
+        for link in range(2, table.n + 1):
+            senders = frontier
+            if sends is not None:
+                # even vertices send on the send set, odd ones on the other links
+                senders = frontier[table.odd[frontier] != (link in sends)]
+            reached.append(table.step(senders, link))
+        frontier = np.unique(np.concatenate(reached))
+        frontier = frontier[dist[frontier] < 0]
+        dist[frontier] = d
+    return dist
+
+
+def _orbit_layout(n):
+    """The shared orbit sweep's sources: two per graph."""
+    return [rank(s) for s in orbit_sources(n)] * len(GRAPHS)
+
+
+def _random_ranks(width):
+    return lambda n: random.Random(width).sample(range(math.factorial(n)), width)
+
+
+# one source in each graph, the three-graph orbit build, 64 sources, and 100
+# sources, whose last word holds 36 of its 64 bits; the sweep's forms at
+# orders 7 and 8, S a sparse level and D a dense one: a sparse head, a dense
+# middle and a sparse tail, which pulls the last level and then finds no row
+# left to reach.  64 or 100 sources over 5 040 rows are many per vertex and
+# run dense throughout; over 40 320 the 64 sources keep some row unseen
+# until the last level, so only the empty pull after it is sparse.
+REFERENCE_SWEEPS = {
+    "undirected-1": ([None], lambda n: [0], "S+D+SS+", "S+D+SS+"),
+    "fujita-1": ([Scheme.FUJITA], lambda n: [1], "S+D+SS+", "S+D+SS+"),
+    "day-tripathi-1": ([Scheme.DAY_TRIPATHI], lambda n: [2], "S+D+SS+", "S+D+SS+"),
+    "orbit": (GRAPHS, _orbit_layout, "S+D+SS+", "S+D+SS+"),
+    "undirected-64": ([None], _random_ranks(64), "D+", "SD+S"),
+    # the tail counts only source bits: unmasked, the 28 spare bits of the
+    # last word would leave every row unseen and the tail would never start
+    "fujita-100": ([Scheme.FUJITA], _random_ranks(100), "D+", "SD+SS+"),
+}
+
+
+@pytest.mark.parametrize("n", [7, 8])
+@pytest.mark.parametrize("build", REFERENCE_SWEEPS)
+def test_sweep_levels_match_reference_search(monkeypatch, n, build):
+    graphs, sources, *forms = REFERENCE_SWEEPS[build]
+    table, size = move_table(n), math.factorial(n)
+    sources = sources(n)
+    share = len(sources) // len(graphs)
+    dist = np.stack([
+        _reference_distances(table, _sends(n, graphs[i // share]), r)
+        for i, r in enumerate(sources)
+    ])
+    sweeps = _record_gathers(monkeypatch)
+    arcs = _InArcs.build(table, [_sends(n, scheme) for scheme in graphs])
+    levels = 0
+    for d, level in enumerate(arcs.sweep(np.array(sources))):
+        # bit by bit: bit i of row v set where v is at distance d from
+        # sources[i], every bit past the last source clear
+        words = level.astype(level.dtype.newbyteorder("<"), copy=False)
+        bits = np.unpackbits(words.view(np.uint8), axis=1, bitorder="little")
+        assert (bits[:, : len(sources)] == (dist == d).T).all()
+        assert not bits[:, len(sources) :].any()
+        levels += 1
+    assert levels == 1 + dist.max()
+    ((_, pulls),) = sweeps
+    level_forms = _forms(pulls, size)
+    assert re.fullmatch(forms[n - 7], level_forms)
+    # a sparse level gathers fewer than n! rows over all its columns
+    assert all(sum(gathers) < size for form, gathers in zip(level_forms, pulls) if form == "S")
 
 
 SHARED_RUNS = [(n, mode) for n in range(3, 8) for mode in ("exhaustive", "orbit")]
