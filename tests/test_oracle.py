@@ -738,6 +738,51 @@ def test_distance_fields_edge_inputs():
         list(distance_fields([(1, 2, 3), (1, 2, 3, 4)]))
 
 
+@pytest.mark.parametrize("bad", [
+    pytest.param((1, 2, 2, 4), id="repeated"),
+    pytest.param((0, 1, 2, 3), id="zero"),
+    pytest.param((1, 2, 3, 5), id="above-n"),
+    pytest.param((1, 2, 1, 2), id="two-symbols"),
+])
+def test_distance_fields_reject_a_malformed_source(bad):
+    # alone, and as the 73rd source, in the second batch of 64
+    for call in (lambda: bfs(bad), lambda: list(distance_fields([*all_perms(4) * 3, bad]))):
+        with pytest.raises(ValueError, match="not a permutation"):
+            call()
+
+
+def test_distance_fields_reject_a_two_symbol_tuple():
+    with pytest.raises(ValueError, match="orders 3..9, got 2"):
+        bfs((2, 1))
+    with pytest.raises(ValueError, match="order mismatch"):
+        list(distance_fields([(1, 2, 3, 4), (2, 1)], Scheme.FUJITA))
+
+
+def test_distance_field_counts_match_the_sweep_levels():
+    # every bit plane of the write, bit 4 included, over every vertex
+    field = bfs(tuple(range(1, 9)), Scheme.FUJITA)
+    arcs = _InArcs.build(move_table(8), [_sends(8, Scheme.FUJITA)])
+    counts = [np.count_nonzero(level) for level in arcs.sweep(np.array([0]))]
+    assert np.bincount(field.dist).tolist() == counts
+    assert field.eccentricity() == len(counts) - 1 == 16 == diameter(8, Scheme.FUJITA).value
+
+
+@pytest.mark.parametrize("scheme", GRAPHS)
+def test_one_source_field_holds_its_planes_not_its_hits(scheme):
+    # the sweep's four frontier buffers, the field, a reached plane and up to
+    # five distance planes, one byte per vertex each, and the sparse row lists;
+    # a write that scatters each level's hits by index needs 15-19 bytes per vertex
+    size = math.factorial(9)
+    move_table(9)
+    tracemalloc.start()
+    try:
+        bfs(tuple(range(1, 10)), scheme)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12 * size, peak
+
+
 def test_diameter_result_witness_is_consistent():
     res = diameter(5, Scheme.FUJITA)
     field = bfs(res.witness_source, Scheme.FUJITA)
