@@ -128,7 +128,7 @@ def _required_distance(n: int) -> int:
 # rows of the route trees built at once: bounds the columns a group holds.
 # Larger groups run faster below order 7, where a target has few rows, but
 # perfbench's worker keeps every pass's report, so a faster route-sweep
-# reads a higher peak RSS there (ROADMAP item 1)
+# reads a higher peak RSS there (ROADMAP item 2)
 _GROUP_ROWS = 512
 
 

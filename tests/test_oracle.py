@@ -118,8 +118,11 @@ def test_move_table_rows_follow_unrank(n):
 
 
 def test_move_table_holds_each_link_once(monkeypatch):
-    # a fresh order-8 table holds its rows, its parities and one intp entry
-    # per Lehmer block of each link, and no second form of any link
+    # a fresh order-8 table holds its parities and one intp entry per Lehmer
+    # block of each link, no second form of any link and no rows; its build
+    # peak passes that by at most one parity-sized array (no transient rows,
+    # no n!-entry temporary beside both full-length links), and the rows come
+    # on first read
     monkeypatch.setattr(oracle, "_tables", {})
     n = 8
     size = math.factorial(n)
@@ -127,11 +130,21 @@ def test_move_table_holds_each_link_once(monkeypatch):
     tracemalloc.start()
     try:
         table = move_table(n)
-        held = tracemalloc.get_traced_memory()[0]
+        held, peak = tracemalloc.get_traced_memory()
+        built = "perms" in vars(table)
+        perms = table.perms
+        read = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert held <= size * n + size + 8 * blocks + 16 * 1024, held
-    assert table.perms.nbytes + table.odd.nbytes == size * (n + 1)
+    assert not built
+    assert held <= size + 8 * blocks + 16 * 1024, held
+    assert peak <= held + size + 16 * 1024, (peak, held)
+    assert size * n <= read - held <= size * n + 1024, read - held
+    assert perms.shape == (size, n) and perms.dtype == np.uint8
+    assert table.perms is perms and table.odd.nbytes == size
+    # the diameters read only the links and the parities
+    diameters(9, (None, Scheme.FUJITA, Scheme.DAY_TRIPATHI), "orbit")
+    assert "perms" not in vars(move_table(9))
 
 
 @functools.cache
@@ -401,18 +414,22 @@ def test_link_columns_are_block_permutations(n):
     table = move_table(n)
     size = math.factorial(n)
     v = np.arange(size)
+    # every row's rank and parity, from its own digits
+    positions = list(table.perms.T)
+    ranks, odd = _lehmer(positions)
+    assert (ranks == v).all() and (odd == table.odd).all()
     # the undirected graph enters both parities over every link: one group,
     # each column the table's own index
     ((entered, columns),) = _InArcs.build(table, [None]).groups
     assert entered == ({0}, {0}) and columns == list(table.links)
     for link, (index, b) in zip(range(2, n + 1), table.links):
         assert b == math.factorial(n - link) and index.dtype == np.intp
-        assert sorted(index.tolist()) == list(range(size // b))
-        if n <= 7:
-            # each rank steps to its swapped row's rank
-            swapped = list(table.perms.T)
-            swapped[0], swapped[link - 1] = swapped[link - 1], swapped[0]
-            assert (table.step(v, link) == _lehmer(swapped)[0]).all()
+        assert (np.sort(index) == np.arange(size // b)).all()
+        # each rank steps to its swapped row's rank, of the other parity
+        swapped = list(positions)
+        swapped[0], swapped[link - 1] = swapped[link - 1], swapped[0]
+        ranks, odd = _lehmer(swapped)
+        assert (table.step(v, link) == ranks).all() and (odd != table.odd).all()
 
 
 @pytest.mark.parametrize("n", [4, 5, 6, 7])
