@@ -372,8 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=0,
         help="seed of the samples split-merge and router-equivariance draw beyond "
-        f"n={UNSAMPLED_ORDER} (default 0); a seed's sample changed when they began to "
-        "draw permutations as arrays",
+        f"n={UNSAMPLED_ORDER} (default 0); its sign counts: -S draws another sample than S",
     )
     p.add_argument(
         "--sample-size",

@@ -258,6 +258,11 @@ def _decision(s: Perm, t: Perm) -> tuple[int, str, str]:
 _SPLIT_MERGE_ROWS = 1024
 
 
+def _rng(seed: int) -> random.Random:
+    """``random.Random(seed)``, a negative seed by its string: an int seed loses its sign."""
+    return random.Random(seed if seed >= 0 else str(seed))
+
+
 def _draw(rng: random.Random, m: int, n: int) -> np.ndarray:
     """``m`` permutations of 1..n as an ``(m, n)`` uint8 block, each row the
     stable argsort (plus one) of n random 32-bit keys from ``rng.randbytes``."""
@@ -266,9 +271,9 @@ def _draw(rng: random.Random, m: int, n: int) -> np.ndarray:
 
 
 def _drawn_pairs(n: int, seed: int, sample_size: int) -> Iterator[tuple[Perm, Perm]]:
-    """``sample_size`` pairs (s, t), s != t, from ``random.Random(seed)``: per
+    """``sample_size`` pairs (s, t), s != t, from :func:`_rng`: per
     ``_SPLIT_MERGE_ROWS`` rows t and then s by :func:`_draw`, s redrawn where s = t."""
-    rng = random.Random(seed)
+    rng = _rng(seed)
     for lo in range(0, sample_size, _SPLIT_MERGE_ROWS):
         m = min(_SPLIT_MERGE_ROWS, sample_size - lo)
         t, s = _draw(rng, m, n), _draw(rng, m, n)
@@ -378,10 +383,10 @@ def _split_merge_rows(dest: np.ndarray, link: np.ndarray) -> np.ndarray:
 def _split_merge_blocks(n: int, seed: int, sample_size: int) -> Iterator[tuple[np.ndarray, ...]]:
     """The split/merge check's (c, t, link) rows, ``_SPLIT_MERGE_ROWS`` at a
     time: through :data:`UNSAMPLED_ORDER` every triple, c then t in rank order,
-    links ascending; beyond, ``sample_size`` from ``random.Random(seed)``, c
-    and t by :func:`_draw` and the link 1 + the first entry of a drawn
-    permutation of 1..n-1."""
-    rng = random.Random(seed)
+    links ascending; beyond, ``sample_size`` from :func:`_rng`, c and t by
+    :func:`_draw` and the link 1 + the first entry of a drawn permutation of
+    1..n-1."""
+    rng = _rng(seed)
     nodes = move_table(n).perms if n <= UNSAMPLED_ORDER else None
     size = sample_size if nodes is None else len(nodes) ** 2 * (n - 1)
     for lo in range(0, size, _SPLIT_MERGE_ROWS):
@@ -440,7 +445,7 @@ def verify(
     families take the same pairs.  Route checks follow the contiguous-half
     scheme.  ``seed`` and ``sample_size`` control the sampled ``router-equivariance``
     and ``split-merge`` checks above :data:`UNSAMPLED_ORDER`, whose rows
-    :func:`_draw` takes from ``random.Random(seed)``; both are exhaustive through it.
+    :func:`_draw` takes from :func:`_rng` (the sign counts); both are exhaustive through it.
 
     The route checks (:data:`ROUTE_CHECKS`) are one sweep and the distance
     checks (:data:`DISTANCE_CHECKS`) another: selecting any check of a family

@@ -6,7 +6,8 @@ link j held as a permutation of Lehmer blocks: swapping positions 1 and j
 moves whole blocks of (n - j)! consecutive ranks (:class:`MoveTable`).  The
 build ranks no row: link 2 swaps the first two Lehmer digits, and each later
 link is the one before conjugated by an adjacent swap (:func:`move_table`);
-the (n!, n) array of the permutations themselves is built only when read.
+the (n!, n) array of the permutations themselves is built only when read,
+and only the table's methods read a link's block index.
 
 One search runs over that table: the bit-parallel multi-source BFS of
 Akiba, Iwata & Yoshida (SIGMOD 2013).  It follows any number of sources at
@@ -15,25 +16,24 @@ narrowest unsigned word with a bit per source.  Up to 64 sources that is one
 word per vertex, uint8 up to 8 sources, so the two-source orbit sweep and the
 one-source :func:`bfs` move one byte per vertex; beyond 64 it is a row of
 uint64 words.  Each level pulls whole rows along in-arcs, one gather per
-in-arc column into buffers allocated once per sweep, so a wider row follows
-more sources for the same number of numpy calls.  Each link's column is
-the move table's block index, so its gather takes n!/(n - j)! block rows,
-72 at link 2 of order 9, and only the last two links gather row by row.  An
-orientation is a send set, the links even vertices send on (None
-undirected), and :class:`_InArcs` groups the link columns by the graphs
-that enter an even and an odd vertex over them; each level masks a group
-by the graphs whose sources' frontier has that parity, and skips it where
-none has.  A level pulls in one of three forms, chosen by counting rows
-against n! (:meth:`_InArcs.sweep`): into the neighbours of the frontier's
-rows while those are few (the sparse head), over all n! rows (the dense
-middle), and into the rows still holding an unseen source bit once those
-are few (the sparse tail).  Every entry point names its graph with one
-value, ``scheme``: None for the undirected star graph, a :class:`Scheme` for
-that orientation.
+in-link into buffers allocated once per sweep, so a wider row follows more
+sources for the same number of numpy calls.  A dense gather moves the
+link's Lehmer blocks, n!/(n - j)! block rows, 72 at link 2 of order 9, and
+only the last two links gather row by row.  An orientation is a send set,
+the links even vertices send on (None undirected), and :class:`_InArcs`
+groups the link numbers by the graphs that enter an even and an odd vertex
+over them; each level masks a group by the graphs whose sources' frontier
+has that parity, and skips it where none has.  A level pulls in one of
+three forms, chosen by counting rows against n! (:meth:`_InArcs.sweep`):
+into the neighbours of the frontier's rows while those are few (the sparse
+head), over all n! rows (the dense middle), and into the rows still holding
+an unseen source bit once those are few (the sparse tail).  Every entry
+point names its graph with one value, ``scheme``: None for the undirected
+star graph, a :class:`Scheme` for that orientation.
 :func:`diameters` keeps only each graph's last level and frontier.  In orbit
 mode one sweep carries every graph asked for, two sources each, so the
 undirected graph and both orientations share one byte per vertex, six bits of
-it, over the move table's own block indexes; an exhaustive run sweeps one
+it, over the move table's Lehmer blocks; an exhaustive run sweeps one
 graph at a time, the even ranks and then the odd ones, batched by the byte
 bound :data:`SWEEP_BYTES`: 128 sources per sweep at order 7, 64 from 8 on.
 :func:`distance_fields` sweeps 64 sources at a time into bit planes, one
@@ -143,9 +143,9 @@ class MoveTable:
     modulo b = (n - j)!, and the higher digits depend only on the block
     ``v // b``.  So link j takes rank v to ``index[v // b] * b + v % b``,
     ``links[j - 2] == (index, b)``, with ``index`` a permutation of the n!/b
-    blocks: n!-long only at the last two links, where b = 1.  The rows
-    themselves, ``perms``, are built on first read: the diameters read only
-    ``links`` and ``odd``."""
+    blocks: n!-long only at the last two links, where b = 1.  Only the build
+    and :meth:`step` (ranks) and :meth:`move_rows` (frontier rows) read
+    ``links``.  The rows, ``perms``, are built on first read."""
 
     n: int
     links: tuple[tuple[np.ndarray, int], ...]  # (intp block index, b) of links 2..n
@@ -156,12 +156,38 @@ class MoveTable:
         """(n!, n) uint8, row r = unrank(r)."""
         return _lexicographic_perms(self.n)
 
-    def step(self, ranks: np.ndarray, link: int) -> np.ndarray:
-        """The rank each of ``ranks`` moves to over ``link``, one of 2..n."""
+    def _link(self, link: int) -> tuple[np.ndarray, int]:
         if not 2 <= link <= self.n:
             raise ValueError(f"a link of order {self.n} lies in 2..{self.n}, got {link!r}")
-        index, b = self.links[link - 2]
-        return index[ranks // b] * b + ranks % b
+        return self.links[link - 2]
+
+    def step(self, ranks: np.ndarray | int, link: int) -> np.ndarray:
+        """The rank each of ``ranks`` moves to over ``link``, one of 2..n."""
+        index, b = self._link(link)
+        if b == 1:
+            return index[ranks]
+        # index[q] * b + ranks % b, with one integer division
+        q = ranks // b
+        moved = index[q]
+        moved -= q
+        moved *= b
+        moved += ranks
+        return moved
+
+    def move_rows(
+        self, frontier: np.ndarray, link: int, out: np.ndarray, rows: np.ndarray | None = None
+    ) -> None:
+        """Write into row i of ``out`` the row of the (n!, words) ``frontier`` at
+        ``step(rows[i], link)``; with no ``rows``, into every row v of a C-contiguous
+        ``out`` shaped like the frontier its row at ``step(v, link)``, as one ``np.take``
+        of whole Lehmer blocks: n!/b rows of b * words, 72 at link 2 of order 9.
+        ``mode="clip"`` skips fancy indexing's bounds check, about twice as fast."""
+        if rows is not None:
+            np.take(frontier, self.step(rows, link), axis=0, mode="clip", out=out)
+            return
+        index, _ = self._link(link)
+        blocks = (len(index), -1)
+        np.take(frontier.reshape(blocks), index, axis=0, mode="clip", out=out.reshape(blocks))
 
 
 _tables: dict[int, MoveTable] = {}
@@ -295,7 +321,7 @@ def distance(s: Sequence[int], t: Sequence[int], scheme: Scheme | None = None) -
 SWEEP_WIDTH = 64  # sources per distance block: one (width, n!) byte block each
 # Bytes of one exhaustive frontier array, (n!, words): 2 uint64 words (128
 # sources) at order 7 and one word from order 8 on.  Each level costs one
-# gather per in-arc column whatever the width, so wider rows mean fewer numpy
+# gather per in-link whatever the width, so wider rows mean fewer numpy
 # calls.  Measured on a 2-core Xeon: 2 words against 1 took the two order-7
 # diameters from about 0.075 s to 0.047 s; 4 words ran faster again but the four
 # n!-row arrays of a sweep raised a diameter process's peak RSS by 0.7-0.9 MB
@@ -303,7 +329,7 @@ SWEEP_WIDTH = 64  # sources per distance block: one (width, n!) byte block each
 SWEEP_BYTES = 96 * 1024
 # A sweep level pulls into a list of rows, not all n! of them, while the
 # list is at most 1/SPARSE_SHARE of n!: at the head the frontier's rows times
-# the level's in-link columns, at the tail the rows still holding an unseen
+# the level's in-links, at the tail the rows still holding an unseen
 # source bit (:meth:`_InArcs.sweep`).  Measured per level on a 2-core Xeon at
 # order 9, against about 1.2 ms dense, a sparse level took 0.1-0.8 ms below
 # 1/20 of n!, about as long near 1/11, and 1.8 ms or more from 1/9 up; 16, 24
@@ -332,48 +358,46 @@ def _sends(n: int, scheme: Scheme | None) -> frozenset[int] | None:
         return None
     if not isinstance(scheme, Scheme):
         raise ValueError(f"scheme must be None (undirected) or a Scheme, got {scheme!r}")
-    links = range(2, n + 1)
-    return frozenset(links[: n // 2] if scheme is Scheme.FUJITA else links[::2])
+    every = range(2, n + 1)
+    return frozenset(every[: n // 2] if scheme is Scheme.FUJITA else every[::2])
 
 
 @dataclass(frozen=True)
 class _InArcs:
-    """In-arcs of every vertex in the graphs of one sweep, as rank columns
-    for bit-parallel BFS, one per link: the move table's ``(index, b)``,
-    held with no copy.  Every generator is an involution, so rank v is
-    entered over link j from the rank it moves to, ``index[v // b] * b +
-    v % b``, and a gather moves blocks of b rows.
+    """In-arcs of every vertex in the graphs of one sweep, for bit-parallel
+    BFS: the move table, and the link numbers grouped by the graphs that
+    enter over them.  Every generator is an involution, so rank v is entered
+    over link j from the rank it moves to, and the sweep pulls those rows
+    with :meth:`MoveTable.move_rows`, the only reader of a link's blocks.
 
     Under a send set L, even vertices send on L and odd ones on the other
     links, and every generator flips parity, so an even vertex is entered
     over the links outside L and an odd one over L; undirected (L None) a
     vertex is entered over every link.  Parity is not a property of a
-    Lehmer block, so a column serves both parities, and the build groups
-    the columns by the pair (graphs that enter an even vertex over the link,
+    Lehmer block, so a link serves both parities, and the build groups
+    the links by the pair (graphs that enter an even vertex over the link,
     graphs that enter an odd one).  The undirected graph has one group; a
     directed graph alone has two, its even and its odd in-links; the
     undirected graph with both orientations has at most four.  The sweep
     turns each group into one mask per level (:meth:`sweep`).
     """
 
-    size: int
-    odd: np.ndarray  # (n!,) bool, the move table's parities
+    table: MoveTable
     graphs: int
-    # (graphs entering an even vertex, graphs entering an odd one) over
-    # each column, and the columns as (block index, block size b)
-    groups: list[tuple[tuple[frozenset[int], frozenset[int]], list[tuple[np.ndarray, int]]]]
+    # ((graphs entering an even vertex, an odd one) over the links, links ascending)
+    groups: list[tuple[tuple[frozenset[int], frozenset[int]], list[int]]]
 
     @classmethod
     def build(cls, table: MoveTable, sends: Sequence[frozenset[int] | None]) -> _InArcs:
-        groups: dict[tuple[frozenset[int], frozenset[int]], list[tuple[np.ndarray, int]]] = {}
-        for link, column in enumerate(table.links, 2):
+        groups: dict[tuple[frozenset[int], frozenset[int]], list[int]] = {}
+        for link in range(2, table.n + 1):
             # the graphs that enter an even, and an odd, vertex over the link
             entered = tuple(
                 frozenset(g for g, ls in enumerate(sends) if ls is None or (link in ls) == odd)
                 for odd in (False, True)
             )
-            groups.setdefault(entered, []).append(column)
-        return cls(len(table.odd), table.odd, len(sends), list(groups.items()))
+            groups.setdefault(entered, []).append(link)
+        return cls(table, len(sends), list(groups.items()))
 
     def owned(self, width: int) -> list[int]:
         """Each graph's source bits in a sweep of ``width`` sources: graph g
@@ -396,9 +420,7 @@ class _InArcs:
         levels after level 0 is the largest finite eccentricity among the
         sources.  Each level gathers whole rows into buffers allocated once
         per sweep, so a yielded frontier is overwritten two levels on; copy
-        it to keep it.  A column ``(index, b)`` is one ``np.take`` over the
-        frontier viewed as (n!/b, b * words) rows, one row per Lehmer block:
-        at order 9 that is 72 rows at link 2 and n! only at links 8 and 9.
+        it to keep it.  Each link is one :meth:`MoveTable.move_rows`.
 
         Every arc flips parity, so level d + 1 of source i lies on vertices
         of parity ``odd[i] ^ (d + 1) % 2``: a group comes down to one mask row
@@ -413,26 +435,26 @@ class _InArcs:
         (direction-optimizing BFS, Beamer, Asanovic & Patterson, SC 2012):
 
         - sparse head (top-down), while the frontier's rows times the
-          level's in-link columns are at most n!/:data:`SPARSE_SHARE`: the
-          frontier rows' neighbours over those columns are marked, one
+          level's in-links are at most n!/:data:`SPARSE_SHARE`: the
+          frontier rows' neighbours over those links are marked, one
           byte per row, and the level gathers only into the marked rows;
-        - dense middle: every column over all n! rows, block by block;
+        - dense middle: every link over all n! rows;
         - sparse tail (bottom-up), from the first level after the head at
           which the rows still holding an unseen source bit are at most
           n!/:data:`SPARSE_SHARE`: the level gathers only into those rows,
           and their list shrinks level by level.
 
-        A sparse level gathers a column row by row, at the ranks its rows
-        move to (:func:`_moved`).  A sweep whose sources times the first
-        level's in-link columns already exceed the share carries many sources
-        per vertex, such as an exhaustive batch at order 7 or a 64-source
-        distance block at order 6: it runs every level dense and counts no
-        rows.
+        A sweep whose sources times the first level's in-links already
+        exceed the share carries many sources per vertex, such as an
+        exhaustive batch at order 7 or a 64-source distance block at order
+        6: it runs every level dense and counts no rows.
         """
+        table = self.table
+        size = len(table.odd)
         word = _word(len(sources))
         bits = np.iinfo(word).bits
         index = np.arange(len(sources))
-        frontier = np.zeros((self.size, -(-len(sources) // bits)), dtype=word)
+        frontier = np.zeros((size, -(-len(sources) // bits)), dtype=word)
         np.bitwise_or.at(
             frontier, (sources, index // bits), np.left_shift(word(1), (index % bits).astype(word))
         )
@@ -443,19 +465,19 @@ class _InArcs:
             return np.array([mask >> bits * w & (1 << bits) - 1 for w in range(words)], dtype=word)
 
         full = (1 << len(sources)) - 1
-        odd = int.from_bytes(np.packbits(self.odd[sources], bitorder="little").tobytes(), "little")
+        odd = int.from_bytes(np.packbits(table.odd[sources], bitorder="little").tobytes(), "little")
         even = full ^ odd
         owned = self.owned(len(sources))
         # per level parity: each group the level gathers, with its mask row
         # (None where it holds every bit)
-        levels: tuple[list[tuple[np.ndarray | None, list[tuple[np.ndarray, int]]]], ...] = ([], [])
-        for entered, columns in self.groups:
+        levels: tuple[list[tuple[np.ndarray | None, list[int]]], ...] = ([], [])
+        for entered, links in self.groups:
             into_even, into_odd = (sum(owned[g] for g in graphs) for graphs in entered)
             masks = (into_even & odd | into_odd & even, into_even & even | into_odd & odd)
             for gathers, mask in zip(levels, masks):
                 if mask:
-                    gathers.append((None if mask == full else row(mask), columns))
-        in_links = [sum(len(columns) for _, columns in gathers) for gathers in levels]
+                    gathers.append((None if mask == full else row(mask), links))
+        in_degree = [sum(len(links) for _, links in gathers) for gathers in levels]
         unseen = ~frontier
         pulled, gathered = np.empty_like(frontier), np.empty_like(frontier)
         grouped = np.empty_like(frontier) if max(map(len, levels)) > 1 else None
@@ -465,10 +487,10 @@ class _InArcs:
         # so a sweep that starts dense keeps none
         def few(rows: int) -> bool:
             """Whether ``rows`` are within a sparse level's share of n!."""
-            return rows * SPARSE_SHARE <= self.size
+            return rows * SPARSE_SHARE <= size
 
         head = tail = None
-        sparse = few(len(sources) * in_links[0])
+        sparse = few(len(sources) * in_degree[0])
         if sparse:
             head = sources  # level 0's rows, a repeated source marking twice
             # a bit no graph owns, such as a high bit of a partial last word,
@@ -478,19 +500,19 @@ class _InArcs:
         # one bool per row for the head's marks and the tail's count: the
         # gather buffer's first n! bytes, which a level reads before it gathers
         # (np.flatnonzero reads a bool array several times faster than uint8)
-        mark = gathered.reshape(-1).view(bool)[: self.size]
+        mark = gathered.reshape(-1).view(bool)[:size]
         level = 0
         while frontier.any():
             yield frontier
             parity = level & 1
             rows = tail
             if sparse and tail is None:
-                if head is not None and few(len(head) * in_links[parity]):
+                if head is not None and few(len(head) * in_degree[parity]):
                     # top-down: a row is reached only from a frontier row
                     mark.fill(0)
-                    for _, columns in levels[parity]:
-                        for column in columns:
-                            mark[_moved(head, *column)] = True
+                    for _, links in levels[parity]:
+                        for link in links:
+                            mark[table.step(head, link)] = True
                     rows = np.flatnonzero(mark)
                 else:
                     head = None
@@ -498,26 +520,14 @@ class _InArcs:
                     unreached = _held(unseen, out=mark)
                     if few(np.count_nonzero(unreached)):
                         rows = tail = np.flatnonzero(unreached)
-            pull, gather, group = pulled, gathered, grouped
-            if rows is not None:
-                # a sparse level pulls into the first len(rows) rows of each buffer
-                pull, gather = pulled[: len(rows)], gathered[: len(rows)]
-                group = None if grouped is None else grouped[: len(rows)]
-            for g, (mask, columns) in enumerate(levels[parity]):
+            # a sparse level pulls into the first len(rows) rows of each buffer
+            m = None if rows is None else len(rows)
+            pull, gather = pulled[:m], gathered[:m]
+            group = None if grouped is None else grouped[:m]
+            for g, (mask, links) in enumerate(levels[parity]):
                 into = group if g else pull
-                for i, column in enumerate(columns):
-                    out = gather if i else into
-                    if rows is None:
-                        # whole blocks of b rows; take(mode="clip") skips the
-                        # bounds check of fancy indexing (every index is valid)
-                        # and is about twice as fast
-                        index, b = column
-                        np.take(
-                            frontier.reshape(-1, b * words), index, axis=0, mode="clip",
-                            out=out.reshape(-1, b * words),
-                        )
-                    else:
-                        np.take(frontier, _moved(rows, *column), axis=0, mode="clip", out=out)
+                for i, link in enumerate(links):
+                    table.move_rows(frontier, link, gather if i else into, rows)
                     if i:
                         into |= gather
                 if mask is not None:
@@ -541,19 +551,6 @@ class _InArcs:
                     tail = rows[_held(left)]
             frontier, pulled = pulled, frontier
             level += 1
-
-
-def _moved(ranks: np.ndarray, index: np.ndarray, b: int) -> np.ndarray:
-    """The ranks ``ranks`` move to over the link whose column is ``(index, b)``."""
-    if b == 1:
-        return index[ranks]
-    # index[q] * b + ranks % b, with one integer division
-    q = ranks // b
-    moved = index[q]
-    moved -= q
-    moved *= b
-    moved += ranks
-    return moved
 
 
 def _held(rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -710,7 +707,7 @@ def diameters(
 
     In orbit mode one sweep carries every graph's two orbit sources, graph g
     on bits 2g and 2g + 1: the undirected graph and both orientations share
-    one byte per vertex, over the move table's own block indexes, each masked by
+    one byte per vertex, over the move table's links, each masked by
     the graphs that enter over it.  An exhaustive run sweeps one graph at a
     time, since a full word gains nothing from sharing: the even ranks and
     then the odd ones, each in rank order, so every sweep's sources have one
@@ -731,12 +728,11 @@ def diameters(
             f"diameters takes one or more graphs, each named once, got {tuple(schemes)!r}"
         )
     table = move_table(n)
-    size = len(table.odd)
     if mode == "orbit":
         orbit = [rank(s) for s in orbit_sources(n)]
         runs = [(range(len(sends)), _InArcs.build(table, sends), [np.array(orbit * len(sends))])]
     else:
-        width = 64 * max(1, SWEEP_BYTES // (8 * size))  # sources per sweep
+        width = 64 * max(1, SWEEP_BYTES // (8 * len(table.odd)))  # sources per sweep
         batches = [
             part[lo : lo + width]
             for part in (np.flatnonzero(~table.odd), np.flatnonzero(table.odd))

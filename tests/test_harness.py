@@ -681,6 +681,10 @@ def test_a_seed_repeats_its_population_and_two_seeds_differ():
 
     assert np.array_equal(blocks(5), blocks(5)) and not np.array_equal(blocks(5), blocks(6))
     assert pairs(-3) == pairs(-3) != pairs(4)
+    # the sign counts: a negative seed draws another sample than its absolute value
+    assert pairs(-3) != pairs(3) and not np.array_equal(blocks(-3), blocks(3))
+    # every seed from 0 up draws as random.Random(seed)
+    assert harness._rng(5).random() == random.Random(5).random()
 
 
 def test_drawn_pairs_redraw_a_node_equal_to_its_target():
@@ -721,7 +725,7 @@ def test_split_merge_keeps_the_seeded_population(monkeypatch, size):
         # then t, then the links from one more than a drawn permutation's
         # first entry
         found = []
-        rng = random.Random(seed)
+        rng = harness._rng(seed)
         for lo in range(0, sample_size, harness._SPLIT_MERGE_ROWS):
             m = min(harness._SPLIT_MERGE_ROWS, sample_size - lo)
             cs, ts = harness._draw(rng, m, n).tolist(), harness._draw(rng, m, n).tolist()

@@ -94,9 +94,12 @@ def test_move_table_matches_generator_action():
             )
     assert not table.odd[0]
     assert bool(table.odd[rank((2, 1, 3, 4))])
+    frontier = np.zeros((24, 1), dtype=np.uint8)
     for link in (0, 1, 5):
         with pytest.raises(ValueError, match="lies in 2..4"):
             table.step(0, link)
+        with pytest.raises(ValueError, match="lies in 2..4"):
+            table.move_rows(frontier, link, np.empty_like(frontier))
 
 
 @pytest.mark.parametrize("n", range(3, 10))
@@ -401,16 +404,10 @@ BUILDS = [pytest.param((scheme,), id=str(scheme)) for scheme in GRAPHS] + [
 ]
 
 
-def _ranks(index, b):
-    """The n! ranks a (block index, b) column stands for: rank v maps to
-    index[v // b] * b + v % b."""
-    return (index.astype(np.int64)[:, None] * b + np.arange(b)).ravel()
-
-
 @pytest.mark.parametrize("n", range(3, 10))
 def test_link_columns_are_block_permutations(n):
     # swapping positions 1 and j keeps the Lehmer digits of j+1..n, the
-    # rank modulo b = (n - j)!, so each column permutes blocks of b ranks
+    # rank modulo b = (n - j)!, so each link permutes blocks of b ranks
     table = move_table(n)
     size = math.factorial(n)
     v = np.arange(size)
@@ -418,10 +415,9 @@ def test_link_columns_are_block_permutations(n):
     positions = list(table.perms.T)
     ranks, odd = _lehmer(positions)
     assert (ranks == v).all() and (odd == table.odd).all()
-    # the undirected graph enters both parities over every link: one group,
-    # each column the table's own index
-    ((entered, columns),) = _InArcs.build(table, [None]).groups
-    assert entered == ({0}, {0}) and columns == list(table.links)
+    # the undirected graph enters both parities over every link: one group
+    ((entered, links),) = _InArcs.build(table, [None]).groups
+    assert entered == ({0}, {0}) and links == list(range(2, n + 1))
     for link, (index, b) in zip(range(2, n + 1), table.links):
         assert b == math.factorial(n - link) and index.dtype == np.intp
         assert (np.sort(index) == np.arange(size // b)).all()
@@ -432,29 +428,51 @@ def test_link_columns_are_block_permutations(n):
         assert (table.step(v, link) == ranks).all() and (odd != table.odd).all()
 
 
+@pytest.mark.parametrize("n", range(3, 9))
+def test_move_rows_pulls_each_rows_neighbour(n):
+    # both forms against the frontier's rows at the Lehmer ranks of the rows
+    # with positions 1 and j swapped, on a one-byte frontier and on two
+    # uint64 words: dense and sparse gathers each checked apart from the sweep
+    table = move_table(n)
+    size = math.factorial(n)
+    rng = np.random.default_rng(n)
+    frontiers = [
+        np.frombuffer(rng.bytes(size), dtype=np.uint8).reshape(size, 1),
+        np.frombuffer(rng.bytes(16 * size), dtype=np.uint64).reshape(size, 2),
+    ]
+    rows = rng.integers(0, size, size // 3 + 1)  # unsorted, with repeats
+    positions = list(table.perms.T)
+    for link in range(2, n + 1):
+        swapped = list(positions)
+        swapped[0], swapped[link - 1] = swapped[link - 1], swapped[0]
+        neighbour, _ = _lehmer(swapped)
+        for frontier in frontiers:
+            out = np.empty_like(frontier)
+            table.move_rows(frontier, link, out)
+            assert (out == frontier[neighbour]).all()
+            out = np.empty((len(rows), frontier.shape[1]), dtype=frontier.dtype)
+            table.move_rows(frontier, link, out, rows)
+            assert (out == frontier[neighbour[rows]]).all()
+
+
 @pytest.mark.parametrize("n", [4, 5, 6, 7])
 @pytest.mark.parametrize("graphs", BUILDS)
 def test_in_arc_columns_match_topology(n, graphs):
     table = move_table(n)
     arcs = _InArcs.build(table, [_sends(n, scheme) for scheme in graphs])
-    assert arcs.graphs == len(graphs)
-    # one column per link, each the link's Lehmer-block column, with the
-    # (even, odd) graph sets of its group
-    columns = [(entered, column) for entered, group in arcs.groups for column in group]
-    links = []
-    for _, (index, b) in columns:
-        # the move table's own index, no copy
-        (link,) = [j for j, (ix, c) in enumerate(table.links, 2) if ix is index and c == b]
-        links.append(link)
-    assert sorted(links) == list(range(2, n + 1))
-    ranks = np.stack([_ranks(*column) for _, column in columns], axis=1)
+    assert arcs.graphs == len(graphs) and arcs.table is table
+    # each link once, with the (even, odd) graph sets of its group
+    grouped = [(entered, link) for entered, group in arcs.groups for link in group]
+    assert sorted(link for _, link in grouped) == list(range(2, n + 1))
+    v = np.arange(math.factorial(n))
+    ranks = np.stack([table.step(v, link) for _, link in grouped], axis=1)
     nodes = all_perms(n)
     index = {p: i for i, p in enumerate(nodes)}
     for v, p in enumerate(nodes):
         row, odd = ranks[v].tolist(), int(table.odd[v])
         for g, scheme in enumerate(graphs):
-            # graph g enters v over exactly the columns whose group names it at v's parity
-            entered = sorted(u for u, (into, _) in zip(row, columns) if g in into[odd])
+            # graph g enters v over exactly the links whose group names it at v's parity
+            entered = sorted(u for u, (into, _) in zip(row, grouped) if g in into[odd])
             arcs_in = neighbors(p) if scheme is None else in_neighbors(p, scheme)
             assert entered == sorted(index[q] for _, q in arcs_in)
     if len(graphs) == 1:
@@ -495,7 +513,7 @@ def _one_source(n, scheme):
 def _record_gathers(monkeypatch):
     """Wrap ``np.take`` and :meth:`_InArcs.sweep`: each sweep run appends
     ``(sources, pulls)``, ``pulls[d]`` the rows of each gather that level d
-    made from its frontier, one entry per column: n! for a dense column, the
+    made from its frontier, one entry per link: n! for a dense link, the
     rows a sparse one pulls into."""
     take, sweep = np.take, _InArcs.sweep
     sweeps, current = [], [None]
@@ -503,7 +521,7 @@ def _record_gathers(monkeypatch):
     def counted_take(a, indices, *args, **kwargs):
         frontier = current[0]
         if frontier is not None and np.may_share_memory(a, frontier):
-            # a dense column gathers blocks of n! / len(a) rows
+            # a dense link gathers blocks of n! / len(a) rows
             sweeps[-1][1][-1].append(len(indices) * len(frontier) // len(a))
         return take(a, indices, *args, **kwargs)
 
@@ -521,8 +539,8 @@ def _record_gathers(monkeypatch):
 
 
 def _forms(pulls, size):
-    """Each level's form, D where it gathered every column over all ``size``
-    rows and S where it gathered every column over fewer."""
+    """Each level's form, D where it gathered every link over all ``size``
+    rows and S where it gathered every link over fewer."""
     forms = "".join(
         "D" if all(rows == size for rows in gathers)
         else "S" if all(rows < size for rows in gathers) else "?"
@@ -652,7 +670,7 @@ def test_sweep_levels_match_reference_search(monkeypatch, n, build):
     ((_, pulls),) = sweeps
     level_forms = _forms(pulls, size)
     assert re.fullmatch(forms[n - 7], level_forms)
-    # a sparse level gathers fewer than n! rows over all its columns
+    # a sparse level gathers fewer than n! rows over all its links
     assert all(sum(gathers) < size for form, gathers in zip(level_forms, pulls) if form == "S")
 
 
@@ -724,7 +742,8 @@ def _send_set_diameter(n, sends, mode):
     if mode == "orbit":
         batches = [np.array([rank(s) for s in orbit_sources(n)])]
     else:
-        batches = np.split(np.arange(arcs.size), range(64, arcs.size, 64))
+        size = math.factorial(n)
+        batches = np.split(np.arange(size), range(64, size, 64))
     return max(sum(1 for _ in arcs.sweep(sources)) - 1 for sources in batches)
 
 
