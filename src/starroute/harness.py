@@ -19,10 +19,11 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .classify import _ROW_BLOCK, _count_rows, _cycle_cols, _dest_rows, crossing_load
+from .classify import _count_rows, _cycle_cols, _dest_rows, crossing_load
 from .oracle import (
     UNREACHABLE,
     _distance_blocks,
+    _lehmer,
     check_order,
     diameters,
     distance_fields,
@@ -211,6 +212,10 @@ def _route_violations(n: int, targets: list[Perm]) -> _Sweep:
     return factorial(n) * len(targets), found, extras
 
 
+# pairs the distance checks rank at once: bounds the rank pass's temporaries
+_RANK_ROWS = 8192
+
+
 def _distance_violations(n: int, targets: list[Perm]) -> _Sweep:
     """The population and the violations of every distance check by name,
     over the route family's pairs: every node into each of ``targets``, row
@@ -218,34 +223,46 @@ def _distance_violations(n: int, targets: list[Perm]) -> _Sweep:
     in :class:`routetree.RouteTree`.  BFS distance is symmetric, so row j of an
     :func:`oracle._distance_blocks` block is every node's distance into j.
 
-    A block's targets go to :func:`classify._count_rows` as
-    :func:`classify._dest_rows`, at most ``_ROW_BLOCK`` rows (one target at
-    least) at a time.  ``distance-vs-bfs`` compares the kernel's classic
-    distance with BFS and ``set-formula`` the half-partition sum ``ull +
-    urr + ulr + url + nonsingleton`` with it; a :class:`Violation` is built
-    only for a pair that differs.  ``routing.classic_distance`` and
-    ``classic_distance_sets`` serve single pairs.
+    Both closed forms read a pair (s, t) only through its
+    :func:`classify._dest_rows` row, the relative permutation t^-1 s, so
+    the n!^2 pairs have n! inputs.  :func:`classify._count_rows` takes
+    each once, ``perms`` in rank order: the classic distance, and the
+    half-partition sum ``ull + urr + ulr + url + nonsingleton``, by the
+    Lehmer rank of the relative permutation.  The pairs are ranked by
+    :func:`oracle._lehmer`, at most ``_RANK_ROWS`` rows at a time (whole
+    targets, or one target's nodes in slices), and each gathers its two
+    values at its rank.  ``distance-vs-bfs`` compares the distance with BFS
+    and ``set-formula`` the sum with the distance, pair by pair; a
+    :class:`Violation` is built only for a pair that differs.
+    ``routing.classic_distance`` and ``classic_distance_sets`` serve
+    single pairs.
     """
     found: dict[str, list[Violation]] = {name: [] for name in DISTANCE_CHECKS}
     perms = move_table(n).perms
     size = len(perms)
-    per = max(1, _ROW_BLOCK // size)
+    table = _count_rows(perms)
+    via_sets = table.ull + table.urr + table.ulr + table.url + table.nonsingleton
+    per, span = max(1, _RANK_ROWS // size), min(size, _RANK_ROWS)
     for batch, block in _distance_blocks(targets):
         for lo in range(0, len(batch), per):
-            group, bfs = batch[lo : lo + per], block[lo : lo + per].ravel()
+            group = batch[lo : lo + per]
+            for start in range(0, size, span):
+                nodes = perms[start : start + span]
+                bfs = block[lo : lo + per, start : start + span].ravel()
 
-            def flag(name: str, row: int, observed: int, bound: int | None) -> None:
-                node = tuple(perms[row % size].tolist())
-                found[name].append(Violation(node, group[row // size], observed, bound))
+                def flag(name: str, row: int, observed: int, bound: int | None) -> None:
+                    j, v = divmod(row, len(nodes))
+                    node = tuple(nodes[v].tolist())
+                    found[name].append(Violation(node, group[j], observed, bound))
 
-            rows = _count_rows(_dest_rows(group, perms))
-            d = rows.distance
-            for i in np.flatnonzero(d != bfs).tolist():
-                bound = None if bfs[i] == UNREACHABLE else int(bfs[i])
-                flag("distance-vs-bfs", i, int(d[i]), bound)
-            via_sets = rows.ull + rows.urr + rows.ulr + rows.url + rows.nonsingleton
-            for i in np.flatnonzero(via_sets != d).tolist():
-                flag("set-formula", i, int(via_sets[i]), int(d[i]))
+                at, _ = _lehmer(list(np.ascontiguousarray(_dest_rows(group, nodes).T)))
+                d = table.distance[at]
+                for i in np.flatnonzero(d != bfs).tolist():
+                    bound = None if bfs[i] == UNREACHABLE else int(bfs[i])
+                    flag("distance-vs-bfs", i, int(d[i]), bound)
+                sums = via_sets[at]
+                for i in np.flatnonzero(sums != d).tolist():
+                    flag("set-formula", i, int(sums[i]), int(d[i]))
     return len(targets) * size, found, {}
 
 

@@ -179,15 +179,18 @@ class MoveTable:
     ) -> None:
         """Write into row i of ``out`` the row of the (n!, words) ``frontier`` at
         ``step(rows[i], link)``; with no ``rows``, into every row v of a C-contiguous
-        ``out`` shaped like the frontier its row at ``step(v, link)``, as one ``np.take``
+        ``out`` shaped like the frontier its row at ``step(v, link)``, as one ``take``
         of whole Lehmer blocks: n!/b rows of b * words, 72 at link 2 of order 9.
-        ``mode="clip"`` skips fancy indexing's bounds check, about twice as fast."""
+        ``mode="clip"`` skips fancy indexing's bounds check, about twice as fast.
+        The array method skips ``np.take``'s Python wrapper, about 1 us of each
+        of a sweep's gathers: measured on a 2-core Xeon, two exhaustive order-7
+        diameters (about 4 200 gathers) took about 42 ms against 46 ms."""
         if rows is not None:
-            np.take(frontier, self.step(rows, link), axis=0, mode="clip", out=out)
+            frontier.take(self.step(rows, link), axis=0, mode="clip", out=out)
             return
         index, _ = self._link(link)
         blocks = (len(index), -1)
-        np.take(frontier.reshape(blocks), index, axis=0, mode="clip", out=out.reshape(blocks))
+        frontier.reshape(blocks).take(index, axis=0, mode="clip", out=out.reshape(blocks))
 
 
 _tables: dict[int, MoveTable] = {}

@@ -389,35 +389,44 @@ def test_stretch_bound_reads_the_classic_distance_of_every_pair(monkeypatch):
 
 
 def test_distance_checks_read_the_classic_distance_of_every_pair(monkeypatch):
-    # the distance family's rows are the route trees' rows: by target, then by node
+    # the distance family's rows are the route trees' rows: by target, then
+    # by node, each read from the one kernel pass at the rank it is given
     nodes = all_perms(5)
-    count_rows = harness._count_rows
-    read = []
+    count_rows, lehmer = harness._count_rows, harness._lehmer
+    tables, ranks = [], []
 
-    def recording(dest):
-        rows = count_rows(dest)
-        read.extend(rows.distance.tolist())
-        return rows
+    def counting(dest):
+        tables.append(count_rows(dest))
+        return tables[-1]
 
-    monkeypatch.setattr(harness, "_count_rows", recording)
+    def ranking(columns):
+        ranked = lehmer(columns)
+        ranks.append(ranked[0])
+        return ranked
+
+    monkeypatch.setattr(harness, "_count_rows", counting)
+    monkeypatch.setattr(harness, "_lehmer", ranking)
     assert verify(5, checks=DISTANCE_CHECKS).ok
+    (table,) = tables
+    read = table.distance[np.concatenate(ranks)].tolist()
     assert read == [classic_distance(s, t) for t in nodes for s in nodes]
 
 
 def test_both_families_read_the_same_reduced_rows(monkeypatch):
-    pick_rows, count_rows = routetree._pick_rows, harness._count_rows
+    # the distance family reads a row through its Lehmer rank
+    pick_rows, lehmer = routetree._pick_rows, harness._lehmer
     seen = {"route": [], "distance": []}
 
     def route_rows(dest, odd):
         seen["route"].append(dest.copy())
         return pick_rows(dest, odd)
 
-    def distance_rows(dest):
-        seen["distance"].append(dest.copy())
-        return count_rows(dest)
+    def distance_rows(columns):
+        seen["distance"].append(np.stack(columns, axis=1))
+        return lehmer(columns)
 
     monkeypatch.setattr(routetree, "_pick_rows", route_rows)
-    monkeypatch.setattr(harness, "_count_rows", distance_rows)
+    monkeypatch.setattr(harness, "_lehmer", distance_rows)
     report = verify(7, checks=["hop-bound", "set-formula"], sources="reduced")
     assert report.ok and [c.population for c in report.checks] == [2 * 5040] * 2
     route, distance = (np.concatenate(seen[family]) for family in ("route", "distance"))
@@ -464,28 +473,30 @@ def test_distance_vs_bfs_reports_exactly_the_planted_bfs_entries(monkeypatch):
 
 
 def test_set_formula_reports_exactly_a_planted_kernel_row(monkeypatch):
-    # each call takes whole targets' rows, so row j * 5! + v over the calls
-    # in order is node v into target j
+    # the kernel runs once, on every relative permutation in rank order, and
+    # each pair (s, t) reads the entry of t^-1 s: a fault planted at rank u
+    # shows at the one node t u of every target t, in row order
     nodes = all_perms(5)
-    planted = 1_000  # a row of the second call
+    planted = 77
+    u = nodes[planted]
     count_rows = harness._count_rows
     calls = []
 
     def tampered(dest):
         rows = count_rows(dest)
-        if len(calls) == 1:
-            rows.ulr[planted] += 1
+        rows.ulr[planted] += 1
         calls.append(len(dest))
         return rows
 
     monkeypatch.setattr(harness, "_count_rows", tampered)
     report = verify(5, checks=DISTANCE_CHECKS)
-    assert sum(calls) == len(nodes) ** 2 and max(calls) <= _ROW_BLOCK
-    assert all(rows % len(nodes) == 0 for rows in calls)
-    j, v = divmod(calls[0] + planted, len(nodes))
-    s, t = nodes[v], nodes[j]
-    d = classic_distance(s, t)
-    assert report.check("set-formula").violations == (Violation(s, t, d + 1, d),)
+    assert calls == [len(nodes)]
+    expected = []
+    for t in nodes:
+        s = compose(t, u)
+        d = classic_distance(s, t)
+        expected.append(Violation(s, t, d + 1, d))
+    assert report.check("set-formula").violations == tuple(expected)
     assert report.check("distance-vs-bfs").ok
 
 
@@ -777,6 +788,22 @@ def test_router_equivariance_memory_does_not_grow_with_the_sample():
     verify(6, checks=["router-equivariance"], sample_size=10)  # the caches a first call fills
     small, large = peak(4_096), peak(40_960)
     assert large <= 1.1 * small, (small, large)
+
+
+def test_distance_checks_rank_pairs_in_bounded_blocks():
+    # the relative ranks are taken _RANK_ROWS pairs at a time, so the peak
+    # stays under 16 bytes a pair at order 8 (about 13); ranking a whole
+    # order-8 target at once reads about 34
+    n = 8
+    targets = list(orbit_sources(n))
+    harness._distance_violations(n, targets)  # the move table and its rows
+    tracemalloc.start()
+    try:
+        harness._distance_violations(n, targets)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * len(targets) * math.factorial(n), peak
 
 
 def test_one_graph_directed_sweep_holds_no_full_length_column():

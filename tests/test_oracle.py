@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 from starroute import oracle
 from starroute.oracle import (
     MAX_RANK_ORDER,
+    MoveTable,
     SWEEP_BYTES,
     _InArcs,
     _lehmer,
@@ -511,19 +512,18 @@ def _one_source(n, scheme):
 
 
 def _record_gathers(monkeypatch):
-    """Wrap ``np.take`` and :meth:`_InArcs.sweep`: each sweep run appends
-    ``(sources, pulls)``, ``pulls[d]`` the rows of each gather that level d
-    made from its frontier, one entry per link: n! for a dense link, the
-    rows a sparse one pulls into."""
-    take, sweep = np.take, _InArcs.sweep
+    """Wrap :meth:`MoveTable.move_rows` and :meth:`_InArcs.sweep`: each sweep
+    run appends ``(sources, pulls)``, ``pulls[d]`` the rows of each gather
+    that level d made from its frontier, one entry per link: n! for a dense
+    link, the rows a sparse one pulls into."""
+    move_rows, sweep = MoveTable.move_rows, _InArcs.sweep
     sweeps, current = [], [None]
 
-    def counted_take(a, indices, *args, **kwargs):
-        frontier = current[0]
-        if frontier is not None and np.may_share_memory(a, frontier):
-            # a dense link gathers blocks of n! / len(a) rows
-            sweeps[-1][1][-1].append(len(indices) * len(frontier) // len(a))
-        return take(a, indices, *args, **kwargs)
+    def counted_move_rows(table, frontier, link, out, rows=None):
+        if current[0] is not None:
+            assert frontier is current[0]
+            sweeps[-1][1][-1].append(len(frontier) if rows is None else len(rows))
+        return move_rows(table, frontier, link, out, rows)
 
     def counted_sweep(self, sources):
         sweeps.append((sources, []))
@@ -533,7 +533,7 @@ def _record_gathers(monkeypatch):
             yield frontier
         current[0] = None
 
-    monkeypatch.setattr(np, "take", counted_take)
+    monkeypatch.setattr(MoveTable, "move_rows", counted_move_rows)
     monkeypatch.setattr(_InArcs, "sweep", counted_sweep)
     return sweeps
 

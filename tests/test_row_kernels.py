@@ -4,7 +4,8 @@ The one pass of ``routetree._pick_rows``: its picks against
 ``routing._oriented_pick`` (link, move kind and case), its counts against
 ``classify._count_rows``, and their alternating-cycle count against
 ``classify._counts``: every ordered pair through order 6, 20 000 seeded
-pairs at orders 7 to 9.
+pairs at orders 7 to 9.  Also the distance checks' lookup: each pair's
+counts gathered at the Lehmer rank of its dest row against the kernel.
 """
 from __future__ import annotations
 
@@ -13,8 +14,8 @@ import random
 import numpy as np
 import pytest
 
-from starroute.classify import _count_rows, _counts
-from starroute.oracle import move_table
+from starroute.classify import Counts, _count_rows, _counts, _dest_rows
+from starroute.oracle import _lehmer, move_table
 from starroute.perm import parity, positions
 from starroute.routetree import _KINDS, _NO_CASE, _pick_rows
 from starroute.routing import CASES, _oriented_pick
@@ -69,3 +70,25 @@ def test_row_kernels_match_the_scalar_pick_and_counts(n):
         expected.append((link_, kinds[kind], cases[label]))
     assert list(zip(link.tolist(), move.tolist(), case.tolist())) == expected
     assert alternating.tolist() == chi
+
+
+@pytest.mark.parametrize("n", range(4, 9))
+def test_counts_at_the_relative_rank_match_the_kernel(n):
+    # a pair's dest row is its relative permutation t^-1 s, so the distance
+    # checks gather its counts at that row's Lehmer rank from one kernel
+    # pass over every permutation in rank order: every pair through order
+    # 5, three seeded targets beyond
+    perms = move_table(n).perms
+    identity = tuple(range(1, n + 1))
+    ranks, _ = _lehmer(list(_dest_rows([identity], perms).T))
+    assert (ranks == np.arange(len(perms))).all()
+    if n <= 5:
+        targets = all_perms(n)
+    else:
+        rng = random.Random(n)
+        targets = [tuple(rng.sample(identity, n)) for _ in range(3)]
+    dest = _dest_rows(targets, perms)
+    at, _ = _lehmer(list(dest.T))
+    table = _count_rows(perms)
+    for name, gathered, direct in zip(Counts._fields, table, _count_rows(dest)):
+        assert (gathered[at] == direct).all(), name
