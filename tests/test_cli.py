@@ -27,11 +27,16 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def test_every_transcript_entry_matches_its_run():
-    diffs = cli_transcript.check(
-        cli_transcript.parse(cli_transcript.GOLDEN.read_text()), cli_transcript.run_in_process
-    )
-    assert not diffs, "\n\n".join(diffs)
+_GOLDEN = cli_transcript.parse(cli_transcript.GOLDEN.read_text())
+
+
+# one case per entry, its id the command after ``starroute``
+@pytest.mark.parametrize(
+    ("command", "expected"), _GOLDEN.items(), ids=[c.removeprefix("starroute ") for c in _GOLDEN]
+)
+def test_transcript_entry_matches_its_run(command, expected):
+    diffs = cli_transcript.check({command: expected}, cli_transcript.run_in_process)
+    assert not diffs, diffs[0]
 
 
 def test_readme_examples_are_transcript_entries():
@@ -40,10 +45,9 @@ def test_readme_examples_are_transcript_entries():
     for block in blocks:
         if "$ starroute " in block:
             examples.update(cli_transcript.parse(block))
-    golden = cli_transcript.parse(cli_transcript.GOLDEN.read_text())
     assert len(examples) == 3
     for command, lines in examples.items():
-        assert golden.get(command) == lines, command
+        assert _GOLDEN.get(command) == lines, command
 
 
 def test_an_argparse_usage_error_counts_as_exit_two():
