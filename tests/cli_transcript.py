@@ -3,8 +3,11 @@
 The transcript is a list of entries.  An entry is a ``$ starroute ...``
 line followed by what the command writes: its standard output line by
 line, then each standard error line prefixed ``! ``, then ``[exit N]``
-when its exit code N is not 0.  A blank line ends an entry; between
-entries a line starting with ``#`` is a comment.  The one value not
+when its exit code N is not 0.  A stream whose last line has no newline
+is followed by the line ``[no newline at end]`` (``! [no newline at end]``
+on standard error), so a lost final newline fails the comparison.  A
+blank line ends an entry; between entries a line starting with ``#`` is
+a comment.  The one value not
 compared is ``elapsed``, written ``elapsed=...`` on a text line and
 ``"elapsed": ...`` in ``--json``.
 
@@ -35,6 +38,9 @@ from typing import Callable, Sequence
 
 GOLDEN = Path(__file__).with_name("golden") / "cli.txt"
 
+# the line after a stream's last line when that line has no newline
+NO_NEWLINE = "[no newline at end]"
+
 # a run's rendered text, as an entry records it, from the command's arguments
 Runner = Callable[[Sequence[str]], list[str]]
 
@@ -64,11 +70,18 @@ def parse(text: str) -> dict[str, list[str]]:
     return entries
 
 
+def _lines(stream: str) -> list[str]:
+    """A stream's lines, split at newlines only, then ``NO_NEWLINE`` when
+    its last line has none."""
+    lines = stream.split("\n")
+    return lines + [NO_NEWLINE] if lines[-1] else lines[:-1]
+
+
 def render(out: str, err: str, code: int) -> list[str]:
     """A run's lines as an entry records them, ``elapsed`` blanked."""
     for pattern, blank in _ELAPSED:
         out = pattern.sub(blank, out)
-    lines = out.splitlines() + [f"! {line}" for line in err.splitlines()]
+    lines = _lines(out) + [f"! {line}" for line in _lines(err)]
     return lines + [f"[exit {code}]"] if code else lines
 
 

@@ -12,8 +12,9 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import chopped_cli
 import cli_transcript
-from starroute import oracle
+from starroute import cli, oracle
 from starroute.cli import build_parser, main
 from starroute.harness import verify
 
@@ -55,15 +56,10 @@ def test_an_argparse_usage_error_counts_as_exit_two():
     assert lines[0].startswith("! usage: starroute diameter ") and lines[-1] == "[exit 2]"
 
 
-# two entries every runner must match, and tamperings of them that it must not
-_SMALL = """\
-$ starroute distance 21345 12345 --directed
-5
-
-$ starroute table 3..x
-! error: malformed order list '3..x'
-[exit 2]
-"""
+# two entries of the transcript, one on stdout and one on stderr, for the
+# checker's own tests
+_DISTANCE = "starroute distance 21345 12345 --directed"
+_USAGE = "starroute table 3..x"
 
 
 @pytest.fixture(params=["in-process", "command"])
@@ -75,28 +71,53 @@ def runner(request, monkeypatch):
     return cli_transcript.command_runner([sys.executable, "-m", "starroute.cli"])
 
 
-def test_a_runner_matches_the_untampered_entries(runner):
-    assert cli_transcript.check(cli_transcript.parse(_SMALL), runner) == []
+@pytest.fixture(params=["in-process", "command"])
+def chopped_runner(request, monkeypatch):
+    if request.param == "in-process":
+        monkeypatch.setattr(cli, "main", chopped_cli.chopped(cli.main))
+        return cli_transcript.run_in_process
+    monkeypatch.setenv("PYTHONPATH", _SRC)
+    return cli_transcript.command_runner([sys.executable, chopped_cli.__file__])
+
+
+def assert_one_diff_naming(command, diffs, shown):
+    assert len(diffs) == 1
+    lines = diffs[0].splitlines()
+    assert lines[:2] == [f"--- expected: $ {command}", f"+++ actual: $ {command}"]
+    assert all(line in lines for line in shown), diffs[0]
+
+
+# the in-process runner runs every entry in the transcript test
+@pytest.mark.parametrize("runner", ["command"], indirect=True)
+def test_the_command_runner_matches_the_untampered_entries(runner):
+    entries = {command: _GOLDEN[command] for command in (_DISTANCE, _USAGE)}
+    assert cli_transcript.check(entries, runner) == []
 
 
 @pytest.mark.parametrize(
     ("command", "expected", "shown"),
     [
         # one character changed in an expected line
-        ("starroute distance 21345 12345 --directed", ["6"], ["-6", "+5"]),
+        (_DISTANCE, ["6"], ["-6", "+5"]),
         # an exit code recorded for a command that exits 0
-        ("starroute distance 21345 12345 --directed", ["5", "[exit 2]"], ["-[exit 2]"]),
+        (_DISTANCE, ["5", "[exit 2]"], ["-[exit 2]"]),
         # a missing stderr line
-        ("starroute table 3..x", ["[exit 2]"], ["+! error: malformed order list '3..x'"]),
+        (_USAGE, ["[exit 2]"], ["+! error: malformed order list '3..x'"]),
     ],
     ids=["changed-character", "exit-code-of-a-success", "missing-stderr-line"],
 )
 def test_a_tampered_entry_fails_with_a_diff_naming_its_command(runner, command, expected, shown):
-    diffs = cli_transcript.check({command: expected}, runner)
-    assert len(diffs) == 1
-    lines = diffs[0].splitlines()
-    assert lines[:2] == [f"--- expected: $ {command}", f"+++ actual: $ {command}"]
-    assert all(line in lines for line in shown), diffs[0]
+    assert_one_diff_naming(command, cli_transcript.check({command: expected}, runner), shown)
+
+
+@pytest.mark.parametrize(
+    ("command", "shown"),
+    [(_DISTANCE, ["+[no newline at end]"]), (_USAGE, ["+! [no newline at end]"])],
+    ids=["stdout", "stderr"],
+)
+def test_an_output_without_its_final_newline_fails(chopped_runner, command, shown):
+    diffs = cli_transcript.check({command: _GOLDEN[command]}, chopped_runner)
+    assert_one_diff_naming(command, diffs, shown)
 
 
 def test_verify_figures_sit_between_population_and_violations(capsys):
